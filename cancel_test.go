@@ -103,11 +103,45 @@ func countGoroutines() int {
 	return runtime.NumGoroutine()
 }
 
-// testCancelMidSolve runs the full contract for one engine method on the
-// bench workload: reference solve, mid-solve cancel, bounded return,
-// scratch reuse.
-func testCancelMidSolve(t *testing.T, method queryengine.Method, cancelAfter time.Duration) {
-	d, q := benchWorkload(t)
+// viewportWorkload is the other end of the size range: the benchmark's
+// solve_tgen shape (NY scale 2, a 16 km² viewport of ~290 nodes, ∆ = 4 km),
+// where a whole TGEN solve is milliseconds and crosses only ~10³ edges, so
+// per-edge checkpoints alone would probe the context a handful of times;
+// the per-row checkpoint of the combine kernel is what observes a cancel
+// here. Of a few generated queries the one TGEN solves slowest is used, so
+// the solve is long enough to cancel into.
+func viewportWorkload(t *testing.T) (*dataset.Dataset, dataset.Query) {
+	t.Helper()
+	d, err := dataset.NYLike(dataset.Config{Seed: 1, Scale: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs, err := d.GenQueries(rand.New(rand.NewSource(7)), 8, 3, 16e6, 4000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := d.NewPlanner()
+	slowest, slowestDur := 0, time.Duration(-1)
+	for i, q := range qs {
+		qi, err := p.Instantiate(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		if _, err := queryengine.Solve(context.Background(), qi, q.Delta, queryengine.Options{Method: queryengine.MethodTGEN}); err != nil {
+			t.Fatal(err)
+		}
+		if dur := time.Since(start); dur > slowestDur {
+			slowest, slowestDur = i, dur
+		}
+	}
+	return d, qs[slowest]
+}
+
+// testCancelMidSolve runs the full contract for one engine method on one
+// query: reference solve, mid-solve cancel, bounded return, scratch reuse.
+// A zero cancelAfter cancels an eighth of the reference solve time in.
+func testCancelMidSolve(t *testing.T, d *dataset.Dataset, q dataset.Query, method queryengine.Method, cancelAfter time.Duration) {
 	opts := queryengine.Options{Method: method}
 	baseline := countGoroutines()
 
@@ -127,31 +161,43 @@ func testCancelMidSolve(t *testing.T, method queryengine.Method, cancelAfter tim
 	if want == nil {
 		t.Fatal("bench query matched nothing; the test would be vacuous")
 	}
+	if cancelAfter == 0 {
+		cancelAfter = refDur / 8
+	}
 	if refDur < 4*cancelAfter {
 		t.Fatalf("solve took %v; cancelling after %v would not be mid-solve", refDur, cancelAfter)
 	}
+	t.Logf("%d-node instance, reference solve %v, cancel after %v", qi.In.NumNodes, refDur, cancelAfter)
 
-	// Cancel mid-solve on the worker planner.
+	// Cancel mid-solve on the worker planner. A solve that finished before
+	// the cancel landed (an overslept timer on a millisecond-scale solve)
+	// proves nothing either way: try again, a few times.
 	worker := d.NewPlanner()
-	qi, err = worker.Instantiate(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
 	type outcome struct {
 		err error
 		at  time.Time
 	}
-	done := make(chan outcome, 1)
-	go func() {
-		_, err := queryengine.Solve(ctx, qi, q.Delta, opts)
-		done <- outcome{err: err, at: time.Now()}
-	}()
-	time.Sleep(cancelAfter)
-	cancelledAt := time.Now()
-	cancel()
-	out := <-done
+	var out outcome
+	var cancelledAt time.Time
+	for attempt := 0; attempt < 5; attempt++ {
+		qi, err = worker.Instantiate(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan outcome, 1)
+		go func() {
+			_, err := queryengine.Solve(ctx, qi, q.Delta, opts)
+			done <- outcome{err: err, at: time.Now()}
+		}()
+		time.Sleep(cancelAfter)
+		cancelledAt = time.Now()
+		cancel()
+		out = <-done
+		if out.err != nil {
+			break
+		}
+	}
 	if !errors.Is(out.err, context.Canceled) {
 		t.Fatalf("cancelled solve returned err = %v, want context.Canceled", out.err)
 	}
@@ -182,11 +228,23 @@ func testCancelMidSolve(t *testing.T, method queryengine.Method, cancelAfter tim
 // there) and observe return within 50ms with context.Canceled, no
 // goroutine leaks, and bit-identical results from the reused scratch.
 func TestCancelMidSolveAPP(t *testing.T) {
-	testCancelMidSolve(t, queryengine.MethodAPP, 15*time.Millisecond)
+	d, q := benchWorkload(t)
+	testCancelMidSolve(t, d, q, queryengine.MethodAPP, 15*time.Millisecond)
 }
 
 func TestCancelMidSolveTGEN(t *testing.T) {
-	testCancelMidSolve(t, queryengine.MethodTGEN, 10*time.Millisecond)
+	d, q := benchWorkload(t)
+	testCancelMidSolve(t, d, q, queryengine.MethodTGEN, 10*time.Millisecond)
+}
+
+// TestCancelMidSolveTGENViewport cancels inside a viewport-sized TGEN solve:
+// the cancel lands between two per-edge checkpoints' probes, inside the
+// combine kernel's pair loop, and the scratch abandoned there (marks set,
+// tuples collected but not installed) must answer the next query
+// bit-identically.
+func TestCancelMidSolveTGENViewport(t *testing.T) {
+	d, q := viewportWorkload(t)
+	testCancelMidSolve(t, d, q, queryengine.MethodTGEN, 0)
 }
 
 // TestCancelMidSolveGreedy uses a synthetic long-path instance: the bench

@@ -6,38 +6,52 @@ import (
 	"testing"
 )
 
-// benchInstance builds a grid-like weighted instance comparable to a query
-// region of the NY dataset (~900 nodes).
-func benchInstance(b *testing.B) (*Instance, float64) {
-	b.Helper()
-	rng := rand.New(rand.NewSource(12))
-	const side = 30
+// gridInstance builds a side×side street grid whose edge lengths are
+// uniform in [lenLo, lenLo+lenSpan) and where a density share of the nodes
+// carries a uniform (0,1) relevance weight.
+func gridInstance(tb testing.TB, seed int64, side int, lenLo, lenSpan, density float64) *Instance {
+	tb.Helper()
+	rng := rand.New(rand.NewSource(seed))
 	n := side * side
 	var edges []Edge
 	for y := 0; y < side; y++ {
 		for x := 0; x < side; x++ {
 			v := int32(y*side + x)
 			if x+1 < side {
-				edges = append(edges, Edge{U: v, V: v + 1, Length: 250 + rng.Float64()*100})
+				edges = append(edges, Edge{U: v, V: v + 1, Length: lenLo + rng.Float64()*lenSpan})
 			}
 			if y+1 < side {
-				edges = append(edges, Edge{U: v, V: v + int32(side), Length: 250 + rng.Float64()*100})
+				edges = append(edges, Edge{U: v, V: v + int32(side), Length: lenLo + rng.Float64()*lenSpan})
 			}
 		}
 	}
-	// Relevance density mirrors real keyword queries: a few percent of
-	// nodes carry weight (dense weights invert the TGEN/APP cost order).
 	weights := make([]float64, n)
 	for i := range weights {
-		if rng.Float64() < 0.06 {
+		if rng.Float64() < density {
 			weights[i] = rng.Float64()
 		}
 	}
 	in, err := NewInstance(n, edges, weights)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	return in, 10000 // ∆ = 10 km
+	return in
+}
+
+// benchInstance builds a grid-like weighted instance comparable to a query
+// region of the NY dataset (~900 nodes). Relevance density mirrors real
+// keyword queries: a few percent of nodes carry weight (dense weights
+// invert the TGEN/APP cost order).
+func benchInstance(b *testing.B) (*Instance, float64) {
+	return gridInstance(b, 12, 30, 250, 100, 0.06), 10000 // ∆ = 10 km
+}
+
+// viewportInstance builds the instance shape the served TGEN workload
+// solves (bench/README's solve_tgen): a 17×17 street grid (~290 nodes)
+// with 200–285 m blocks, about a third of the nodes relevant, and ∆ = 4 km —
+// a budget of ~16 edges, so most tuple pairs are too long to combine.
+func viewportInstance(tb testing.TB, seed int64) (*Instance, float64) {
+	return gridInstance(tb, seed, 17, 200, 85, 0.35), 4000
 }
 
 func BenchmarkAPP(b *testing.B) {
@@ -140,19 +154,31 @@ func BenchmarkSolveAPP(b *testing.B) {
 }
 
 func BenchmarkSolveTGEN(b *testing.B) {
-	in, delta := benchInstance(b)
-	alpha := float64(in.NumNodes) / 9
-	s := NewSolveScratch()
-	if _, err := SolveTGEN(context.Background(), s, in, delta, TGENOptions{Alpha: alpha}); err != nil { // warm
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := SolveTGEN(context.Background(), s, in, delta, TGENOptions{Alpha: alpha}); err != nil {
+	run := func(b *testing.B, in *Instance, delta float64) {
+		// α = n/9 (σ̂max ≈ 9) is what the serving layer passes by default.
+		opts := TGENOptions{Alpha: float64(in.NumNodes) / 9}
+		s := NewSolveScratch()
+		if _, err := SolveTGEN(context.Background(), s, in, delta, opts); err != nil { // warm
 			b.Fatal(err)
 		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := SolveTGEN(context.Background(), s, in, delta, opts); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
+	b.Run("grid900", func(b *testing.B) {
+		in, delta := benchInstance(b)
+		run(b, in, delta)
+	})
+	// The regime of the served solve_tgen workload (~10 ms per solve), where
+	// the pair loop of combineAcross is nearly all of the time.
+	b.Run("viewport", func(b *testing.B) {
+		in, delta := viewportInstance(b, 1)
+		run(b, in, delta)
+	})
 }
 
 func BenchmarkSolveGreedy(b *testing.B) {

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math/bits"
+	"slices"
 
 	"repro/internal/cancel"
 	"repro/internal/container"
@@ -34,9 +35,10 @@ type SolveScratch struct {
 	arrays [][]tupleEntry
 
 	// TGEN traversal state.
-	processed stampSet
+	processed stampSet // nodes whose tuple array has been dropped
 	enqueued  stampSet
 	edgeDone  stampSet
+	marks     stampSet // combineAcross: the nodes of the current outer tuple
 	queue     []int32
 	newTuples []*poolRegion
 	order     []int32 // OrderAscLength edge order
@@ -62,7 +64,7 @@ type SolveScratch struct {
 	adjEdge  []int32
 	cursor   []int32
 	foQueue  []int32
-	snapshot []*poolRegion
+	snapshot []tupleEntry
 }
 
 // NewSolveScratch returns an empty scratch; it warms up as it serves.
@@ -116,10 +118,14 @@ func (s *SolveScratch) considerFeasible(r *poolRegion, delta float64) {
 }
 
 // bestRegion returns the tracked best as a plain *Region (nil when none).
+// This is the answer boundary: combine leaves node lists in concatenation
+// order, so the one region that leaves the solver is sorted here to restore
+// the ascending order Region documents.
 func (s *SolveScratch) bestRegion() *Region {
 	if s.best == nil {
 		return nil
 	}
+	slices.Sort(s.best.Nodes)
 	return &s.best.Region
 }
 
@@ -133,13 +139,18 @@ func (s *SolveScratch) singleton(in *Instance, v NodeID) *poolRegion {
 	return r
 }
 
-// combine is combine into arena storage: it joins two node-disjoint
-// regions through the edge with index edgeIdx.
+// combine is the arena form of region.go's combine: it joins two
+// node-disjoint regions through the edge with index edgeIdx. Edges keep the
+// allocating order (a's, b's, the joining edge); nodes are concatenated, not
+// merged — nothing inside the pooled solvers reads node order (the cycle
+// test uses marks, per-node updates are independent), and bestRegion sorts
+// the answer.
 func (s *SolveScratch) combine(in *Instance, a, b *poolRegion, edgeIdx int32) *poolRegion {
 	e := in.Edges[edgeIdx]
 	out := s.pool.newRegion()
 	nodes := s.pool.allocInts(len(a.Nodes) + len(b.Nodes))
-	mergeSortedInto(nodes, a.Nodes, b.Nodes)
+	copy(nodes, a.Nodes)
+	copy(nodes[len(a.Nodes):], b.Nodes)
 	edges := s.pool.allocInts(len(a.Edges) + len(b.Edges) + 1)
 	copy(edges, a.Edges)
 	copy(edges[len(a.Edges):], b.Edges)
@@ -154,27 +165,73 @@ func (s *SolveScratch) combine(in *Instance, a, b *poolRegion, edgeIdx int32) *p
 	return out
 }
 
-// mergeSortedInto merges sorted a and b into dst (len(dst) = len(a)+len(b)).
-func mergeSortedInto(dst, a, b []int32) {
-	i, j, k := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i] <= b[j] {
-			dst[k] = a[i]
-			i++
-		} else {
-			dst[k] = b[j]
-			j++
+// combineAcross is the TGEN pair kernel, shared by both edge orders: it
+// joins every tuple of node vi's array with every tuple of vj's through
+// edge edgeIdx and collects the feasible results in s.newTuples, in (vi
+// outer, vj inner) order. Rejections run cheapest first and nothing is
+// built that the next test discards: the length sum — the very expression
+// combine stores, so exactly the same pairs survive — is three floats from
+// the contiguous entries; the Lemma 9 cycle test is an early-exit scan of
+// t2's nodes against marks of t1's, made once per outer row; only survivors
+// are materialised. A row whose t1 alone busts the budget is skipped whole
+// (lengths are non-negative and float addition is monotone, so every pair
+// of the row would fail). One cancellation tick per outer row: a single
+// edge can run to ~10⁵ pairs, so per-edge ticks alone would not bound the
+// post-cancel work. On cancel the partial s.newTuples is left for the next
+// begin to reclaim.
+func (s *SolveScratch) combineAcross(in *Instance, vi, vj, edgeIdx int32, delta float64) {
+	eLen := in.Edges[edgeIdx].Length
+	viArr, vjArr := s.arrays[vi], s.arrays[vj]
+	newTuples := s.newTuples[:0]
+	for i := range viArr {
+		if s.cancel.Tick() {
+			break
 		}
-		k++
+		t1 := &viArr[i]
+		if t1.length+eLen > delta {
+			continue
+		}
+		s.marks.begin(in.NumNodes)
+		for _, v := range t1.r.Nodes {
+			s.marks.add(v)
+		}
+		for j := range vjArr {
+			t2 := &vjArr[j]
+			if t1.length+t2.length+eLen > delta {
+				continue
+			}
+			if s.marks.hasAny(t2.r.Nodes) {
+				continue // Lemma 9: would close a cycle
+			}
+			newTuples = append(newTuples, s.combine(in, t1.r, t2.r, edgeIdx))
+		}
 	}
-	k += copy(dst[k:], a[i:])
-	copy(dst[k:], b[j:])
+	s.newTuples = newTuples
+}
+
+// installNew offers the tuples combineAcross collected as the answer and
+// installs each into the array of every node it contains whose array has not
+// been dropped (s.processed). Tuples stored nowhere are recycled at once.
+func (s *SolveScratch) installNew() {
+	for _, nr := range s.newTuples {
+		s.considerScore(nr)
+		for _, v := range nr.Nodes {
+			if s.processed.has(v) {
+				continue // discarded arrays stay discarded
+			}
+			s.update(v, nr)
+		}
+		if nr.refs == 0 {
+			s.pool.free(nr) // stored nowhere and not the best
+		}
+	}
 }
 
 // update installs r into the tuple array at index idx — the sorted-slice
 // form of tupleArray.update: per scaled weight keep the shortest region,
 // with identical replace-on-strictly-shorter semantics. Returns whether
-// the array changed.
+// the array changed. Most probes reject, and the reject path reads only the
+// entries, never the stored regions.
 func (s *SolveScratch) update(idx int32, r *poolRegion) bool {
 	ta := s.arrays[idx]
 	lo, hi := 0, len(ta)
@@ -187,17 +244,17 @@ func (s *SolveScratch) update(idx int32, r *poolRegion) bool {
 		}
 	}
 	if lo < len(ta) && ta[lo].scaled == r.Scaled {
-		if r.Length < ta[lo].r.Length {
+		if r.Length < ta[lo].length {
 			s.pool.deref(ta[lo].r)
 			s.pool.ref(r)
-			ta[lo].r = r
+			ta[lo].length, ta[lo].r = r.Length, r
 			return true
 		}
 		return false
 	}
 	ta = append(ta, tupleEntry{})
 	copy(ta[lo+1:], ta[lo:])
-	ta[lo] = tupleEntry{scaled: r.Scaled, r: r}
+	ta[lo] = tupleEntry{scaled: r.Scaled, length: r.Length, r: r}
 	s.pool.ref(r)
 	s.arrays[idx] = ta
 	return true
@@ -214,9 +271,12 @@ func (s *SolveScratch) dropArray(idx int32) {
 	s.arrays[idx] = ta[:0]
 }
 
-// tupleEntry is one slot of a sorted-by-scaled-weight tuple array.
+// tupleEntry is one slot of a sorted-by-scaled-weight tuple array. It
+// carries the region's key and length inline so the pair loop and update's
+// reject path scan contiguous entries without dereferencing r.
 type tupleEntry struct {
 	scaled int64
+	length float64 // == r.Length
 	r      *poolRegion
 }
 
@@ -348,6 +408,16 @@ func (s *stampSet) begin(n int) {
 
 // has reports membership of i.
 func (s *stampSet) has(i int32) bool { return s.stamp[i] == s.epoch }
+
+// hasAny reports whether any of ids is a member.
+func (s *stampSet) hasAny(ids []int32) bool {
+	for _, i := range ids {
+		if s.stamp[i] == s.epoch {
+			return true
+		}
+	}
+	return false
+}
 
 // add inserts i.
 func (s *stampSet) add(i int32) { s.stamp[i] = s.epoch }

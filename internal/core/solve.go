@@ -51,19 +51,26 @@ func SolveTGEN(ctx context.Context, s *SolveScratch, in *Instance, delta float64
 		s.update(int32(v), sg)
 		s.considerScore(sg)
 	}
-
+	s.processed.begin(n)
 	if opts.Order == OrderAscLength {
 		s.tgenAscLength(in, delta)
-		if s.cancel.Cancelled() {
-			return nil, s.cancel.Err()
-		}
-		return s.bestRegion(), nil
+	} else {
+		s.tgenBFS(in, delta)
 	}
+	if s.cancel.Cancelled() {
+		return nil, s.cancel.Err()
+	}
+	return s.bestRegion(), nil
+}
 
-	s.processed.begin(n)
+// tgenBFS is the pooled form of tgen.go's TGEN main loop: nodes are visited
+// breadth-first, every edge is processed once, and a node's array is dropped
+// when all its edges are done. Returns early once a checkpoint observes
+// cancellation; the caller surfaces s.cancel.Err().
+func (s *SolveScratch) tgenBFS(in *Instance, delta float64) {
+	n := in.NumNodes
 	s.enqueued.begin(n)
 	s.edgeDone.begin(len(in.Edges))
-
 	for v0 := 0; v0 < n; v0++ {
 		if s.processed.has(int32(v0)) || s.enqueued.has(int32(v0)) {
 			continue
@@ -75,11 +82,11 @@ func SolveTGEN(ctx context.Context, s *SolveScratch, in *Instance, delta float64
 			vi := queue[head]
 			head++
 			for _, he := range in.Neighbors(vi) {
-				// Per-edge checkpoint: the combine loops below are bounded
-				// by the tuple-array size (≈ σ̂max), so edge granularity
-				// bounds the post-cancel work.
+				// Per-edge checkpoint for the edges that combine nothing;
+				// combineAcross adds one per outer row, since a single
+				// edge's pair loop runs up to ~10⁵ pairs on a viewport.
 				if s.cancel.Tick() {
-					return nil, s.cancel.Err()
+					return
 				}
 				if s.edgeDone.has(he.Edge) {
 					continue
@@ -97,45 +104,22 @@ func SolveTGEN(ctx context.Context, s *SolveScratch, in *Instance, delta float64
 				}
 				// Combine every explored region containing vi with every
 				// explored region containing vj through this edge.
-				viArr, vjArr := s.arrays[vi], s.arrays[vj]
-				newTuples := s.newTuples[:0]
-				for _, t1 := range viArr {
-					for _, t2 := range vjArr {
-						if t1.r.sharesNode(&t2.r.Region) {
-							continue // Lemma 9: would close a cycle
-						}
-						nr := s.combine(in, t1.r, t2.r, he.Edge)
-						if nr.Length > delta {
-							s.pool.free(nr)
-							continue
-						}
-						newTuples = append(newTuples, nr)
-					}
+				s.combineAcross(in, vi, vj, he.Edge, delta)
+				if s.cancel.Cancelled() {
+					return
 				}
-				s.newTuples = newTuples
-				for _, nr := range newTuples {
-					s.considerScore(nr)
-					for _, v := range nr.Nodes {
-						if s.processed.has(v) {
-							continue // discarded arrays stay discarded
-						}
-						s.update(v, nr)
-					}
-					if nr.refs == 0 {
-						s.pool.free(nr) // stored nowhere and not the best
-					}
-				}
+				s.installNew()
 			}
 			s.processed.add(vi)
 			s.dropArray(vi) // §5: drop the array once all edges are done
 		}
 		s.queue = queue[:0]
 	}
-	return s.bestRegion(), nil
 }
 
-// tgenAscLength is tgenAscLength with pooled state: identical tuple
-// generation over edges in ascending length order.
+// tgenAscLength is the pooled form of tgen.go's tgenAscLength: identical
+// tuple generation over edges in ascending length order, through the same
+// combineAcross/installNew kernel as tgenBFS.
 func (s *SolveScratch) tgenAscLength(in *Instance, delta float64) {
 	s.order = growTo(s.order, len(in.Edges))
 	for i := range s.order {
@@ -164,6 +148,7 @@ func (s *SolveScratch) tgenAscLength(in *Instance, delta float64) {
 	finish := func(v int32) {
 		s.remaining[v]--
 		if s.remaining[v] == 0 {
+			s.processed.add(v) // dropped arrays stay dropped
 			s.dropArray(v)
 		}
 	}
@@ -177,35 +162,13 @@ func (s *SolveScratch) tgenAscLength(in *Instance, delta float64) {
 			finish(e.V)
 			continue
 		}
-		viArr, vjArr := s.arrays[e.U], s.arrays[e.V]
-		newTuples := s.newTuples[:0]
-		for _, t1 := range viArr {
-			for _, t2 := range vjArr {
-				if t1.r.sharesNode(&t2.r.Region) {
-					continue
-				}
-				nr := s.combine(in, t1.r, t2.r, ei)
-				if nr.Length > delta {
-					s.pool.free(nr)
-					continue
-				}
-				newTuples = append(newTuples, nr)
-			}
+		s.combineAcross(in, e.U, e.V, ei, delta)
+		if s.cancel.Cancelled() {
+			return
 		}
-		s.newTuples = newTuples
 		finish(e.U)
 		finish(e.V)
-		for _, nr := range newTuples {
-			s.considerScore(nr)
-			for _, v := range nr.Nodes {
-				if s.remaining[v] > 0 { // dropped arrays stay dropped
-					s.update(v, nr)
-				}
-			}
-			if nr.refs == 0 {
-				s.pool.free(nr)
-			}
-		}
+		s.installNew()
 	}
 }
 
@@ -340,11 +303,12 @@ func (s *SolveScratch) resultFromTree(in *Instance, t kmst.Result) *poolRegion {
 	return r
 }
 
-// findOptTree is findOptTree with pooled scratch: the candidate tree is
-// remapped to local indices, its adjacency becomes a pooled CSR whose
-// per-node order matches the map-based build (tree edge order), and the
-// per-node tuple arrays draw from the region arena. Only the non-keepArrays
-// form is needed here (the top-k extension keeps the allocating path).
+// findOptTree is the pooled form of findopttree.go's findOptTree: the
+// candidate tree is remapped to local indices, its adjacency becomes a
+// pooled CSR whose per-node order matches the map-based build (tree edge
+// order), and the per-node tuple arrays draw from the region arena. Only the
+// non-keepArrays form is needed here (the top-k extension keeps the
+// allocating path).
 func (s *SolveScratch) findOptTree(in *Instance, treeNodes []int32, treeEdges []int32, delta float64) *Region {
 	if len(treeNodes) == 0 {
 		return nil
@@ -435,24 +399,29 @@ func (s *SolveScratch) findOptTree(in *Instance, treeNodes []int32, treeEdges []
 		// Fold v's array into vn's (Lemma 7). Materialize vn's current
 		// tuples first so newly added ones are not combined with vArr
 		// again; guard them with references so an in-fold replacement
-		// cannot recycle a region the enumeration still reads.
+		// cannot recycle a region the enumeration still reads. As in
+		// combineAcross, pairs (and whole t2 rows) over the budget are
+		// rejected on the length sum combine would store, before anything
+		// is built; a tree needs no cycle test.
+		eLen := in.Edges[edgeIdx].Length
 		vArr := s.arrays[lv]
-		snapshot := s.snapshot[:0]
-		for _, ent := range s.arrays[lvn] {
-			s.pool.ref(ent.r)
-			snapshot = append(snapshot, ent.r)
-		}
+		snapshot := append(s.snapshot[:0], s.arrays[lvn]...)
 		s.snapshot = snapshot
+		for _, t1 := range snapshot {
+			s.pool.ref(t1.r)
+		}
 		for _, t2 := range vArr {
 			if s.cancel.Tick() {
 				break // unwind via the loop exit; caller checks Cancelled
 			}
+			if t2.length+eLen > delta {
+				continue
+			}
 			for _, t1 := range snapshot {
-				nr := s.combine(in, t1, t2.r, edgeIdx)
-				if nr.Length > delta {
-					s.pool.free(nr)
+				if t1.length+t2.length+eLen > delta {
 					continue
 				}
+				nr := s.combine(in, t1.r, t2.r, edgeIdx)
 				if s.update(lvn, nr) {
 					s.considerFeasible(nr, delta)
 				}
@@ -462,7 +431,7 @@ func (s *SolveScratch) findOptTree(in *Instance, treeNodes []int32, treeEdges []
 			}
 		}
 		for _, t1 := range snapshot {
-			s.pool.deref(t1)
+			s.pool.deref(t1.r)
 		}
 		s.dropArray(lv)
 		s.removed[lv] = true

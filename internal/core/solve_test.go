@@ -136,6 +136,57 @@ func TestSolveGreedyMatchesGreedy(t *testing.T) {
 	}
 }
 
+// TestSolveViewportGolden runs the golden comparison on the instance shape
+// the served TGEN workload solves (viewportInstance: ~290 nodes, a budget
+// that rejects most tuple pairs on length alone), under both edge orders and
+// then APP and Greedy, all on one reused scratch: the kernel's node marks
+// and the dropped-array stamps must not leak between orders, methods or
+// queries. Besides bit-equality with the allocating twin it asserts the
+// invariant Region documents and the pooled solvers re-establish only at the
+// answer boundary — Nodes sorted ascending — and that Edges keep the twin's
+// order.
+func TestSolveViewportGolden(t *testing.T) {
+	s := NewSolveScratch()
+	ctx := context.Background()
+	check := func(name string, in *Instance, delta float64, got, want *Region, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !regionEq(got, want) {
+			t.Fatalf("%s: pooled %v != %v", name, got, want)
+		}
+		checkRegion(t, in, got, delta) // includes: Nodes strictly ascending
+	}
+	for _, seed := range []int64{1, 2} {
+		in, delta := viewportInstance(t, seed)
+		for _, order := range []EdgeOrder{OrderBFS, OrderAscLength} {
+			opts := TGENOptions{Alpha: float64(in.NumNodes) / 9, Order: order}
+			want, err := TGEN(in, delta, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(want.Nodes) < 8 {
+				t.Fatalf("seed %d order %d: answer %v; the test wants a multi-node region near the budget", seed, order, want)
+			}
+			got, err := SolveTGEN(ctx, s, in, delta, opts)
+			check("TGEN", in, delta, got, want, err)
+		}
+		wantAPP, err := APP(in, delta, APPOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotAPP, err := SolveAPP(ctx, s, in, delta, APPOptions{})
+		check("APP", in, delta, gotAPP, wantAPP, err)
+		wantGreedy, err := Greedy(in, delta, GreedyOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotGreedy, err := SolveGreedy(ctx, s, in, delta, GreedyOptions{})
+		check("Greedy", in, delta, gotGreedy, wantGreedy, err)
+	}
+}
+
 // TestSolveScratchMethodInterleaving reuses one scratch across all three
 // methods query after query, the way a serving worker alternating request
 // types would, and checks every answer against the allocating baselines.
