@@ -84,9 +84,9 @@ func (db *Database) RunBatch(ctx context.Context, qs []Query, opts SearchOptions
 }
 
 // toEngineOptions maps the public SearchOptions onto the engine's Options.
-// The zero-value defaults line up by construction: the engine auto-sizes
-// TGEN's α with the same σ̂max ≈ 9 rule as defaultTGENAlpha, so RunBatch
-// answers match per-query Run calls exactly.
+// Every entry point converts through it, so RunBatch answers match
+// per-query Run calls exactly; a zero TGEN α is auto-sized by the engine
+// (σ̂max ≈ 9 over the query region).
 func toEngineOptions(opts SearchOptions, workers int) (queryengine.Options, error) {
 	out := queryengine.Options{
 		Workers: workers,

@@ -1,7 +1,8 @@
 package repro
 
-// One benchmark per table/figure of the paper's evaluation (§7), plus
-// per-algorithm micro benchmarks. Each figure benchmark drives the same
+// One benchmark per table/figure of the paper's evaluation (§7), plus the
+// engine, serving and store benchmarks (the per-algorithm micro benchmarks
+// are internal/core's BenchmarkSolve*). Each figure benchmark drives the same
 // runner cmd/benchfig uses, on a reduced environment so `go test -bench=.`
 // finishes in minutes; run cmd/benchfig for full-size tables.
 
@@ -14,7 +15,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/experiments"
 	"repro/internal/geo"
@@ -333,70 +333,6 @@ func BenchmarkInstantiate(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := p.Instantiate(qs[i%len(qs)]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- per-query micro benchmarks on one fixed instance -------------------
-
-var (
-	microOnce  sync.Once
-	microInst  *core.Instance
-	microDelta float64
-)
-
-func microInstance(b *testing.B) (*core.Instance, float64) {
-	b.Helper()
-	microOnce.Do(func() {
-		d, err := dataset.NYLike(dataset.Config{Seed: 3, Scale: 0.2})
-		if err != nil {
-			panic(err)
-		}
-		rng := rand.New(rand.NewSource(5))
-		qs, err := d.GenQueries(rng, 1, 3, 25e6, 5000)
-		if err != nil {
-			panic(err)
-		}
-		qi, err := d.Instantiate(qs[0])
-		if err != nil {
-			panic(err)
-		}
-		microInst = qi.In
-		microDelta = qs[0].Delta
-	})
-	return microInst, microDelta
-}
-
-func BenchmarkQueryAPP(b *testing.B) {
-	in, delta := microInstance(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.APP(in, delta, core.APPOptions{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkQueryTGEN(b *testing.B) {
-	in, delta := microInstance(b)
-	alpha := float64(in.NumNodes) / 9
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.TGEN(in, delta, core.TGENOptions{Alpha: alpha}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkQueryGreedy(b *testing.B) {
-	in, delta := microInstance(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.Greedy(in, delta, core.GreedyOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -15,9 +16,9 @@ import (
 )
 
 // Mid-solve cancellation acceptance tests. Each test cancels a context
-// while a solver is running on the bench instance (the same
-// dataset/query seeds as BenchmarkQueryAPP/TGEN, where APP runs for
-// hundreds of milliseconds) and asserts the contract end to end:
+// while a solver is running on the bench instance (benchWorkload, where
+// APP runs for hundreds of milliseconds) and asserts the contract end to
+// end:
 //
 //   - the solve returns within 50ms of the cancel with context.Canceled;
 //   - no goroutine leaks;
@@ -139,10 +140,24 @@ func viewportWorkload(t *testing.T) (*dataset.Dataset, dataset.Query) {
 }
 
 // testCancelMidSolve runs the full contract for one engine method on one
-// query: reference solve, mid-solve cancel, bounded return, scratch reuse.
-// A zero cancelAfter cancels an eighth of the reference solve time in.
-func testCancelMidSolve(t *testing.T, d *dataset.Dataset, q dataset.Query, method queryengine.Method, cancelAfter time.Duration) {
+// query — the single best region, or the top k when k > 1: reference solve,
+// mid-solve cancel, bounded return, scratch reuse. A zero cancelAfter
+// cancels an eighth of the reference solve time in.
+func testCancelMidSolve(t *testing.T, d *dataset.Dataset, q dataset.Query, method queryengine.Method, k int, cancelAfter time.Duration) {
 	opts := queryengine.Options{Method: method}
+	// solve answers qi and copies the regions out of the pooled scratch.
+	solve := func(ctx context.Context, qi *dataset.QueryInstance) ([]*regionCopy, error) {
+		if k <= 1 {
+			region, err := queryengine.Solve(ctx, qi, q.Delta, opts)
+			return []*regionCopy{copyRegion(region)}, err
+		}
+		regions, err := queryengine.SolveTopK(ctx, qi, q.Delta, k, opts)
+		out := make([]*regionCopy, len(regions))
+		for i, r := range regions {
+			out[i] = copyRegion(r)
+		}
+		return out, err
+	}
 	baseline := countGoroutines()
 
 	// Reference answer from a fresh planner/scratch.
@@ -152,14 +167,13 @@ func testCancelMidSolve(t *testing.T, d *dataset.Dataset, q dataset.Query, metho
 		t.Fatal(err)
 	}
 	refStart := time.Now()
-	region, err := queryengine.Solve(context.Background(), qi, q.Delta, opts)
+	want, err := solve(context.Background(), qi)
 	if err != nil {
 		t.Fatal(err)
 	}
 	refDur := time.Since(refStart)
-	want := copyRegion(region)
-	if want == nil {
-		t.Fatal("bench query matched nothing; the test would be vacuous")
+	if len(want) != max(k, 1) || want[0] == nil {
+		t.Fatalf("bench query matched %d regions; the test would be vacuous", len(want))
 	}
 	if cancelAfter == 0 {
 		cancelAfter = refDur / 8
@@ -187,7 +201,7 @@ func testCancelMidSolve(t *testing.T, d *dataset.Dataset, q dataset.Query, metho
 		ctx, cancel := context.WithCancel(context.Background())
 		done := make(chan outcome, 1)
 		go func() {
-			_, err := queryengine.Solve(ctx, qi, q.Delta, opts)
+			_, err := solve(ctx, qi)
 			done <- outcome{err: err, at: time.Now()}
 		}()
 		time.Sleep(cancelAfter)
@@ -210,12 +224,12 @@ func testCancelMidSolve(t *testing.T, d *dataset.Dataset, q dataset.Query, metho
 	if err != nil {
 		t.Fatal(err)
 	}
-	region, err = queryengine.Solve(context.Background(), qi, q.Delta, opts)
+	got, err := solve(context.Background(), qi)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sameRegion(copyRegion(region), want) {
-		t.Fatal("scratch reused after a cancelled solve produced a different region")
+	if !slices.EqualFunc(got, want, sameRegion) {
+		t.Fatal("scratch reused after a cancelled solve produced a different answer")
 	}
 
 	if after := countGoroutines(); after > baseline {
@@ -229,12 +243,21 @@ func testCancelMidSolve(t *testing.T, d *dataset.Dataset, q dataset.Query, metho
 // goroutine leaks, and bit-identical results from the reused scratch.
 func TestCancelMidSolveAPP(t *testing.T) {
 	d, q := benchWorkload(t)
-	testCancelMidSolve(t, d, q, queryengine.MethodAPP, 15*time.Millisecond)
+	testCancelMidSolve(t, d, q, queryengine.MethodAPP, 1, 15*time.Millisecond)
 }
 
 func TestCancelMidSolveTGEN(t *testing.T) {
 	d, q := benchWorkload(t)
-	testCancelMidSolve(t, d, q, queryengine.MethodTGEN, 10*time.Millisecond)
+	testCancelMidSolve(t, d, q, queryengine.MethodTGEN, 1, 10*time.Millisecond)
+}
+
+// TestCancelMidSolveTopK cancels a K = 3 TGEN request inside its first
+// rank (the solve TestCancelMidSolveTGEN cancels): top-k runs on the same
+// scratch solvers, so the cancel must surface within the same bound instead
+// of after the rank completes.
+func TestCancelMidSolveTopK(t *testing.T) {
+	d, q := benchWorkload(t)
+	testCancelMidSolve(t, d, q, queryengine.MethodTGEN, 3, 10*time.Millisecond)
 }
 
 // TestCancelMidSolveTGENViewport cancels inside a viewport-sized TGEN solve:
@@ -244,7 +267,7 @@ func TestCancelMidSolveTGEN(t *testing.T) {
 // bit-identically.
 func TestCancelMidSolveTGENViewport(t *testing.T) {
 	d, q := viewportWorkload(t)
-	testCancelMidSolve(t, d, q, queryengine.MethodTGEN, 0)
+	testCancelMidSolve(t, d, q, queryengine.MethodTGEN, 1, 0)
 }
 
 // TestCancelMidSolveGreedy uses a synthetic long-path instance: the bench

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/cancel"
@@ -48,65 +47,6 @@ func (o APPOptions) withDefaults() APPOptions {
 		o.Beta = 0.1
 	}
 	return o
-}
-
-// APP answers an LCMSR query on the working instance with length budget
-// delta, following Algorithm 1: scale weights (§4.1), binary-search a
-// node-weight quota against the k-MST solver until the candidate tree TC
-// satisfies Lemma 4, then extract the best feasible subtree of TC with the
-// findOptTree dynamic program. The result carries the original weights; a
-// nil region (with nil error) means no node in the instance is relevant.
-func APP(in *Instance, delta float64, opts APPOptions) (*Region, error) {
-	opts = opts.withDefaults()
-	if delta < 0 || math.IsNaN(delta) {
-		return nil, fmt.Errorf("core: invalid length constraint %v", delta)
-	}
-	sc, err := Scale(in, opts.Alpha)
-	if err != nil {
-		if in.NumNodes > 0 {
-			// No relevant node: the query has an empty answer, not an error.
-			return nil, nil
-		}
-		return nil, err
-	}
-	qg, err := kmst.New(in.NumNodes, in.pcstEdges(), sc.Scaled)
-	if err != nil {
-		return nil, err
-	}
-	var solver kmst.Solver
-	switch opts.Solver {
-	case SolverSPT:
-		solver = kmst.NewSPT(qg, 8)
-	default:
-		solver = kmst.NewGarg(qg)
-	}
-
-	tc, ok, err := binarySearch(sc, solver, delta, opts.Beta, opts.Trace, nil)
-	if err != nil {
-		return nil, err
-	}
-	_, argmax := in.MaxWeight()
-	fallback := singleton(in, sc, argmax)
-	if !ok {
-		// Even the lightest quota produced nothing useful; answer with the
-		// single most relevant node, which is always feasible (length 0).
-		return fallback, nil
-	}
-
-	// Algorithm 1, line 3: a candidate tree already within the budget is
-	// returned as-is; otherwise extract the best subtree by DP.
-	if tc.Length < delta {
-		r := resultFromTree(in, sc, tc)
-		if fallback.betterScore(r) {
-			r = fallback
-		}
-		return r, nil
-	}
-	best := findOptTree(in, sc, tc.Nodes, toInt32(tc.Edges), delta, nil)
-	if fallback.betterScore(best) {
-		best = fallback
-	}
-	return best, nil
 }
 
 // binarySearch is Function binarySearch() of §4.2.2: find a quota X whose
@@ -198,27 +138,4 @@ func binarySearch(sc *Scaling, solver kmst.Solver, delta, beta float64, trace *[
 		return tc, true, nil
 	}
 	return kmst.Result{}, false, nil
-}
-
-// resultFromTree converts a quota-solver tree into a Region with exact
-// weights.
-func resultFromTree(in *Instance, sc *Scaling, t kmst.Result) *Region {
-	r := &Region{
-		Length: t.Length,
-		Nodes:  append([]int32(nil), t.Nodes...),
-		Edges:  toInt32(t.Edges),
-	}
-	for _, v := range t.Nodes {
-		r.Score += in.Weights[v]
-		r.Scaled += sc.Scaled[v]
-	}
-	return r
-}
-
-func toInt32(xs []int) []int32 {
-	out := make([]int32, len(xs))
-	for i, x := range xs {
-		out[i] = int32(x)
-	}
-	return out
 }

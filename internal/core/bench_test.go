@@ -54,40 +54,6 @@ func viewportInstance(tb testing.TB, seed int64) (*Instance, float64) {
 	return gridInstance(tb, seed, 17, 200, 85, 0.35), 4000
 }
 
-func BenchmarkAPP(b *testing.B) {
-	in, delta := benchInstance(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := APP(in, delta, APPOptions{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTGEN(b *testing.B) {
-	in, delta := benchInstance(b)
-	alpha := float64(in.NumNodes) / 9
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := TGEN(in, delta, TGENOptions{Alpha: alpha}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkGreedy(b *testing.B) {
-	in, delta := benchInstance(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Greedy(in, delta, GreedyOptions{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkFindOptTreeDP(b *testing.B) {
 	// A 200-node random tree with integer weights, the inner DP of APP.
 	rng := rand.New(rand.NewSource(9))
@@ -106,7 +72,8 @@ func BenchmarkFindOptTreeDP(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sc := &Scaling{Alpha: 1, Theta: 1, Scaled: scaled}
+	s := NewSolveScratch()
+	s.scaling = Scaling{Alpha: 1, Theta: 1, Scaled: scaled}
 	treeNodes := make([]int32, n)
 	treeEdges := make([]int32, n-1)
 	for i := range treeNodes {
@@ -115,28 +82,35 @@ func BenchmarkFindOptTreeDP(b *testing.B) {
 	for i := range treeEdges {
 		treeEdges[i] = int32(i)
 	}
+	run := func() {
+		s.begin(context.Background())
+		if r := s.findOptTree(in, treeNodes, treeEdges, 5000); r == nil {
+			b.Fatal("nil result")
+		}
+	}
+	run() // warm
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if r := findOptTree(in, sc, treeNodes, treeEdges, 5000, nil); r == nil {
-			b.Fatal("nil result")
-		}
+		run()
 	}
 }
 
 func BenchmarkTopK3TGEN(b *testing.B) {
 	in, delta := benchInstance(b)
-	alpha := float64(in.NumNodes) / 9
+	opts := TGENOptions{Alpha: float64(in.NumNodes) / 9}
+	s := NewSolveScratch()
+	if _, err := SolveTopK(context.Background(), s, in, delta, 3, opts); err != nil { // warm
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := TopKTGEN(context.Background(), in, delta, 3, TGENOptions{Alpha: alpha}); err != nil {
+		if _, err := SolveTopK(context.Background(), s, in, delta, 3, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
-
-// --- pooled-scratch counterparts: same workloads, zero steady-state allocs
 
 func BenchmarkSolveAPP(b *testing.B) {
 	in, delta := benchInstance(b)

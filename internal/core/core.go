@@ -18,26 +18,21 @@
 //
 // # Pooling ownership
 //
-// Each algorithm exists in two forms: the original allocating functions
-// (TGEN, APP, Greedy) and pooled counterparts (SolveTGEN, SolveAPP,
-// SolveGreedy) that draw all per-query working state — epoch-stamped node
-// and edge sets, the free-list Region arena behind the tuple arrays, and
-// the kmst/pcst solver state — from a per-worker SolveScratch. The two
-// forms return bit-identical regions (golden-tested); a warm scratch
-// answers queries with zero steady-state allocations.
+// SolveTGEN, SolveAPP, SolveGreedy and SolveTopK draw all per-query
+// working state — epoch-stamped node and edge sets, the free-list Region
+// arena behind the tuple arrays, the kmst/pcst solver state, and the top-k
+// sub-instance — from a per-worker SolveScratch, so a warm scratch answers
+// queries with zero steady-state allocations. Their answers are pinned
+// bit-for-bit by the golden files in testdata/ (see golden_test.go).
 //
-// A SolveScratch serves one goroutine. The *Region returned by a pooled
-// solve aliases the scratch's arenas and is invalidated by the next SolveX
-// call on the same scratch: consume or copy it before solving again. The
-// allocating forms return independently-owned regions with no lifetime
-// restrictions (the top-k variants always use them).
+// A SolveScratch serves one goroutine. The regions a solve returns alias
+// the scratch's arenas and are invalidated by the next solve on the same
+// scratch: consume or copy them before solving again.
 package core
 
 import (
 	"fmt"
 	"math"
-
-	"repro/internal/pcst"
 )
 
 // NodeID is a node index local to an Instance (0..N-1).
@@ -166,14 +161,4 @@ func (in *Instance) MaxEdgeLength() float64 {
 		}
 	}
 	return best
-}
-
-// pcstEdges converts the instance's edge list to the solver's edge type.
-// The layouts are identical; the copy keeps the packages decoupled.
-func (in *Instance) pcstEdges() []pcst.Edge {
-	out := make([]pcst.Edge, len(in.Edges))
-	for i, e := range in.Edges {
-		out[i] = pcst.Edge{U: e.U, V: e.V, Cost: e.Length}
-	}
-	return out
 }

@@ -66,6 +66,45 @@ func mustInstance(t *testing.T, n int, edges []Edge, weights []float64) *Instanc
 	return in
 }
 
+// solveTGEN, solveAPP and solveGreedy answer on a fresh scratch, so a test
+// can hold several answers at once (a region aliases the scratch it came
+// from).
+func solveTGEN(in *Instance, delta float64, opts TGENOptions) (*Region, error) {
+	return SolveTGEN(context.Background(), NewSolveScratch(), in, delta, opts)
+}
+
+func solveAPP(in *Instance, delta float64, opts APPOptions) (*Region, error) {
+	return SolveAPP(context.Background(), NewSolveScratch(), in, delta, opts)
+}
+
+func solveGreedy(in *Instance, delta float64, opts GreedyOptions) (*Region, error) {
+	return SolveGreedy(context.Background(), NewSolveScratch(), in, delta, opts)
+}
+
+// findOptTreeOn runs the findOptTree DP over the given tree under a
+// hand-built scaling.
+func findOptTreeOn(in *Instance, sc *Scaling, treeNodes, treeEdges []int32, delta float64) *Region {
+	s := NewSolveScratch()
+	s.begin(context.Background())
+	s.scaling = *sc
+	return s.findOptTree(in, treeNodes, treeEdges, delta)
+}
+
+// disjoint reports whether two ascending node lists share no node.
+func disjoint(a, b []int32) bool {
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			return false
+		}
+	}
+	return true
+}
+
 // pathInstance builds a path 0-1-...-n-1 with the given edge lengths.
 func pathInstance(t *testing.T, weights []float64, lengths []float64) *Instance {
 	t.Helper()
@@ -271,7 +310,7 @@ func TestFindOptTreeMatchesExact(t *testing.T) {
 		for i := range treeEdges {
 			treeEdges[i] = int32(i)
 		}
-		got := findOptTree(in, sc, treeNodes, treeEdges, delta, nil)
+		got := findOptTreeOn(in, sc, treeNodes, treeEdges, delta)
 		want, err := Exact(in, delta)
 		if err != nil {
 			t.Fatal(err)
@@ -295,7 +334,7 @@ func TestFindOptTreeTieBreak(t *testing.T) {
 	// {a,b,c} weighs 2; with Δ=1 only singletons fit and weight-1 nodes tie.
 	in := pathInstance(t, []float64{1, 0, 1}, []float64{2, 5})
 	sc := &Scaling{Alpha: 1, Theta: 1, Scaled: []int64{1, 0, 1}}
-	r := findOptTree(in, sc, []int32{0, 1, 2}, []int32{0, 1}, 1, nil)
+	r := findOptTreeOn(in, sc, []int32{0, 1, 2}, []int32{0, 1}, 1)
 	if r == nil || r.Scaled != 1 || r.Length != 0 || len(r.Nodes) != 1 {
 		t.Fatalf("tie-break region = %v", r)
 	}
@@ -313,7 +352,7 @@ func TestAPPBoundsOnRandomInstances(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := APP(in, delta, APPOptions{Alpha: alpha, Beta: beta})
+		got, err := solveAPP(in, delta, APPOptions{Alpha: alpha, Beta: beta})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -333,15 +372,15 @@ func TestAPPBoundsOnRandomInstances(t *testing.T) {
 
 func TestAPPNoRelevantNode(t *testing.T) {
 	in := mustInstance(t, 3, []Edge{{U: 0, V: 1, Length: 1}}, []float64{0, 0, 0})
-	r, err := APP(in, 5, APPOptions{})
+	r, err := solveAPP(in, 5, APPOptions{})
 	if err != nil || r != nil {
 		t.Errorf("no-relevant-node: region=%v err=%v, want nil/nil", r, err)
 	}
-	r, err = TGEN(in, 5, TGENOptions{})
+	r, err = solveTGEN(in, 5, TGENOptions{})
 	if err != nil || r != nil {
 		t.Errorf("TGEN no-relevant-node: region=%v err=%v", r, err)
 	}
-	r, err = Greedy(in, 5, GreedyOptions{})
+	r, err = solveGreedy(in, 5, GreedyOptions{})
 	if err != nil || r != nil {
 		t.Errorf("Greedy no-relevant-node: region=%v err=%v", r, err)
 	}
@@ -349,13 +388,13 @@ func TestAPPNoRelevantNode(t *testing.T) {
 
 func TestAPPRejectsBadDelta(t *testing.T) {
 	in := mustInstance(t, 1, nil, []float64{1})
-	if _, err := APP(in, -1, APPOptions{}); err == nil {
+	if _, err := solveAPP(in, -1, APPOptions{}); err == nil {
 		t.Error("negative ∆ accepted by APP")
 	}
-	if _, err := TGEN(in, math.NaN(), TGENOptions{}); err == nil {
+	if _, err := solveTGEN(in, math.NaN(), TGENOptions{}); err == nil {
 		t.Error("NaN ∆ accepted by TGEN")
 	}
-	if _, err := Greedy(in, -2, GreedyOptions{}); err == nil {
+	if _, err := solveGreedy(in, -2, GreedyOptions{}); err == nil {
 		t.Error("negative ∆ accepted by Greedy")
 	}
 }
@@ -364,7 +403,7 @@ func TestAPPTinyDelta(t *testing.T) {
 	// Budget smaller than every edge: only singletons are feasible, and
 	// the best single node must be returned.
 	in := pathInstance(t, []float64{0.3, 0.9, 0.1}, []float64{5, 5})
-	r, err := APP(in, 1, APPOptions{})
+	r, err := solveAPP(in, 1, APPOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +417,7 @@ func TestAPPTrace(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	in := randomInstance(t, rng, 12)
 	var trace []TraceStep
-	if _, err := APP(in, 3, APPOptions{Trace: &trace}); err != nil {
+	if _, err := solveAPP(in, 3, APPOptions{Trace: &trace}); err != nil {
 		t.Fatal(err)
 	}
 	if len(trace) == 0 {
@@ -424,7 +463,7 @@ func TestTGENMatchesExactWithFineScaling(t *testing.T) {
 		// α chosen so θ = α·σmax/n ≤ 1/(anything): make scaling lossless
 		// by picking θ dividing 1: α = n/σmax gives θ = 1.
 		alpha := float64(n) / maxF(weights)
-		got, err := TGEN(in, delta, TGENOptions{Alpha: alpha})
+		got, err := solveTGEN(in, delta, TGENOptions{Alpha: alpha})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -458,7 +497,7 @@ func TestTGENFeasibleOnGeneralGraphs(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		in := randomInstance(t, rng, 4+rng.Intn(12))
 		delta := 1 + rng.Float64()*8
-		got, err := TGEN(in, delta, TGENOptions{Alpha: 50})
+		got, err := solveTGEN(in, delta, TGENOptions{Alpha: 50})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -481,7 +520,7 @@ func TestGreedyBudgetAndValidity(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		in := randomInstance(t, rng, 5+rng.Intn(20))
 		delta := rng.Float64() * 10
-		r, err := Greedy(in, delta, GreedyOptions{Mu: 0.2})
+		r, err := solveGreedy(in, delta, GreedyOptions{Mu: 0.2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -496,14 +535,14 @@ func TestGreedyMuExtremes(t *testing.T) {
 	in := mustInstance(t, 3,
 		[]Edge{{U: 0, V: 1, Length: 10}, {U: 0, V: 2, Length: 1}},
 		[]float64{5, 1, 0.2}) // node 0 is the seed (σmax)
-	rW, err := Greedy(in, 10, GreedyOptions{Mu: 0, MuSet: true})
+	rW, err := solveGreedy(in, 10, GreedyOptions{Mu: 0, MuSet: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !rW.Contains(1) {
 		t.Errorf("µ=0 region %v skipped the heavy far node", rW)
 	}
-	rL, err := Greedy(in, 10, GreedyOptions{Mu: 1})
+	rL, err := solveGreedy(in, 10, GreedyOptions{Mu: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -515,7 +554,7 @@ func TestGreedyMuExtremes(t *testing.T) {
 func TestGreedyRejectsBadMu(t *testing.T) {
 	in := mustInstance(t, 1, nil, []float64{1})
 	for _, mu := range []float64{-0.1, 1.5, math.NaN()} {
-		if _, err := Greedy(in, 1, GreedyOptions{Mu: mu, MuSet: true}); err == nil {
+		if _, err := solveGreedy(in, 1, GreedyOptions{Mu: mu, MuSet: true}); err == nil {
 			t.Errorf("µ=%v accepted", mu)
 		}
 	}
@@ -534,9 +573,15 @@ func TestTopKDisjointAndOrdered(t *testing.T) {
 	in := randomInstance(t, rng, 18)
 	delta := 4.0
 	for name, run := range map[string]func() ([]*Region, error){
-		"APP":    func() ([]*Region, error) { return TopKAPP(context.Background(), in, delta, 3, APPOptions{}) },
-		"TGEN":   func() ([]*Region, error) { return TopKTGEN(context.Background(), in, delta, 3, TGENOptions{Alpha: 30}) },
-		"Greedy": func() ([]*Region, error) { return TopKGreedy(context.Background(), in, delta, 3, GreedyOptions{}) },
+		"APP": func() ([]*Region, error) {
+			return SolveTopK(context.Background(), NewSolveScratch(), in, delta, 3, APPOptions{})
+		},
+		"TGEN": func() ([]*Region, error) {
+			return SolveTopK(context.Background(), NewSolveScratch(), in, delta, 3, TGENOptions{Alpha: 30})
+		},
+		"Greedy": func() ([]*Region, error) {
+			return SolveTopK(context.Background(), NewSolveScratch(), in, delta, 3, GreedyOptions{})
+		},
 	} {
 		regions, err := run()
 		if err != nil {
@@ -548,7 +593,7 @@ func TestTopKDisjointAndOrdered(t *testing.T) {
 		for i, r := range regions {
 			checkRegion(t, in, r, delta)
 			for j := i + 1; j < len(regions); j++ {
-				if r.sharesNode(regions[j]) {
+				if !disjoint(r.Nodes, regions[j].Nodes) {
 					t.Errorf("%s: regions %d and %d overlap", name, i, j)
 				}
 			}
@@ -564,7 +609,7 @@ func TestTopKDisjointAndOrdered(t *testing.T) {
 
 func TestTopKZero(t *testing.T) {
 	in := mustInstance(t, 1, nil, []float64{1})
-	if rs, err := TopKAPP(context.Background(), in, 1, 0, APPOptions{}); err != nil || rs != nil {
+	if rs, err := SolveTopK(context.Background(), NewSolveScratch(), in, 1, 0, APPOptions{}); err != nil || rs != nil {
 		t.Error("k=0 should be empty")
 	}
 }
@@ -580,17 +625,17 @@ func TestRelativeQualityOrder(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		in := randomInstance(t, rng, 40)
 		delta := 6.0
-		app, err := APP(in, delta, APPOptions{})
+		app, err := solveAPP(in, delta, APPOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		// α sized so that σ̂max = ⌊n/α⌋ ≈ 8, mirroring the paper's α=400
 		// on thousands of nodes (too coarse a scale zeroes every weight).
-		tg, err := TGEN(in, delta, TGENOptions{Alpha: 5})
+		tg, err := solveTGEN(in, delta, TGENOptions{Alpha: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
-		gr, err := Greedy(in, delta, GreedyOptions{})
+		gr, err := solveGreedy(in, delta, GreedyOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -609,7 +654,7 @@ func TestRelativeQualityOrder(t *testing.T) {
 func TestSolverSPTVariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	in := randomInstance(t, rng, 25)
-	r, err := APP(in, 5, APPOptions{Solver: SolverSPT})
+	r, err := solveAPP(in, 5, APPOptions{Solver: SolverSPT})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -621,13 +666,6 @@ func TestRegionHelpers(t *testing.T) {
 	b := &Region{Scaled: 5, Length: 3, Nodes: []int32{2, 4}}
 	if !a.betterThan(b) {
 		t.Error("equal weight shorter region must win")
-	}
-	if a.sharesNode(b) {
-		t.Error("disjoint sets reported overlapping")
-	}
-	c := &Region{Nodes: []int32{5, 9}}
-	if !a.sharesNode(c) {
-		t.Error("overlap missed")
 	}
 	if !a.Contains(3) || a.Contains(2) {
 		t.Error("Contains wrong")
@@ -652,11 +690,11 @@ func TestTGENEdgeOrders(t *testing.T) {
 		in := randomInstance(t, rng, 30)
 		delta := 5.0
 		alpha := float64(in.NumNodes) / 8
-		bfs, err := TGEN(in, delta, TGENOptions{Alpha: alpha, Order: OrderBFS})
+		bfs, err := solveTGEN(in, delta, TGENOptions{Alpha: alpha, Order: OrderBFS})
 		if err != nil {
 			t.Fatal(err)
 		}
-		asc, err := TGEN(in, delta, TGENOptions{Alpha: alpha, Order: OrderAscLength})
+		asc, err := solveTGEN(in, delta, TGENOptions{Alpha: alpha, Order: OrderAscLength})
 		if err != nil {
 			t.Fatal(err)
 		}

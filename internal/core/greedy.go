@@ -29,37 +29,14 @@ func (o GreedyOptions) withDefaults() (GreedyOptions, error) {
 	return o, nil
 }
 
-// Greedy answers an LCMSR query with the method of §6.1: seed the region
-// at the most relevant node in Q.Λ, then repeatedly attach the frontier
-// node with the best combined score whose connecting edge still fits the
-// remaining budget, stopping when no frontier node fits. A nil region with
-// nil error means no relevant node exists.
-func Greedy(in *Instance, delta float64, opts GreedyOptions) (*Region, error) {
-	opts, err := opts.withDefaults()
-	if err != nil {
-		return nil, err
-	}
-	if delta < 0 || math.IsNaN(delta) {
-		return nil, fmt.Errorf("core: invalid length constraint %v", delta)
-	}
-	sigmaMax, seed := in.MaxWeight()
-	if seed < 0 {
-		return nil, nil
-	}
-	banned := make([]bool, in.NumNodes)
-	var inRegion stampSet
-	return greedyFrom(in, delta, opts.Mu, sigmaMax, seed, banned, &inRegion, &Region{}, nil), nil
-}
-
 // greedyFrom grows one region from the given seed into r, reusing r's
-// Nodes/Edges as backing buffers (callers pass a fresh or pooled Region).
-// Membership is tracked in the caller's epoch-stamped inRegion set — the
-// former map[NodeID]bool — which greedyFrom re-begins; tie-breaking is
-// unchanged because the set is only probed, never iterated. Nodes marked
+// Nodes/Edges as backing buffers. Membership is tracked in the caller's
+// epoch-stamped inRegion set, which greedyFrom re-begins; the set is only
+// probed, never iterated, so it has no say in tie-breaking. Nodes marked
 // banned are never added (used by the top-k extension to keep regions
 // disjoint). A non-nil chk is polled in the frontier scan; once it fires
-// the partially-grown region is returned and the caller surfaces
-// chk.Err() (SolveGreedy discards the partial region).
+// the partially-grown region is returned and the caller, which discards
+// it, surfaces chk.Err().
 func greedyFrom(in *Instance, delta float64, mu, sigmaMax float64, seed NodeID, banned []bool, inRegion *stampSet, r *Region, chk *cancel.Check) *Region {
 	tauMax := in.MaxEdgeLength()
 	inRegion.begin(in.NumNodes)

@@ -16,15 +16,6 @@ type Region struct {
 	Edges  []int32 // indices into Instance.Edges
 }
 
-// singleton returns the one-node region {v}.
-func singleton(in *Instance, sc *Scaling, v NodeID) *Region {
-	return &Region{
-		Score:  in.Weights[v],
-		Scaled: sc.Scaled[v],
-		Nodes:  []int32{v},
-	}
-}
-
 // betterThan reports whether r should replace o as the query answer:
 // larger scaled weight wins; ties prefer the shorter region (§2: "In the
 // rare case that there is more than one optimal region, we return the one
@@ -51,59 +42,6 @@ func (r *Region) betterScore(o *Region) bool {
 	return r.Length < o.Length
 }
 
-// sharesNode reports whether the sorted node sets of r and o intersect
-// (the Lemma 9 cycle test in TGEN).
-func (r *Region) sharesNode(o *Region) bool {
-	i, j := 0, 0
-	for i < len(r.Nodes) && j < len(o.Nodes) {
-		switch {
-		case r.Nodes[i] < o.Nodes[j]:
-			i++
-		case r.Nodes[i] > o.Nodes[j]:
-			j++
-		default:
-			return true
-		}
-	}
-	return false
-}
-
-// combine joins two node-disjoint regions through the edge with index
-// edgeIdx, producing a new region per the tuple-generation rule of §5.
-// The caller guarantees disjointness (Lemma 9) and that the edge connects
-// a node of r to a node of o.
-func combine(in *Instance, r, o *Region, edgeIdx int32) *Region {
-	e := in.Edges[edgeIdx]
-	out := &Region{
-		Length: r.Length + o.Length + e.Length,
-		Score:  r.Score + o.Score,
-		Scaled: r.Scaled + o.Scaled,
-		Nodes:  mergeSorted(r.Nodes, o.Nodes),
-		Edges:  make([]int32, 0, len(r.Edges)+len(o.Edges)+1),
-	}
-	out.Edges = append(out.Edges, r.Edges...)
-	out.Edges = append(out.Edges, o.Edges...)
-	out.Edges = append(out.Edges, edgeIdx)
-	return out
-}
-
-func mergeSorted(a, b []int32) []int32 {
-	out := make([]int32, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i] <= b[j] {
-			out = append(out, a[i])
-			i++
-		} else {
-			out = append(out, b[j])
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
-}
-
 // Contains reports whether node v belongs to the region.
 func (r *Region) Contains(v NodeID) bool {
 	i := sort.Search(len(r.Nodes), func(i int) bool { return r.Nodes[i] >= v })
@@ -117,20 +55,4 @@ func (r *Region) String() string {
 	}
 	return fmt.Sprintf("Region{|V|=%d, |E|=%d, len=%.3f, score=%.4f}",
 		len(r.Nodes), len(r.Edges), r.Length, r.Score)
-}
-
-// tupleArray is the region tuple array of Definitions 5/6: for each scaled
-// weight value, the known feasible region with the smallest length. Sparse
-// (map-backed) because achievable weight sums are sparse for small α.
-type tupleArray map[int64]*Region
-
-// update installs r if it beats the stored tuple at its scaled weight,
-// returning true when the array changed.
-func (ta tupleArray) update(r *Region) bool {
-	cur, ok := ta[r.Scaled]
-	if !ok || r.Length < cur.Length {
-		ta[r.Scaled] = r
-		return true
-	}
-	return false
 }

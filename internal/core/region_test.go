@@ -1,47 +1,45 @@
 package core
 
 import (
+	"context"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
 
+// scaledScratch returns a scratch mid-query on in: begun, with in scaled.
+func scaledScratch(in *Instance, alpha float64) (*SolveScratch, error) {
+	s := NewSolveScratch()
+	s.begin(context.Background())
+	return s, ScaleInto(in, alpha, &s.scaling)
+}
+
 // TestCombineAdditive checks the tuple-combination rule of §5: lengths,
 // scores and scaled weights add (plus the connecting edge's length), node
-// sets merge sorted, and edge sets concatenate plus the connecting edge.
+// sets concatenate, and edge sets concatenate plus the connecting edge.
 func TestCombineAdditive(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 6 + rng.Intn(10)
 		in := randomInstance(nil, rng, n)
-		sc, err := Scale(in, 0.3)
+		s, err := scaledScratch(in, 0.3)
 		if err != nil {
 			return true // all-zero instance; nothing to combine
 		}
-		// Two disjoint singletons joined by an edge between them, when
-		// such an edge exists.
-		for _, e := range in.Edges {
-			r1 := singleton(in, sc, e.U)
-			r2 := singleton(in, sc, e.V)
-			idx := int32(0)
-			for i, e2 := range in.Edges {
-				if e2 == e {
-					idx = int32(i)
-					break
-				}
-			}
-			out := combine(in, r1, r2, idx)
+		// Two disjoint singletons joined by the edge between them.
+		for idx, e := range in.Edges {
+			r1 := s.singleton(in, e.U)
+			r2 := s.singleton(in, e.V)
+			out := s.combine(in, r1, r2, int32(idx))
 			if out.Length != r1.Length+r2.Length+e.Length {
 				return false
 			}
 			if out.Score != r1.Score+r2.Score || out.Scaled != r1.Scaled+r2.Scaled {
 				return false
 			}
-			if len(out.Nodes) != 2 || len(out.Edges) != 1 {
+			if !slices.Equal(out.Nodes, []int32{e.U, e.V}) || !slices.Equal(out.Edges, []int32{int32(idx)}) {
 				return false
-			}
-			if out.Nodes[0] > out.Nodes[1] {
-				return false // must stay sorted
 			}
 		}
 		return true
@@ -51,81 +49,39 @@ func TestCombineAdditive(t *testing.T) {
 	}
 }
 
-func TestMergeSortedProperty(t *testing.T) {
-	f := func(aRaw, bRaw []uint8) bool {
-		// Build disjoint sorted slices: evens from a, odds from b.
-		var a, b []int32
-		for _, x := range aRaw {
-			a = append(a, int32(x)*2)
-		}
-		for _, x := range bRaw {
-			b = append(b, int32(x)*2+1)
-		}
-		sortInt32(a)
-		sortInt32(b)
-		a, b = dedup32(a), dedup32(b)
-		m := mergeSorted(a, b)
-		if len(m) != len(a)+len(b) {
-			return false
-		}
-		for i := 1; i < len(m); i++ {
-			if m[i-1] >= m[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func sortInt32(xs []int32) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
-}
-
-func dedup32(xs []int32) []int32 {
-	out := xs[:0]
-	for i, x := range xs {
-		if i == 0 || x != xs[i-1] {
-			out = append(out, x)
-		}
-	}
-	return out
-}
-
 // TestTupleArrayDominance checks Definition 5/6 semantics: update keeps,
 // per scaled weight, exactly the minimum-length region seen.
 func TestTupleArrayDominance(t *testing.T) {
-	ta := make(tupleArray)
-	a := &Region{Scaled: 5, Length: 10}
-	b := &Region{Scaled: 5, Length: 7}
-	c := &Region{Scaled: 5, Length: 9}
-	d := &Region{Scaled: 3, Length: 100}
-	if !ta.update(a) {
+	s := NewSolveScratch()
+	s.begin(context.Background())
+	s.ensureArrays(1)
+	region := func(scaled int64, length float64) *poolRegion {
+		r := s.pool.newRegion()
+		r.Region = Region{Scaled: scaled, Length: length}
+		return r
+	}
+	a, b, c, d := region(5, 10), region(5, 7), region(5, 9), region(3, 100)
+	if !s.update(0, a) {
 		t.Error("first insert must report change")
 	}
-	if !ta.update(b) {
+	if !s.update(0, b) {
 		t.Error("shorter region must replace")
 	}
-	if ta.update(c) {
+	if s.update(0, c) {
 		t.Error("longer region must not replace")
 	}
-	if !ta.update(d) {
+	if !s.update(0, d) {
 		t.Error("new weight must insert")
 	}
-	if ta[5] != b || ta[3] != d {
+	if ta := s.arrays[0]; len(ta) != 2 || ta[0].r != d || ta[1].r != b {
 		t.Error("array contents wrong")
 	}
 }
 
-// TestSharesNodeSymmetric: sharesNode must be symmetric and agree with a
-// naive set intersection.
-func TestSharesNodeSymmetric(t *testing.T) {
+// TestMarksCycleTest: the Lemma 9 cycle test — marks of one node set probed
+// with another — must be symmetric and agree with a naive set intersection.
+func TestMarksCycleTest(t *testing.T) {
+	var marks stampSet
 	f := func(aRaw, bRaw []uint8) bool {
 		var a, b []int32
 		for _, x := range aRaw {
@@ -134,11 +90,6 @@ func TestSharesNodeSymmetric(t *testing.T) {
 		for _, x := range bRaw {
 			b = append(b, int32(x))
 		}
-		sortInt32(a)
-		sortInt32(b)
-		a, b = dedup32(a), dedup32(b)
-		ra := &Region{Nodes: a}
-		rb := &Region{Nodes: b}
 		naive := false
 		set := map[int32]bool{}
 		for _, x := range a {
@@ -149,7 +100,14 @@ func TestSharesNodeSymmetric(t *testing.T) {
 				naive = true
 			}
 		}
-		return ra.sharesNode(rb) == naive && rb.sharesNode(ra) == naive
+		shares := func(x, y []int32) bool {
+			marks.begin(256)
+			for _, v := range x {
+				marks.add(v)
+			}
+			return marks.hasAny(y)
+		}
+		return shares(a, b) == naive && shares(b, a) == naive
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

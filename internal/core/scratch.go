@@ -12,19 +12,17 @@ import (
 )
 
 // SolveScratch is the pooled per-worker working state of the solve phase:
-// an epoch-stamped replacement for every per-query boolean map/array the
-// solvers build (TGEN's processed/enqueued/edgeDone, Greedy's region
-// membership), a free-list Region arena behind the tuple machinery, the
-// sorted-slice replacement for the map-backed tuple arrays, and the pooled
-// kmst/pcst solver state APP drives. SolveTGEN, SolveAPP, and SolveGreedy
-// run the same algorithms as TGEN, APP, and Greedy — bit-identical
-// results — but a warm scratch answers queries with zero steady-state
+// epoch-stamped sets for every per-query boolean the solvers track (TGEN's
+// processed/enqueued/edgeDone, Greedy's region membership), a free-list
+// Region arena behind the tuple machinery, the sorted-slice tuple arrays of
+// Definitions 5/6, the pooled kmst/pcst solver state APP drives, and the
+// top-k sub-instance. A warm scratch answers queries with zero steady-state
 // allocations.
 //
 // Ownership rules: a SolveScratch serves one goroutine; pool one per
 // worker (dataset.Planner embeds one). The *Region returned by a SolveX
 // call aliases the scratch's arenas and is valid only until the next
-// SolveX call on the same scratch — copy it out to retain it.
+// solve on the same scratch — copy it out to retain it.
 type SolveScratch struct {
 	pool    regionPool
 	scaling Scaling
@@ -65,6 +63,8 @@ type SolveScratch struct {
 	cursor   []int32
 	foQueue  []int32
 	snapshot []tupleEntry
+
+	topk topKState
 }
 
 // NewSolveScratch returns an empty scratch; it warms up as it serves.
@@ -139,12 +139,13 @@ func (s *SolveScratch) singleton(in *Instance, v NodeID) *poolRegion {
 	return r
 }
 
-// combine is the arena form of region.go's combine: it joins two
-// node-disjoint regions through the edge with index edgeIdx. Edges keep the
-// allocating order (a's, b's, the joining edge); nodes are concatenated, not
-// merged — nothing inside the pooled solvers reads node order (the cycle
-// test uses marks, per-node updates are independent), and bestRegion sorts
-// the answer.
+// combine joins two node-disjoint regions through the edge with index
+// edgeIdx, producing a new region per the tuple-generation rule of §5. The
+// caller guarantees disjointness (Lemma 9) and that the edge connects a node
+// of a to a node of b. Edges are a's, b's, then the joining edge (the order
+// the goldens record); nodes are concatenated, not merged — nothing inside
+// the solvers reads node order (the cycle test uses marks, per-node updates
+// are independent), and bestRegion sorts the answer.
 func (s *SolveScratch) combine(in *Instance, a, b *poolRegion, edgeIdx int32) *poolRegion {
 	e := in.Edges[edgeIdx]
 	out := s.pool.newRegion()
@@ -170,10 +171,10 @@ func (s *SolveScratch) combine(in *Instance, a, b *poolRegion, edgeIdx int32) *p
 // edge edgeIdx and collects the feasible results in s.newTuples, in (vi
 // outer, vj inner) order. Rejections run cheapest first and nothing is
 // built that the next test discards: the length sum — the very expression
-// combine stores, so exactly the same pairs survive — is three floats from
-// the contiguous entries; the Lemma 9 cycle test is an early-exit scan of
-// t2's nodes against marks of t1's, made once per outer row; only survivors
-// are materialised. A row whose t1 alone busts the budget is skipped whole
+// combine stores, so a pair survives iff its region is feasible — is three
+// floats from the contiguous entries; the Lemma 9 cycle test is an
+// early-exit scan of t2's nodes against marks of t1's, made once per outer
+// row; only survivors are materialised. A row whose t1 alone busts the budget is skipped whole
 // (lengths are non-negative and float addition is monotone, so every pair
 // of the row would fail). One cancellation tick per outer row: a single
 // edge can run to ~10⁵ pairs, so per-edge ticks alone would not bound the
@@ -227,11 +228,11 @@ func (s *SolveScratch) installNew() {
 	}
 }
 
-// update installs r into the tuple array at index idx — the sorted-slice
-// form of tupleArray.update: per scaled weight keep the shortest region,
-// with identical replace-on-strictly-shorter semantics. Returns whether
-// the array changed. Most probes reject, and the reject path reads only the
-// entries, never the stored regions.
+// update installs r into the tuple array at index idx (Definitions 5/6):
+// per scaled weight the array keeps the shortest region seen, replacing
+// only on a strictly shorter one. Returns whether the array changed. Most
+// probes reject, and the reject path reads only the entries, never the
+// stored regions.
 func (s *SolveScratch) update(idx int32, r *poolRegion) bool {
 	ta := s.arrays[idx]
 	lo, hi := 0, len(ta)
@@ -337,8 +338,7 @@ func (p *regionPool) newRegion() *poolRegion {
 
 // allocInts returns a slice of length n whose capacity is the n's
 // power-of-two size class, recycled from the class free list when
-// possible. n == 0 returns nil (singleton regions have nil edge lists,
-// matching the allocating implementations).
+// possible. n == 0 returns nil (singleton regions have nil edge lists).
 func (p *regionPool) allocInts(n int) []int32 {
 	if n == 0 {
 		return nil
@@ -383,8 +383,7 @@ func (p *regionPool) free(r *poolRegion) {
 }
 
 // stampSet is an epoch-stamped boolean array: begin starts a new
-// generation in O(1), membership is stamp[i] == epoch. It replaces the
-// per-query map[NodeID]bool / []bool working sets of the solvers.
+// generation in O(1), membership is stamp[i] == epoch.
 type stampSet struct {
 	stamp []uint32
 	epoch uint32

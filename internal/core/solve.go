@@ -10,13 +10,11 @@ import (
 	"repro/internal/pcst"
 )
 
-// This file holds the pooled solve entry points. SolveTGEN, SolveAPP, and
-// SolveGreedy run the same algorithms as TGEN, APP, and Greedy and return
-// bit-identical regions (golden-tested in solve_test.go), but draw every
-// piece of per-query working state from the SolveScratch, so a warm
-// scratch performs zero steady-state allocations per query. The returned
-// *Region aliases the scratch and is valid only until the next SolveX call
-// on the same scratch.
+// This file holds the single-region solve entry points. SolveTGEN,
+// SolveAPP, and SolveGreedy draw every piece of per-query working state
+// from the SolveScratch, so a warm scratch performs zero steady-state
+// allocations per query. The returned *Region aliases the scratch and is
+// valid only until the next solve on the same scratch.
 //
 // Each SolveX honors ctx: the hot loops carry amortized cancellation
 // checkpoints (internal/cancel), so a cancel observed mid-solve returns
@@ -25,8 +23,16 @@ import (
 // reset and produces results bit-identical to a fresh scratch. A
 // background context makes every checkpoint free.
 
-// SolveTGEN answers an LCMSR query with the tuple-generation heuristic of
-// §5 (see TGEN) using pooled scratch state.
+// SolveTGEN answers an LCMSR query with Algorithm 2 (§5): it scales node
+// weights, visits nodes in breadth-first order, processes every edge exactly
+// once, and combines the explored region tuple arrays (Definition 6) of the
+// edge's endpoints to enumerate feasible regions, keeping per node and
+// scaled weight only the shortest region. Nodes whose incident edges have
+// all been processed drop their arrays (§5's memory optimization). The
+// arrays are keyed by scaled weight, but the answer is the enumerated region
+// heaviest on the original weights — scaled-weight ties would otherwise pick
+// an arbitrary lighter region. A nil region with nil error means no relevant
+// node exists.
 func SolveTGEN(ctx context.Context, s *SolveScratch, in *Instance, delta float64, opts TGENOptions) (*Region, error) {
 	opts = opts.withDefaults()
 	if delta < 0 || math.IsNaN(delta) {
@@ -63,7 +69,7 @@ func SolveTGEN(ctx context.Context, s *SolveScratch, in *Instance, delta float64
 	return s.bestRegion(), nil
 }
 
-// tgenBFS is the pooled form of tgen.go's TGEN main loop: nodes are visited
+// tgenBFS is TGEN's main loop under OrderBFS: nodes are visited
 // breadth-first, every edge is processed once, and a node's array is dropped
 // when all its edges are done. Returns early once a checkpoint observes
 // cancellation; the caller surfaces s.cancel.Err().
@@ -117,17 +123,18 @@ func (s *SolveScratch) tgenBFS(in *Instance, delta float64) {
 	}
 }
 
-// tgenAscLength is the pooled form of tgen.go's tgenAscLength: identical
-// tuple generation over edges in ascending length order, through the same
-// combineAcross/installNew kernel as tgenBFS.
+// tgenAscLength is the OrderAscLength variant: identical tuple generation
+// over edges in ascending length order, through the same
+// combineAcross/installNew kernel as tgenBFS. A node's array is dropped once
+// all its incident edges are done.
 func (s *SolveScratch) tgenAscLength(in *Instance, delta float64) {
 	s.order = growTo(s.order, len(in.Edges))
 	for i := range s.order {
 		s.order[i] = int32(i)
 	}
 	slices.SortFunc(s.order, func(a, b int32) int {
-		// Same predicate as the allocating variant's sort.Slice; pdqsort
-		// on equal input yields the same permutation for tied lengths.
+		// The recorded goldens depend on this exact predicate under
+		// pdqsort: tied lengths keep the permutation it yields.
 		switch {
 		case in.Edges[a].Length < in.Edges[b].Length:
 			return -1
@@ -172,8 +179,11 @@ func (s *SolveScratch) tgenAscLength(in *Instance, delta float64) {
 	}
 }
 
-// SolveGreedy answers an LCMSR query with the greedy expansion of §6.1
-// (see Greedy) using pooled scratch state.
+// SolveGreedy answers an LCMSR query with the method of §6.1: seed the
+// region at the most relevant node in Q.Λ, then repeatedly attach the
+// frontier node with the best combined score whose connecting edge still
+// fits the remaining budget, stopping when no frontier node fits. A nil
+// region with nil error means no relevant node exists.
 func SolveGreedy(ctx context.Context, s *SolveScratch, in *Instance, delta float64, opts GreedyOptions) (*Region, error) {
 	opts, err := opts.withDefaults()
 	if err != nil {
@@ -200,9 +210,12 @@ func SolveGreedy(ctx context.Context, s *SolveScratch, in *Instance, delta float
 	return r, nil
 }
 
-// SolveAPP answers an LCMSR query with the (5+ε)-approximation of §4 (see
-// APP) using pooled scratch state, including the pooled kmst/pcst solver
-// stack.
+// SolveAPP answers an LCMSR query with the (5+ε)-approximation of §4,
+// following Algorithm 1: scale weights (§4.1), binary-search a node-weight
+// quota against the k-MST solver until the candidate tree TC satisfies
+// Lemma 4, then extract the best feasible subtree of TC with the findOptTree
+// dynamic program. The result carries the original weights; a nil region
+// (with nil error) means no node in the instance is relevant.
 func SolveAPP(ctx context.Context, s *SolveScratch, in *Instance, delta float64, opts APPOptions) (*Region, error) {
 	opts = opts.withDefaults()
 	if delta < 0 || math.IsNaN(delta) {
@@ -303,12 +316,18 @@ func (s *SolveScratch) resultFromTree(in *Instance, t kmst.Result) *poolRegion {
 	return r
 }
 
-// findOptTree is the pooled form of findopttree.go's findOptTree: the
-// candidate tree is remapped to local indices, its adjacency becomes a
-// pooled CSR whose per-node order matches the map-based build (tree edge
-// order), and the per-node tuple arrays draw from the region arena. Only the
-// non-keepArrays form is needed here (the top-k extension keeps the
-// allocating path).
+// findOptTree is the pseudo-polynomial dynamic program of §4.2.3: given a
+// candidate tree TC (nodes and edge indices of the instance), it finds the
+// feasible region (length ≤ delta) that is a subtree of TC and weighs most —
+// as in TGEN, the arrays are keyed by scaled weight (Definition 5) while the
+// reported best uses the original weights. Each tree node carries a region
+// tuple array holding, per scaled weight, the minimum-length region rooted
+// at it; leaves are peeled one by one and their arrays folded into their
+// remaining neighbour exactly as Function findOptTree() does (Lemma 7).
+// Regions longer than delta are pruned eagerly: extending a region never
+// shortens it, so infeasible tuples cannot contribute. The tree is remapped
+// to local indices, its adjacency is a pooled CSR in tree-edge order, and
+// the tuple arrays draw from the region arena.
 func (s *SolveScratch) findOptTree(in *Instance, treeNodes []int32, treeEdges []int32, delta float64) *Region {
 	if len(treeNodes) == 0 {
 		return nil

@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -166,16 +167,16 @@ func TestInstantiateEndToEnd(t *testing.T) {
 		}
 		// Run the three algorithms end to end.
 		alpha := 0.5
-		app, err := core.APP(qi.In, q.Delta, core.APPOptions{Alpha: alpha})
+		app, err := core.SolveAPP(context.Background(), core.NewSolveScratch(), qi.In, q.Delta, core.APPOptions{Alpha: alpha})
 		if err != nil {
 			t.Fatal(err)
 		}
 		tgAlpha := float64(qi.In.NumNodes) / 8 // σ̂max ≈ 8
-		tg, err := core.TGEN(qi.In, q.Delta, core.TGENOptions{Alpha: tgAlpha})
+		tg, err := core.SolveTGEN(context.Background(), core.NewSolveScratch(), qi.In, q.Delta, core.TGENOptions{Alpha: tgAlpha})
 		if err != nil {
 			t.Fatal(err)
 		}
-		gr, err := core.Greedy(qi.In, q.Delta, core.GreedyOptions{})
+		gr, err := core.SolveGreedy(context.Background(), core.NewSolveScratch(), qi.In, q.Delta, core.GreedyOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -252,11 +253,11 @@ func TestDatasetRoundTrip(t *testing.T) {
 		if a.In.NumNodes != b.In.NumNodes {
 			t.Fatalf("query %d: instance sizes differ", i)
 		}
-		ra, err := core.TGEN(a.In, q.Delta, core.TGENOptions{Alpha: float64(a.In.NumNodes) / 8})
+		ra, err := core.SolveTGEN(context.Background(), core.NewSolveScratch(), a.In, q.Delta, core.TGENOptions{Alpha: float64(a.In.NumNodes) / 8})
 		if err != nil {
 			t.Fatal(err)
 		}
-		rb, err := core.TGEN(b.In, q.Delta, core.TGENOptions{Alpha: float64(b.In.NumNodes) / 8})
+		rb, err := core.SolveTGEN(context.Background(), core.NewSolveScratch(), b.In, q.Delta, core.TGENOptions{Alpha: float64(b.In.NumNodes) / 8})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -330,7 +331,7 @@ func TestWeightRatingMode(t *testing.T) {
 			}
 		}
 		// Rating-weighted queries run end to end.
-		r, err := core.Greedy(rat.In, q.Delta, core.GreedyOptions{})
+		r, err := core.SolveGreedy(context.Background(), core.NewSolveScratch(), rat.In, q.Delta, core.GreedyOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

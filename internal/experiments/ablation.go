@@ -42,7 +42,7 @@ func (e *Env) AblationKMST() (Table, error) {
 			var r *core.Region
 			dur, err := runTimed(func() error {
 				var err error
-				r, err = core.APP(qi.In, q.Delta, core.APPOptions{
+				r, err = e.solveAPP(qi.In, q.Delta, core.APPOptions{
 					Alpha: p.APPAlpha, Beta: p.APPBeta, Solver: s.solver,
 				})
 				return err
@@ -97,7 +97,7 @@ func (e *Env) AblationOrder() (Table, error) {
 			var r *core.Region
 			dur, err := runTimed(func() error {
 				var err error
-				r, err = core.TGEN(qi.In, q.Delta, core.TGENOptions{
+				r, err = e.solveTGEN(qi.In, q.Delta, core.TGENOptions{
 					Alpha: tgenAlphaFor(qi.In, p.TGENSigma), Order: s.order,
 				})
 				return err
@@ -156,7 +156,7 @@ func (e *Env) AblationWeighting() (Table, error) {
 			var r *core.Region
 			dur, err := runTimed(func() error {
 				var err error
-				r, err = core.TGEN(qi.In, q.Delta, core.TGENOptions{Alpha: tgenAlphaFor(qi.In, p.TGENSigma)})
+				r, err = e.solveTGEN(qi.In, q.Delta, core.TGENOptions{Alpha: tgenAlphaFor(qi.In, p.TGENSigma)})
 				return err
 			})
 			if err != nil {

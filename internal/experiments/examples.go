@@ -42,13 +42,13 @@ func (e *Env) Examples() (Table, error) {
 	}
 	runs := []namedRun{
 		{"TGEN", func() (*core.Region, error) {
-			return core.TGEN(qi.In, q.Delta, core.TGENOptions{Alpha: tgenAlphaFor(qi.In, p.TGENSigma)})
+			return e.solveTGEN(qi.In, q.Delta, core.TGENOptions{Alpha: tgenAlphaFor(qi.In, p.TGENSigma)})
 		}},
 		{"APP", func() (*core.Region, error) {
-			return core.APP(qi.In, q.Delta, core.APPOptions{Alpha: p.APPAlpha, Beta: p.APPBeta})
+			return e.solveAPP(qi.In, q.Delta, core.APPOptions{Alpha: p.APPAlpha, Beta: p.APPBeta})
 		}},
 		{"Greedy", func() (*core.Region, error) {
-			return core.Greedy(qi.In, q.Delta, core.GreedyOptions{Mu: p.GreedyMu, MuSet: true})
+			return e.solveGreedy(qi.In, q.Delta, core.GreedyOptions{Mu: p.GreedyMu, MuSet: true})
 		}},
 	}
 	for _, nr := range runs {
@@ -112,7 +112,7 @@ func (e *Env) TopK(name string) (Table, error) {
 		for i, qi := range qis {
 			delta := qs[i].Delta
 			dur, err := runTimed(func() error {
-				_, err := core.TopKAPP(context.Background(), qi.In, delta, k, core.APPOptions{Alpha: p.APPAlpha, Beta: p.APPBeta})
+				_, err := core.SolveTopK(context.Background(), &e.scratch, qi.In, delta, k, core.APPOptions{Alpha: p.APPAlpha, Beta: p.APPBeta})
 				return err
 			})
 			if err != nil {
@@ -120,7 +120,7 @@ func (e *Env) TopK(name string) (Table, error) {
 			}
 			app += dur
 			dur, err = runTimed(func() error {
-				_, err := core.TopKTGEN(context.Background(), qi.In, delta, k, core.TGENOptions{Alpha: tgenAlphaFor(qi.In, p.TGENSigma)})
+				_, err := core.SolveTopK(context.Background(), &e.scratch, qi.In, delta, k, core.TGENOptions{Alpha: tgenAlphaFor(qi.In, p.TGENSigma)})
 				return err
 			})
 			if err != nil {
@@ -128,7 +128,7 @@ func (e *Env) TopK(name string) (Table, error) {
 			}
 			tgen += dur
 			dur, err = runTimed(func() error {
-				_, err := core.TopKGreedy(context.Background(), qi.In, delta, k, core.GreedyOptions{Mu: p.GreedyMu, MuSet: true})
+				_, err := core.SolveTopK(context.Background(), &e.scratch, qi.In, delta, k, core.GreedyOptions{Mu: p.GreedyMu, MuSet: true})
 				return err
 			})
 			if err != nil {

@@ -1,7 +1,7 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§7) against the synthetic NY-like and USANW-like datasets.
 // Each exported runner returns one or more Tables whose rows mirror the
-// series the paper plots; EXPERIMENTS.md records paper-vs-measured notes.
+// series the paper plots.
 //
 // Absolute runtimes and weights differ from the paper (different hardware,
 // language, and density-scaled synthetic data); what is reproduced is the
@@ -9,6 +9,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -51,13 +52,13 @@ type datasetParams struct {
 	APPAlpha  float64 // paper: 0.5 NY, 0.1 USANW
 	APPBeta   float64 // paper: 0.1 both
 	GreedyMu  float64 // paper: 0.2 NY, 0.4 USANW
-	TGENSigma int     // target σ̂max for TGEN's α (see EXPERIMENTS.md)
+	TGENSigma int     // target σ̂max for TGEN's α (see nyParams)
 }
 
 // TGENSigma is the σ̂max granularity TGEN's α is resolved against per
 // query region (α = |VQ|/σ̂max); σ̂max ≈ 12 is the regime the paper's
 // α = 400/300 inhabit at their data scale. Finer scales were measured to
-// change TGEN's answers negligibly on both datasets (see EXPERIMENTS.md).
+// change TGEN's answers negligibly on both datasets (Fig9And10 sweeps it).
 var nyParams = datasetParams{
 	Keywords: 3, DeltaM: 10000, LambdaM2: 100e6,
 	APPAlpha: 0.5, APPBeta: 0.1, GreedyMu: 0.2, TGENSigma: 12,
@@ -72,11 +73,30 @@ var usanwParams = datasetParams{
 	APPAlpha: 0.3, APPBeta: 0.1, GreedyMu: 0.4, TGENSigma: 12,
 }
 
-// Env holds lazily built datasets and query workloads.
+// Env holds lazily built datasets and the one solver scratch every sweep
+// runs on, so pinning a workload's instances (instantiateAll) stays
+// O(Σ subgraph) instead of warming a scratch per instance. An Env serves
+// one goroutine.
 type Env struct {
-	cfg   Config
-	ny    *dataset.Dataset
-	usanw *dataset.Dataset
+	cfg     Config
+	ny      *dataset.Dataset
+	usanw   *dataset.Dataset
+	scratch core.SolveScratch
+}
+
+// solveAPP, solveTGEN and solveGreedy answer on the Env's scratch: the
+// returned region is valid only until the next solve, so sweeps read what
+// they report from it first.
+func (e *Env) solveAPP(in *core.Instance, delta float64, opts core.APPOptions) (*core.Region, error) {
+	return core.SolveAPP(context.Background(), &e.scratch, in, delta, opts)
+}
+
+func (e *Env) solveTGEN(in *core.Instance, delta float64, opts core.TGENOptions) (*core.Region, error) {
+	return core.SolveTGEN(context.Background(), &e.scratch, in, delta, opts)
+}
+
+func (e *Env) solveGreedy(in *core.Instance, delta float64, opts core.GreedyOptions) (*core.Region, error) {
+	return core.SolveGreedy(context.Background(), &e.scratch, in, delta, opts)
 }
 
 // NewEnv prepares an environment (datasets build lazily on first use).

@@ -95,7 +95,7 @@ func (e *Env) MaxRSComparison() (Table, error) {
 		if delta <= 0 {
 			delta = rectSide // all objects on one node: any small budget
 		}
-		lr, err := core.TGEN(qi.In, delta, core.TGENOptions{Alpha: tgenAlphaFor(qi.In, p.TGENSigma)})
+		lr, err := e.solveTGEN(qi.In, delta, core.TGENOptions{Alpha: tgenAlphaFor(qi.In, p.TGENSigma)})
 		if err != nil {
 			return Table{}, err
 		}

@@ -35,7 +35,7 @@ func (e *Env) Fig7And8() (Table, error) {
 			var r *core.Region
 			dur, err := runTimed(func() error {
 				var err error
-				r, err = core.APP(qi.In, q.Delta, core.APPOptions{Alpha: alpha, Beta: p.APPBeta})
+				r, err = e.solveAPP(qi.In, q.Delta, core.APPOptions{Alpha: alpha, Beta: p.APPBeta})
 				return err
 			})
 			if err != nil {
@@ -71,7 +71,7 @@ func (e *Env) Fig9And10() (Table, error) {
 		return Table{}, err
 	}
 	table := Table{
-		Title:  "Fig 9+10: TGEN runtime and region weight vs α (NY; α recalibrated, see EXPERIMENTS.md)",
+		Title:  "Fig 9+10: TGEN runtime and region weight vs α (NY; α recalibrated to σ̂max)",
 		Header: []string{"paper_alpha", "sigma_hat_max", "runtime_ms", "region_weight"},
 	}
 	// paper α {50,100,200,400,800,1600} ↔ σ̂max roughly {72,36,18,9,4,2}.
@@ -89,7 +89,7 @@ func (e *Env) Fig9And10() (Table, error) {
 			var r *core.Region
 			dur, err := runTimed(func() error {
 				var err error
-				r, err = core.TGEN(qi.In, q.Delta, core.TGENOptions{Alpha: alpha})
+				r, err = e.solveTGEN(qi.In, q.Delta, core.TGENOptions{Alpha: alpha})
 				return err
 			})
 			if err != nil {
@@ -138,7 +138,7 @@ func (e *Env) Fig11And12() (Table, error) {
 			var r *core.Region
 			dur, err := runTimed(func() error {
 				var err error
-				r, err = core.APP(qi.In, q.Delta, core.APPOptions{Alpha: p.APPAlpha, Beta: beta})
+				r, err = e.solveAPP(qi.In, q.Delta, core.APPOptions{Alpha: p.APPAlpha, Beta: beta})
 				return err
 			})
 			if err != nil {
@@ -186,7 +186,7 @@ func (e *Env) Fig13And14() (Table, error) {
 			var r *core.Region
 			dur, err := runTimed(func() error {
 				var err error
-				r, err = core.Greedy(qi.In, q.Delta, core.GreedyOptions{Mu: mu, MuSet: true})
+				r, err = e.solveGreedy(qi.In, q.Delta, core.GreedyOptions{Mu: mu, MuSet: true})
 				return err
 			})
 			if err != nil {
@@ -224,7 +224,7 @@ func (e *Env) Table1() (Table, error) {
 		return Table{}, err
 	}
 	var trace []core.TraceStep
-	if _, err := core.APP(qi.In, qs[0].Delta, core.APPOptions{
+	if _, err := e.solveAPP(qi.In, qs[0].Delta, core.APPOptions{
 		Alpha: p.APPAlpha, Beta: p.APPBeta, Trace: &trace,
 	}); err != nil {
 		return Table{}, err

@@ -113,10 +113,12 @@ func (e *Env) querySweep(d *dataset.Dataset, kind SweepKind, figure string) (Tab
 		counted := 0
 		for i, qi := range qis {
 			delta := qs[i].Delta
-			var rAPP, rTGEN, rGreedy *core.Region
+			// Scores are read inside each timed call: the next solve
+			// recycles the scratch the region lives in.
+			var wAPP, wTGEN, wGreedy float64
 			dur, err := runTimed(func() error {
-				var err error
-				rAPP, err = core.APP(qi.In, delta, core.APPOptions{Alpha: p.APPAlpha, Beta: p.APPBeta})
+				r, err := e.solveAPP(qi.In, delta, core.APPOptions{Alpha: p.APPAlpha, Beta: p.APPBeta})
+				wAPP = scoreOf(r)
 				return err
 			})
 			if err != nil {
@@ -124,8 +126,8 @@ func (e *Env) querySweep(d *dataset.Dataset, kind SweepKind, figure string) (Tab
 			}
 			app.time += dur
 			dur, err = runTimed(func() error {
-				var err error
-				rTGEN, err = core.TGEN(qi.In, delta, core.TGENOptions{Alpha: tgenAlphaFor(qi.In, p.TGENSigma)})
+				r, err := e.solveTGEN(qi.In, delta, core.TGENOptions{Alpha: tgenAlphaFor(qi.In, p.TGENSigma)})
+				wTGEN = scoreOf(r)
 				return err
 			})
 			if err != nil {
@@ -133,23 +135,23 @@ func (e *Env) querySweep(d *dataset.Dataset, kind SweepKind, figure string) (Tab
 			}
 			tgen.time += dur
 			dur, err = runTimed(func() error {
-				var err error
-				rGreedy, err = core.Greedy(qi.In, delta, core.GreedyOptions{Mu: p.GreedyMu, MuSet: true})
+				r, err := e.solveGreedy(qi.In, delta, core.GreedyOptions{Mu: p.GreedyMu, MuSet: true})
+				wGreedy = scoreOf(r)
 				return err
 			})
 			if err != nil {
 				return Table{}, err
 			}
 			greedy.time += dur
-			if rTGEN == nil || rTGEN.Score <= 0 {
+			if wTGEN <= 0 {
 				continue // no relevant object: skip ratio accounting
 			}
 			counted++
-			app.weight += scoreOf(rAPP)
-			tgen.weight += rTGEN.Score
-			greedy.weight += scoreOf(rGreedy)
-			appRatio += scoreOf(rAPP) / rTGEN.Score
-			greedyRatio += scoreOf(rGreedy) / rTGEN.Score
+			app.weight += wAPP
+			tgen.weight += wTGEN
+			greedy.weight += wGreedy
+			appRatio += wAPP / wTGEN
+			greedyRatio += wGreedy / wTGEN
 		}
 		n := float64(len(qis))
 		cn := float64(counted)

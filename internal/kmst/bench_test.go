@@ -7,7 +7,7 @@ import (
 	"repro/internal/pcst"
 )
 
-func benchGraph(b *testing.B) *Graph {
+func benchGraph(b *testing.B) *graph {
 	b.Helper()
 	const side = 25
 	rng := rand.New(rand.NewSource(3))
@@ -30,11 +30,7 @@ func benchGraph(b *testing.B) *Graph {
 			}
 		}
 	}
-	g, err := New(n, edges, weights)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return g
+	return &graph{N: n, Edges: edges, Weights: weights}
 }
 
 func BenchmarkGargQuota(b *testing.B) {
@@ -42,7 +38,7 @@ func BenchmarkGargQuota(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := NewGarg(g) // fresh cache: measures a cold quota query
+		s := g.garg(b) // fresh solver, empty λ-cache: measures a cold quota query
 		if _, ok := treeOK(b, s, 60); !ok {
 			b.Fatal("quota infeasible")
 		}
@@ -51,7 +47,7 @@ func BenchmarkGargQuota(b *testing.B) {
 
 func BenchmarkSPTQuota(b *testing.B) {
 	g := benchGraph(b)
-	s := NewSPT(g, 8)
+	s := g.spt(b, 8)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

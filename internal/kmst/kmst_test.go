@@ -20,8 +20,35 @@ func treeOK(t testing.TB, s Solver, quota int64) (Result, bool) {
 	return r, ok
 }
 
+// graph is a quota-solver input kept by the tests for validation and the
+// brute-force reference.
+type graph struct {
+	N       int
+	Edges   []pcst.Edge
+	Weights []int64
+}
+
+// garg and spt return fresh solvers pointed at g.
+func (g *graph) garg(t testing.TB) *GargSolver {
+	t.Helper()
+	s := NewGargSolver()
+	if err := s.Reset(g.N, g.Edges, g.Weights); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+func (g *graph) spt(t testing.TB, seeds int) *SPTSolver {
+	t.Helper()
+	s := NewSPTSolver(seeds)
+	if err := s.Reset(g.N, g.Edges, g.Weights); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 // validate checks r is a connected tree of g with consistent stats.
-func validate(t *testing.T, g *Graph, r Result) {
+func validate(t *testing.T, g *graph, r Result) {
 	t.Helper()
 	if len(r.Nodes) == 0 {
 		t.Fatal("empty result")
@@ -60,7 +87,7 @@ func validate(t *testing.T, g *Graph, r Result) {
 
 // bruteQuota returns the minimum length of any connected subgraph (tree)
 // with weight ≥ quota, or +Inf. Exponential; tiny graphs only.
-func bruteQuota(g *Graph, quota int64) float64 {
+func bruteQuota(g *graph, quota int64) float64 {
 	best := math.Inf(1)
 	for mask := 1; mask < 1<<g.N; mask++ {
 		var w int64
@@ -80,7 +107,7 @@ func bruteQuota(g *Graph, quota int64) float64 {
 	return best
 }
 
-func mstOfSubset(g *Graph, mask int) (float64, bool) {
+func mstOfSubset(g *graph, mask int) (float64, bool) {
 	count := 0
 	for v := 0; v < g.N; v++ {
 		if mask&(1<<v) != 0 {
@@ -117,31 +144,32 @@ func mstOfSubset(g *Graph, mask int) (float64, bool) {
 	return cost, picked == count-1
 }
 
-func mustNew(t *testing.T, n int, edges []pcst.Edge, weights []int64) *Graph {
+func mustNew(t *testing.T, n int, edges []pcst.Edge, weights []int64) *graph {
 	t.Helper()
-	g, err := New(n, edges, weights)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return g
+	return &graph{N: n, Edges: edges, Weights: weights}
 }
 
-func TestNewValidation(t *testing.T) {
-	if _, err := New(2, nil, []int64{1}); err == nil {
-		t.Error("weight count mismatch accepted")
-	}
-	if _, err := New(1, nil, []int64{-5}); err == nil {
-		t.Error("negative weight accepted")
-	}
-	if _, err := New(2, []pcst.Edge{{U: 0, V: 9, Cost: 1}}, []int64{1, 1}); err == nil {
-		t.Error("bad edge accepted")
+func TestResetValidation(t *testing.T) {
+	for name, reset := range map[string]func(int, []pcst.Edge, []int64) error{
+		"garg": NewGargSolver().Reset,
+		"spt":  NewSPTSolver(1).Reset,
+	} {
+		if err := reset(2, nil, []int64{1}); err == nil {
+			t.Errorf("%s: weight count mismatch accepted", name)
+		}
+		if err := reset(1, nil, []int64{-5}); err == nil {
+			t.Errorf("%s: negative weight accepted", name)
+		}
+		if err := reset(2, []pcst.Edge{{U: 0, V: 9, Cost: 1}}, []int64{1, 1}); err == nil {
+			t.Errorf("%s: bad edge accepted", name)
+		}
 	}
 }
 
 func TestInfeasibleQuota(t *testing.T) {
 	g := mustNew(t, 3, []pcst.Edge{{U: 0, V: 1, Cost: 1}}, []int64{2, 3, 4})
 	// Components: {0,1} weight 5, {2} weight 4. Quota 6 unreachable.
-	s := NewGarg(g)
+	s := g.garg(t)
 	if _, ok := treeOK(t, s, 6); ok {
 		t.Error("infeasible quota reported feasible")
 	}
@@ -152,7 +180,7 @@ func TestInfeasibleQuota(t *testing.T) {
 
 func TestZeroQuota(t *testing.T) {
 	g := mustNew(t, 3, nil, []int64{2, 9, 4})
-	s := NewGarg(g)
+	s := g.garg(t)
 	r, ok := treeOK(t, s, 0)
 	if !ok || r.Weight != 9 || len(r.Nodes) != 1 {
 		t.Errorf("zero quota: %+v, ok=%v; want heaviest single node", r, ok)
@@ -182,7 +210,7 @@ func TestGargMeetsQuotaAndNearOptimal(t *testing.T) {
 			continue
 		}
 		g := mustNew(t, n, edges, weights)
-		s := NewGarg(g)
+		s := g.garg(t)
 		quota := 1 + int64(rng.Intn(int(total)))
 		opt := bruteQuota(g, quota)
 		r, ok := treeOK(t, s, quota)
@@ -238,7 +266,7 @@ func TestQuotaMonotonicity(t *testing.T) {
 		total += weights[i]
 	}
 	g := mustNew(t, n, edges, weights)
-	s := NewGarg(g)
+	s := g.garg(t)
 	for quota := int64(1); quota <= total; quota += 3 {
 		r, ok := treeOK(t, s, quota)
 		if !ok {
@@ -257,7 +285,7 @@ func TestQuotaPruneStripsUselessLeaves(t *testing.T) {
 	g := mustNew(t, 4,
 		[]pcst.Edge{{U: 0, V: 1, Cost: 1}, {U: 1, V: 2, Cost: 1}, {U: 2, V: 3, Cost: 1}},
 		[]int64{5, 0, 5, 0})
-	s := NewGarg(g)
+	s := g.garg(t)
 	r, ok := treeOK(t, s, 10)
 	if !ok {
 		t.Fatal("quota infeasible")
@@ -295,7 +323,7 @@ func TestSPTSolver(t *testing.T) {
 		total += weights[i]
 	}
 	g := mustNew(t, n, edges, weights)
-	s := NewSPT(g, 4)
+	s := g.spt(t, 4)
 	for quota := int64(1); quota <= total; quota += 5 {
 		r, ok := treeOK(t, s, quota)
 		if !ok {
@@ -313,10 +341,10 @@ func TestSPTSolver(t *testing.T) {
 
 func TestSPTEmptyGraph(t *testing.T) {
 	g := mustNew(t, 0, nil, nil)
-	if _, ok := treeOK(t, NewSPT(g, 3), 1); ok {
+	if _, ok := treeOK(t, g.spt(t, 3), 1); ok {
 		t.Error("empty graph met quota")
 	}
-	if _, ok := treeOK(t, NewGarg(g), 0); ok {
+	if _, ok := treeOK(t, g.garg(t), 0); ok {
 		t.Error("empty graph met zero quota via Garg")
 	}
 }
@@ -328,15 +356,15 @@ func TestGargCacheReuse(t *testing.T) {
 		[]pcst.Edge{{U: 0, V: 1, Cost: 1}, {U: 1, V: 2, Cost: 1}, {U: 2, V: 3, Cost: 1},
 			{U: 3, V: 4, Cost: 1}, {U: 4, V: 5, Cost: 1}},
 		[]int64{1, 2, 3, 1, 2, 1})
-	s := NewGarg(g)
+	s := g.garg(t)
 	if _, ok := treeOK(t, s, 3); !ok {
 		t.Fatal("quota 3 infeasible")
 	}
-	size1 := len(s.cache)
+	size1 := len(s.cacheLam)
 	if _, ok := treeOK(t, s, 6); !ok {
 		t.Fatal("quota 6 infeasible")
 	}
-	size2 := len(s.cache)
+	size2 := len(s.cacheLam)
 	if size2 >= size1*2 {
 		t.Errorf("cache grew from %d to %d: no sharing between quota searches", size1, size2)
 	}

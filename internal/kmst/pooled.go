@@ -10,20 +10,8 @@ import (
 	"repro/internal/pcst"
 )
 
-// This file holds the pooled counterparts of NewGarg/NewSPT: quota solvers
-// whose per-query state (CSR adjacency, the λ-cache, PCST solver state,
-// Prim/Dijkstra heaps, quota-pruning scratch, and the storage behind
-// returned Results) is reused across queries via Reset. A warm pooled
-// solver answers Tree calls with zero steady-state allocations.
-//
-// Ownership: Results returned by Tree (their Nodes and Edges) alias the
-// solver's arenas and stay valid across later Tree calls on the same
-// solver — APP's binary search holds earlier trees while probing new
-// quotas — until the next Reset, which reclaims them all. One solver
-// serves one goroutine.
-
-// quotaState is the shared base of the pooled solvers: the graph in CSR
-// form, result arenas, and map-free quota-pruning scratch.
+// quotaState is the shared base of the solvers: the graph in CSR form,
+// result arenas, and map-free quota-pruning scratch.
 type quotaState struct {
 	n       int
 	edges   []pcst.Edge
@@ -125,14 +113,14 @@ func (q *quotaState) finish(r Result) Result {
 		copy(edges, r.Edges)
 		r.Edges = edges
 	} else {
-		r.Edges = nil // match the allocating solvers' nil edge lists
+		r.Edges = nil // single-node trees carry a nil edge list
 	}
 	return r
 }
 
 // pruneSetup builds the map-free prune scratch for a tree: the local
 // index remap, degrees, liveness and the incident-edge CSR in r.Edges
-// order. Shared by the heap prune and its scan-based golden oracle.
+// order. Shared by the heap prune and its scan-based reference in the tests.
 func (q *quotaState) pruneSetup(r *Result) {
 	nt := len(r.Nodes)
 	q.pos = container.GrowTo(q.pos, q.n)
@@ -210,12 +198,19 @@ func (q *quotaState) prunePush(r *Result, lv int32) {
 	})
 }
 
-// quotaPrune mirrors the package-level quotaPrune with pooled, map-free
-// scratch: the tree is remapped to local indices, incident-edge lists
-// become a CSR in r.Edges order, and the same lazily revalidated max-heap
-// drives leaf selection — heap order (score desc, r.Nodes position asc)
-// replicates the reference scan's strict-max-plus-first-position pick, so
-// the pruned tree is identical (golden-tested against quotaPruneScan).
+// quotaPrune repeatedly removes the least useful leaf while the remaining
+// weight still meets the quota, shrinking the tree's length. "Least
+// useful" prefers zero-weight leaves with long edges (pure gain), then the
+// highest length-per-weight ratio. The tree is remapped to local indices
+// with its incident-edge lists as a CSR in r.Edges order, and leaves live
+// in a max-heap updated as nodes peel — O(|T| log |T|) where a full rescan
+// per removal is O(|T|²). The removal sequence is identical to the rescan's
+// (quotaPruneScan, the reference the tests compare against): the heap order
+// (score desc, r.Nodes position asc) matches the scan's
+// strict-max-plus-first-position selection, and a candidate the scan would
+// skip is skipped here for the same reason — staleness (dead or no longer
+// degree 1) or a quota failure, which is permanent because the remaining
+// weight only ever decreases.
 func (q *quotaState) quotaPrune(r *Result, quota int64) {
 	if len(r.Nodes) <= 1 {
 		return
@@ -248,6 +243,9 @@ func (q *quotaState) quotaPrune(r *Result, quota int64) {
 		if r.Weight-q.weights[v] < quota {
 			continue // permanent: the remaining weight only decreases
 		}
+		// Only prune when it shortens the tree (always true for cost>0) or
+		// frees weight with zero cost; stop pruning weight-carrying leaves
+		// that don't save length.
 		e := q.edges[r.Edges[c.edge]]
 		if e.Cost <= 0 && q.weights[v] > 0 {
 			break
@@ -270,71 +268,10 @@ func (q *quotaState) quotaPrune(r *Result, quota int64) {
 	q.pruneCompact(r)
 }
 
-// quotaPruneScan is the pooled mirror of the original O(|T|²) rescan
-// prune, kept as the golden oracle for quotaPrune.
-func (q *quotaState) quotaPruneScan(r *Result, quota int64) {
-	if len(r.Nodes) <= 1 {
-		return
-	}
-	q.pruneSetup(r)
-	for {
-		if q.chk.Tick() {
-			return // partial prune; the abandoned result is discarded upstream
-		}
-		// Find the best removable leaf.
-		bestLeaf := int32(-1)
-		bestEdge := -1
-		bestScore := math.Inf(-1)
-		for _, v := range r.Nodes {
-			lv := q.pos[v]
-			if !q.alive[lv] || q.deg[lv] != 1 {
-				continue
-			}
-			if r.Weight-q.weights[v] < quota {
-				continue
-			}
-			// Its single alive incident edge.
-			ei := -1
-			for k := q.incOffs[lv]; k < q.incOffs[lv+1]; k++ {
-				if q.edgeAlive[q.inc[k]] {
-					ei = int(q.inc[k])
-					break
-				}
-			}
-			if ei < 0 {
-				continue
-			}
-			score := pruneScore(q.edges[r.Edges[ei]].Cost, q.weights[v])
-			if score > bestScore {
-				bestScore = score
-				bestLeaf = v
-				bestEdge = ei
-			}
-		}
-		if bestLeaf < 0 {
-			break
-		}
-		e := q.edges[r.Edges[bestEdge]]
-		if e.Cost <= 0 && q.weights[bestLeaf] > 0 {
-			break
-		}
-		q.alive[q.pos[bestLeaf]] = false
-		q.edgeAlive[bestEdge] = false
-		other := e.U
-		if other == bestLeaf {
-			other = e.V
-		}
-		q.deg[q.pos[other]]--
-		q.deg[q.pos[bestLeaf]]--
-		r.Weight -= q.weights[bestLeaf]
-		r.Length -= e.Cost
-	}
-	q.pruneCompact(r)
-}
-
-// GargSolver is the pooled Garg quota solver: the same λ binary search
-// over cached GW runs as Garg, with every piece of state reused across
-// queries. See the file comment for the Result ownership rules.
+// GargSolver is the GW-based quota solver: a binary search over λ whose GW
+// runs are cached per λ, so the repeated invocations from APP's binary
+// search stay cheap, with every piece of state reused across queries. See
+// the package comment for the Result ownership rules.
 type GargSolver struct {
 	quotaState
 
@@ -386,7 +323,7 @@ type primItem struct {
 	edge int32
 }
 
-// NewGargSolver returns an empty pooled Garg solver; call Reset before use.
+// NewGargSolver returns an empty Garg solver; call Reset before use.
 func NewGargSolver() *GargSolver { return &GargSolver{} }
 
 // SetCancel arms the solver (and its PCST solver beneath) with a
@@ -453,6 +390,8 @@ func (s *GargSolver) Reset(n int, edges []pcst.Edge, weights []int64) error {
 	for _, e := range edges {
 		totalCost += e.Cost
 	}
+	// At λ ≥ totalCost+1 every weight-1 cluster has enough potential to
+	// absorb its whole component, so the search interval is closed.
 	s.lambdaMax = totalCost + 1
 	return nil
 }
@@ -486,8 +425,8 @@ func (s *GargSolver) Tree(quota int64) (Result, bool, error) {
 	}
 
 	// Binary search λ over [0, λmax] for the smallest multiplier whose GW
-	// forest contains a quota tree; identical midpoint sequence and cache
-	// behavior to Garg.Tree.
+	// forest contains a quota tree. The midpoint sequence is deterministic,
+	// so the per-λ cache is shared across quotas within one query.
 	lo, hi := 0.0, s.lambdaMax
 	var bestTree *pcst.Tree
 	var bestW int64
@@ -542,8 +481,7 @@ func (s *GargSolver) Tree(quota int64) (Result, bool, error) {
 // quotaTreeAt runs (λ-cached) GW with prizes λ·w and returns the minimum-
 // length tree meeting the quota with its weight, or nil. Returned pointers
 // reference the PCST solver's arena and stay valid until Reset. The cache
-// is a sorted slice probed by binary search, matching the allocating
-// Garg's map lookup cost without its allocations.
+// is a sorted slice probed by binary search.
 func (s *GargSolver) quotaTreeAt(lambda float64, quota int64) (*pcst.Tree, int64, error) {
 	var trees []pcst.Tree
 	idx, found := slices.BinarySearch(s.cacheLam, lambda)
@@ -597,6 +535,8 @@ func (s *GargSolver) quotaTreeAt(lambda float64, quota int64) (*pcst.Tree, int64
 // mstFallback spans the lightest-length quota-carrying component with a
 // Prim MST, assembling into the tmp buffers.
 func (s *GargSolver) mstFallback(quota int64) Result {
+	// Pick any node whose component carries the quota; prefer the largest
+	// component weight to give quotaPrune room.
 	seed := -1
 	for v := 0; v < s.n; v++ {
 		if s.compWeight[v] >= quota && (seed < 0 || s.compWeight[v] > s.compWeight[seed]) {
@@ -644,8 +584,10 @@ func (s *GargSolver) mstFallback(quota int64) Result {
 	return res
 }
 
-// SPTSolver is the pooled shortest-path-tree quota solver (ablation
-// baseline), the reusable counterpart of NewSPT.
+// SPTSolver is a cheap quota solver used as an ablation baseline: grow a
+// shortest-path ball from each of the heaviest seed nodes until the quota
+// is met, keep the best (shortest) resulting shortest-path tree, then
+// quota-prune it.
 type SPTSolver struct {
 	quotaState
 	seeds int
@@ -667,7 +609,7 @@ type sptItem struct {
 	v    int32
 }
 
-// NewSPTSolver returns an empty pooled SPT solver trying the given number
+// NewSPTSolver returns an empty SPT solver trying the given number
 // of seeds (clamped to at least 1); call Reset before use.
 func NewSPTSolver(seeds int) *SPTSolver {
 	if seeds < 1 {
@@ -693,8 +635,8 @@ func (s *SPTSolver) Tree(quota int64) (Result, bool, error) {
 		s.order[i] = int32(i)
 	}
 	slices.SortFunc(s.order, func(a, b int32) int {
-		// Heaviest first; same predicate as NewSPT's sort.Slice, so the
-		// unstable pdqsort yields the same permutation.
+		// Heaviest first. The recorded goldens depend on this exact
+		// predicate under the unstable pdqsort.
 		switch {
 		case s.weights[a] > s.weights[b]:
 			return -1

@@ -32,49 +32,6 @@ func randomQuotaGraph(rng *rand.Rand, n int) (int, []pcst.Edge, []int64) {
 	return n, edges, weights
 }
 
-// TestPooledSolversMatchAllocating is the golden gate for the pooled quota
-// solvers: on random graphs across a sweep of quotas, one reused
-// GargSolver/SPTSolver must return bit-identical Results to fresh
-// NewGarg/NewSPT solvers.
-func TestPooledSolversMatchAllocating(t *testing.T) {
-	garg := NewGargSolver()
-	spt := NewSPTSolver(8)
-	for seed := int64(0); seed < 25; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		n, edges, weights := randomQuotaGraph(rng, 5+rng.Intn(40))
-		g, err := New(n, edges, weights)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if err := garg.Reset(n, edges, weights); err != nil {
-			t.Fatalf("seed %d: garg reset: %v", seed, err)
-		}
-		if err := spt.Reset(n, edges, weights); err != nil {
-			t.Fatalf("seed %d: spt reset: %v", seed, err)
-		}
-		var total int64
-		for _, w := range weights {
-			total += w
-		}
-		baseGarg := NewGarg(g)
-		baseSPT := NewSPT(g, 8)
-		for _, quota := range []int64{0, 1, 2, total / 4, total / 2, total, total + 1} {
-			wantR, wantOK := treeOK(t, baseGarg, quota)
-			gotR, gotOK := treeOK(t, garg, quota)
-			if wantOK != gotOK || (wantOK && !reflect.DeepEqual(gotR, wantR)) {
-				t.Fatalf("seed %d quota %d: Garg pooled (%v,%v) != allocating (%v,%v)",
-					seed, quota, gotR, gotOK, wantR, wantOK)
-			}
-			wantR, wantOK = treeOK(t, baseSPT, quota)
-			gotR, gotOK = treeOK(t, spt, quota)
-			if wantOK != gotOK || (wantOK && !reflect.DeepEqual(gotR, wantR)) {
-				t.Fatalf("seed %d quota %d: SPT pooled (%v,%v) != allocating (%v,%v)",
-					seed, quota, gotR, gotOK, wantR, wantOK)
-			}
-		}
-	}
-}
-
 // TestPooledResultsSurviveLaterTrees pins the ownership contract APP's
 // binary search depends on: a Result from one Tree call keeps its content
 // while later Tree calls run, until the solver is Reset.

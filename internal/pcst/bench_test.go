@@ -32,10 +32,15 @@ func gridGraph(side int, seed int64) *Graph {
 
 func BenchmarkSolveGrid30(b *testing.B) {
 	g := gridGraph(30, 7)
+	s := NewSolver()
+	if _, err := s.Solve(g); err != nil { // warm
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Solve(g); err != nil {
+		s.Reset()
+		if _, err := s.Solve(g); err != nil {
 			b.Fatal(err)
 		}
 	}

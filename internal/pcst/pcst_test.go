@@ -141,7 +141,7 @@ func TestValidateRejectsBadInput(t *testing.T) {
 		{N: 2, Prizes: []float64{1, 1}, Edges: []Edge{{0, 1, math.NaN()}}}, // NaN cost
 	}
 	for i, g := range bad {
-		if _, err := Solve(g); err == nil {
+		if _, err := NewSolver().Solve(g); err == nil {
 			t.Errorf("case %d: invalid graph accepted", i)
 		}
 	}
@@ -150,7 +150,7 @@ func TestValidateRejectsBadInput(t *testing.T) {
 func TestSingleProfitableEdge(t *testing.T) {
 	// Two high-prize nodes joined by a cheap edge: the tree must take both.
 	g := &Graph{N: 2, Prizes: []float64{10, 10}, Edges: []Edge{{0, 1, 1}}}
-	trees, err := Solve(g)
+	trees, err := NewSolver().Solve(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestSingleProfitableEdge(t *testing.T) {
 func TestExpensiveEdgeSkipped(t *testing.T) {
 	// The edge costs more than the second prize: stay single.
 	g := &Graph{N: 2, Prizes: []float64{10, 1}, Edges: []Edge{{0, 1, 5}}}
-	trees, err := Solve(g)
+	trees, err := NewSolver().Solve(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestZeroPrizeSteinerNode(t *testing.T) {
 		Prizes: []float64{10, 0, 10},
 		Edges:  []Edge{{0, 1, 1}, {1, 2, 1}},
 	}
-	trees, err := Solve(g)
+	trees, err := NewSolver().Solve(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestApproximationGuaranteeRandom(t *testing.T) {
 			}
 		}
 		opt := bruteForcePCST(g)
-		trees, err := Solve(g)
+		trees, err := NewSolver().Solve(g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -249,7 +249,7 @@ func TestDisconnectedGraph(t *testing.T) {
 		Prizes: []float64{5, 5, 7, 7},
 		Edges:  []Edge{{0, 1, 1}, {2, 3, 1}},
 	}
-	trees, err := Solve(g)
+	trees, err := NewSolver().Solve(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestDisconnectedGraph(t *testing.T) {
 
 func TestAllZeroPrizes(t *testing.T) {
 	g := &Graph{N: 3, Prizes: []float64{0, 0, 0}, Edges: []Edge{{0, 1, 1}, {1, 2, 1}}}
-	trees, err := Solve(g)
+	trees, err := NewSolver().Solve(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestPathGraphMoats(t *testing.T) {
 	for i := 0; i < n-1; i++ {
 		g.Edges = append(g.Edges, Edge{int32(i), int32(i + 1), 2})
 	}
-	trees, err := Solve(g)
+	trees, err := NewSolver().Solve(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestStrongPruneDropsLossyBranch(t *testing.T) {
 		Prizes: []float64{10, 5, 1},
 		Edges:  []Edge{{0, 1, 1}, {0, 2, 4}},
 	}
-	trees, err := Solve(g)
+	trees, err := NewSolver().Solve(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +345,7 @@ func TestLargeRandomTerminates(t *testing.T) {
 			}
 		}
 	}
-	trees, err := Solve(g)
+	trees, err := NewSolver().Solve(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,12 +382,13 @@ func TestDormantEdgeReactivation(t *testing.T) {
 	// cluster re-activates the dormant edge after eating through b and c.
 	// (Strong pruning then correctly drops the d branch — its prize 0.2
 	// does not pay for the 1.0 connection — so assert on the raw forest.)
-	forest := growForest(g)
-	if len(forest) != 3 {
-		t.Fatalf("forest edges = %v, want all 3 (dormant edge never re-seeded)", forest)
+	s := NewSolver()
+	s.growForest(g)
+	if len(s.forest) != 3 {
+		t.Fatalf("forest edges = %v, want all 3 (dormant edge never re-seeded)", s.forest)
 	}
 	// And the final answer remains the optimal single node a.
-	trees, err := Solve(g)
+	trees, err := NewSolver().Solve(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,7 +402,7 @@ func TestDormantEdgeReactivation(t *testing.T) {
 func TestSinglePrizeIsland(t *testing.T) {
 	// One prized node with no edges at all.
 	g := &Graph{N: 3, Prizes: []float64{0, 7, 0}}
-	trees, err := Solve(g)
+	trees, err := NewSolver().Solve(g)
 	if err != nil {
 		t.Fatal(err)
 	}

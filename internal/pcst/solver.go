@@ -8,12 +8,11 @@ import (
 	"repro/internal/container"
 )
 
-// Solver is the pooled counterpart of Solve: the same GW moat growing and
-// strong pruning, but every piece of per-run working state — cluster
-// member lists, the event queue, union–find forests, the per-component
-// pruning scratch, and the storage behind the returned trees — lives in
-// the Solver and is reused across runs, so a warm Solver performs zero
-// steady-state allocations.
+// Solver runs GW moat growing and strong pruning. Every piece of per-run
+// working state — cluster member lists, the event queue, union–find
+// forests, the per-component pruning scratch, and the storage behind the
+// returned trees — lives in the Solver and is reused across runs, so a warm
+// Solver performs zero steady-state allocations.
 //
 // Ownership: the trees returned by Solve (their Nodes and Edges slices)
 // alias the Solver's internal arenas and stay valid across subsequent
@@ -35,7 +34,7 @@ type Solver struct {
 	dormant    []int
 	forest     []int
 
-	// Component grouping (forestComponents).
+	// Component grouping (groupComponents).
 	ufc          container.UnionFind
 	compIdx      []int32 // per root node: component index, -1 unset
 	compNodeOffs []int32
@@ -65,12 +64,12 @@ type Solver struct {
 	intArena  container.Arena[int]
 }
 
-// solverCluster mirrors cluster with the member slice replaced by an
-// intrusive linked list (head/tail into Solver.memberNext), making cluster
-// merges O(1) concatenations instead of slice appends.
+// solverCluster is one moat: its members form an intrusive linked list
+// (head/tail into Solver.memberNext), so cluster merges are O(1)
+// concatenations.
 type solverCluster struct {
 	active     bool
-	potential  float64
+	potential  float64 // remaining prize budget at time lastT
 	lastT      float64
 	head, tail int32
 }
@@ -79,7 +78,7 @@ type pruneFrame struct {
 	v, parent int32
 }
 
-// NewSolver returns an empty pooled solver.
+// NewSolver returns an empty solver.
 func NewSolver() *Solver { return &Solver{} }
 
 // SetCancel arms the solver with a cancellation checkpoint polled in the
@@ -94,10 +93,10 @@ func (s *Solver) Reset() {
 	s.intArena.Reset()
 }
 
-// Solve runs GW moat growing followed by strong pruning, exactly as the
-// package-level Solve does, returning one pruned candidate tree per forest
-// component sorted by decreasing net worth. The returned trees alias the
-// solver's arenas (see type docs).
+// Solve runs GW moat growing followed by strong pruning and returns one
+// pruned candidate tree per forest component (components whose pruned tree
+// is a single node with zero prize are dropped), sorted by decreasing net
+// worth. The returned trees alias the solver's arenas (see type docs).
 func (s *Solver) Solve(g *Graph) ([]Tree, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
@@ -124,8 +123,8 @@ func (s *Solver) Solve(g *Graph) ([]Tree, error) {
 	}
 	out = out[:kept]
 	slices.SortFunc(out, func(a, b Tree) int {
-		// Same ordering predicate as Solve's sort.Slice; pdqsort on equal
-		// input yields the same permutation.
+		// The recorded goldens depend on this exact predicate under the
+		// unstable pdqsort.
 		switch {
 		case a.NetWorth() > b.NetWorth():
 			return -1
@@ -138,8 +137,8 @@ func (s *Solver) Solve(g *Graph) ([]Tree, error) {
 	return out, nil
 }
 
-// growForest is growForest with pooled state: identical event sequence,
-// identical forest.
+// growForest runs the primal–dual moat growing, leaving the indices of the
+// forest edges picked by merge events in s.forest.
 func (s *Solver) growForest(g *Graph) {
 	n := g.N
 	s.uf.Reset(n)
@@ -170,6 +169,10 @@ func (s *Solver) growForest(g *Graph) {
 			s.pq.Push(event{time: s.clusters[v].potential, kind: evDeath, id: v})
 		}
 	}
+	// Edges whose last event computation found both sides inactive go
+	// dormant. They re-enter the queue whenever a merge creates a new active
+	// cluster, because that is the only way a dead side can start growing
+	// again.
 	for i := range g.Edges {
 		if t, ok := s.edgeEventTime(g, i, 0); ok {
 			s.pq.Push(event{time: t, kind: evEdge, id: i})
@@ -278,7 +281,9 @@ func (s *Solver) flush(root int, now float64) {
 	c.lastT = now
 }
 
-// edgeEventTime is edgeEventTime over the pooled state.
+// edgeEventTime computes the next firing time of edge i given the state at
+// time now. ok is false when the edge cannot currently fire (same cluster
+// or both sides inactive).
 func (s *Solver) edgeEventTime(g *Graph, i int, now float64) (float64, bool) {
 	e := g.Edges[i]
 	ru, rv := s.uf.Find(int(e.U)), s.uf.Find(int(e.V))
@@ -311,9 +316,9 @@ func (s *Solver) edgeEventTime(g *Graph, i int, now float64) (float64, bool) {
 	return now + slack/rate, true
 }
 
-// groupComponents is forestComponents with pooled CSR storage: components
-// are numbered by their smallest node (the order forestComponents sorts
-// into), nodes ascending within each, edges in forest order.
+// groupComponents groups the forest edges into connected components in CSR
+// storage: components are numbered by their smallest node, nodes ascending
+// within each, edges in forest order.
 func (s *Solver) groupComponents(g *Graph) {
 	n := g.N
 	s.ufc.Reset(n)
@@ -372,11 +377,13 @@ func (s *Solver) groupComponents(g *Graph) {
 	}
 }
 
-// strongPrune is strongPrune with map-free, pooled scratch: the component
-// is remapped to local indices, adjacency becomes a CSR whose per-node
-// halfedge order matches the map-based build (edge order), and keep
-// decisions are flags on local halfedges. The returned tree's Nodes and
-// Edges come from the solver's arenas.
+// strongPrune keeps, within one forest component, the subtree maximizing
+// net worth. It roots the component at its maximum-prize node, computes
+// net(v) = π(v) + Σ_children max(0, net(c) − cost(v,c)) bottom-up, and
+// drops non-contributing branches. The component is remapped to local
+// indices, adjacency is a CSR whose per-node halfedge order is the
+// component's edge order, and keep decisions are flags on local halfedges.
+// The returned tree's Nodes and Edges come from the solver's arenas.
 func (s *Solver) strongPrune(g *Graph, nodes []int32, edges []int) Tree {
 	nc := len(nodes)
 	s.pos = container.GrowTo(s.pos, g.N)
@@ -465,8 +472,8 @@ func (s *Solver) strongPrune(g *Graph, nodes []int32, edges []int) Tree {
 		s.net[lv] = n
 	}
 
-	// Preorder walk over kept halfedges from the root (matches the
-	// recursive walk: node first, then each kept child subtree in order).
+	// Preorder walk over kept halfedges from the root: node first, then
+	// each kept child subtree in order.
 	t := Tree{}
 	s.outNodes = append(s.outNodes[:0], root)
 	s.outEdges = s.outEdges[:0]
@@ -498,7 +505,7 @@ func (s *Solver) strongPrune(g *Graph, nodes []int32, edges []int) Tree {
 	t.Nodes = s.i32Arena.Alloc(len(s.outNodes))
 	copy(t.Nodes, s.outNodes)
 	slices.Sort(t.Nodes)
-	if len(s.outEdges) > 0 { // nil for single-node trees, as strongPrune returns
+	if len(s.outEdges) > 0 { // nil for single-node trees
 		t.Edges = s.intArena.Alloc(len(s.outEdges))
 		copy(t.Edges, s.outEdges)
 	}

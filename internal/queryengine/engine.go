@@ -182,53 +182,47 @@ func Run(ctx context.Context, d *dataset.Dataset, queries []dataset.Query, opts 
 
 // Solve runs the configured algorithm on one materialized query. Callers
 // composing their own RunFunc loops (package repro's RunBatch) share this
-// dispatch so method selection lives in one place. When the instance
-// carries its planner's SolveScratch (always, through Planner.Instantiate)
-// the pooled solver path runs — bit-identical results, zero steady-state
-// allocations, and mid-solve cancellation: a cancelled ctx makes Solve
-// return ctx.Err() within a bounded number of solver iterations. The
-// returned region is valid only until the next solve on the same planner.
-// The scratch-less fallback path honors ctx only on entry.
+// dispatch so method selection lives in one place. The solve runs on the
+// instance's SolveScratch (set by Planner.Instantiate and Detach): zero
+// steady-state allocations and mid-solve cancellation — a cancelled ctx
+// makes Solve return ctx.Err() within a bounded number of solver
+// iterations. The returned region is valid only until the next solve on
+// the same scratch.
 func Solve(ctx context.Context, qi *dataset.QueryInstance, delta float64, opts Options) (*core.Region, error) {
-	tgen := opts.TGEN
-	if tgen.Alpha == 0 {
-		tgen.Alpha = autoAlpha(qi.In.NumNodes)
-	}
-	if qi.Scratch == nil {
-		// Scratch-less fallback: the allocating solvers have no internal
-		// checkpoints, so honor the context at call granularity.
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		switch opts.Method {
-		case MethodAPP:
-			return core.APP(qi.In, delta, opts.APP)
-		case MethodGreedy:
-			return core.Greedy(qi.In, delta, opts.Greedy)
-		case MethodTGEN:
-			return core.TGEN(qi.In, delta, tgen)
-		default:
-			return nil, fmt.Errorf("unknown method %v", opts.Method)
-		}
-	}
 	switch opts.Method {
 	case MethodAPP:
 		return core.SolveAPP(ctx, qi.Scratch, qi.In, delta, opts.APP)
 	case MethodGreedy:
 		return core.SolveGreedy(ctx, qi.Scratch, qi.In, delta, opts.Greedy)
 	case MethodTGEN:
-		return core.SolveTGEN(ctx, qi.Scratch, qi.In, delta, tgen)
+		return core.SolveTGEN(ctx, qi.Scratch, qi.In, delta, opts.tgen(qi))
 	default:
 		return nil, fmt.Errorf("unknown method %v", opts.Method)
 	}
 }
 
-// autoAlpha sizes TGEN's α so σ̂max ≈ 9 regardless of the region's node
-// count (matches the package repro default).
-func autoAlpha(numNodes int) float64 {
-	a := float64(numNodes) / 9
-	if a < 1 {
-		a = 1
+// SolveTopK is Solve for the top-k query (§6.2): up to k pairwise-disjoint
+// regions, best first, from the same scratch under the same allocation,
+// cancellation and lifetime rules.
+func SolveTopK(ctx context.Context, qi *dataset.QueryInstance, delta float64, k int, opts Options) ([]*core.Region, error) {
+	switch opts.Method {
+	case MethodAPP:
+		return core.SolveTopK(ctx, qi.Scratch, qi.In, delta, k, opts.APP)
+	case MethodGreedy:
+		return core.SolveTopK(ctx, qi.Scratch, qi.In, delta, k, opts.Greedy)
+	case MethodTGEN:
+		return core.SolveTopK(ctx, qi.Scratch, qi.In, delta, k, opts.tgen(qi))
+	default:
+		return nil, fmt.Errorf("unknown method %v", opts.Method)
 	}
-	return a
+}
+
+// tgen returns the TGEN options for one query, auto-sizing a zero α so
+// σ̂max ≈ 9 regardless of the region's node count.
+func (o Options) tgen(qi *dataset.QueryInstance) core.TGENOptions {
+	t := o.TGEN
+	if t.Alpha == 0 {
+		t.Alpha = max(float64(qi.In.NumNodes)/9, 1)
+	}
+	return t
 }

@@ -44,7 +44,6 @@ import (
 	"strings"
 
 	"repro/internal/btree"
-	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/geo"
 	"repro/internal/grid"
@@ -521,30 +520,6 @@ func toDatasetQuery(q Query) (dataset.Query, error) {
 		Lambda:   q.Region.toGeo(),
 		Mode:     mode,
 	}, nil
-}
-
-// defaultTGENAlpha sizes TGEN's scaling parameter so that σ̂max ≈ 9
-// regardless of how many nodes fall inside Λ; the paper's α = 400 on
-// |VQ| in the thousands corresponds to the same σ̂max regime.
-func defaultTGENAlpha(numNodes int) float64 {
-	a := float64(numNodes) / 9
-	if a < 1 {
-		a = 1
-	}
-	return a
-}
-
-func toCoreOptions(opts SearchOptions, numNodes int) (core.APPOptions, core.TGENOptions, core.GreedyOptions) {
-	appOpts := core.APPOptions{Alpha: opts.Alpha, Beta: opts.Beta}
-	if opts.UseSPTSolver {
-		appOpts.Solver = core.SolverSPT
-	}
-	tgenOpts := core.TGENOptions{Alpha: opts.Alpha}
-	if tgenOpts.Alpha == 0 {
-		tgenOpts.Alpha = defaultTGENAlpha(numNodes)
-	}
-	greedyOpts := core.GreedyOptions{Mu: opts.Mu, MuSet: opts.MuSet}
-	return appOpts, tgenOpts, greedyOpts
 }
 
 // Load reads a Database from a dataset file written by cmd/datagen (or

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/queryengine"
 )
@@ -27,7 +26,8 @@ type Request struct {
 	Search SearchOptions
 	// K, when > 1, asks for the top-K pairwise-disjoint regions in
 	// decreasing quality order (§6.2); K <= 1 returns the single best
-	// region.
+	// region. Either way the request runs on the worker's pooled solver
+	// state and is cancelled mid-solve.
 	K int
 	// Explain asks for an EXPLAIN annotation: the answered Response
 	// carries a Plan describing the method choice, estimated vs. actual
@@ -65,9 +65,8 @@ func (r Response) Best() *Result {
 // Do answers one request against the database. ctx bounds the work: the
 // solvers carry cancellation checkpoints, so a cancelled or expired
 // context makes Do return ctx.Err() in Response.Err within a bounded
-// number of solver iterations (top-K requests are cancelled at rank
-// granularity). Do is the one-shot form; use RunBatch for workloads and
-// Serve for continuous traffic.
+// number of solver iterations, top-K requests included. Do is the one-shot
+// form; use RunBatch for workloads and Serve for continuous traffic.
 func (db *Database) Do(ctx context.Context, req Request) Response {
 	dq, err := toDatasetQuery(req.Query)
 	if err != nil {
@@ -92,49 +91,31 @@ func (db *Database) Do(ctx context.Context, req Request) Response {
 		return Response{Err: err}
 	}
 	search, pl := db.planQuery(ctx, qi, dq.Lambda, search, 0, req.Explain)
-	if req.K > 1 {
-		results, err := db.topK(ctx, qi, dq.Delta, req.K, search)
-		if err != nil {
-			return Response{Err: err}
-		}
-		pl.finish(qi, started, 0)
-		return Response{Results: results, Plan: pl}
-	}
 	qeOpts, err := toEngineOptions(search, 1)
 	if err != nil {
 		return Response{Err: err}
 	}
-	region, err := queryengine.Solve(ctx, qi, dq.Delta, qeOpts)
+	results, err := db.solve(ctx, qi, dq.Delta, req.K, qeOpts)
 	if err != nil {
 		return Response{Err: err}
 	}
 	pl.finish(qi, started, 0)
-	if region == nil {
-		return Response{Plan: pl}
-	}
-	return Response{Results: []*Result{db.materialize(qi, region)}, Plan: pl}
+	return Response{Results: results, Plan: pl}
 }
 
-// topK answers the top-k form on a materialized instance; shared by
+// solve answers a materialized query with a resolved method — the single
+// best region, or the top k when k > 1 — and materializes the regions before
+// the instance's pooled planner and scratch are reused; shared by
 // Database.Do and Server.Do.
-func (db *Database) topK(ctx context.Context, qi *dataset.QueryInstance, delta float64, k int, opts SearchOptions) ([]*Result, error) {
-	appOpts, tgenOpts, greedyOpts := toCoreOptions(opts, qi.In.NumNodes)
-	var regions []*core.Region
-	var err error
-	switch opts.Method {
-	case MethodAPP:
-		regions, err = core.TopKAPP(ctx, qi.In, delta, k, appOpts)
-	case MethodGreedy:
-		regions, err = core.TopKGreedy(ctx, qi.In, delta, k, greedyOpts)
-	case MethodTGEN:
-		regions, err = core.TopKTGEN(ctx, qi.In, delta, k, tgenOpts)
-	case MethodAuto:
-		// Do/Serve resolve Auto before reaching here; only a direct misuse
-		// of the helper could land it.
-		return nil, fmt.Errorf("repro: MethodAuto reached the solver unresolved")
-	default:
-		return nil, fmt.Errorf("repro: unknown method %v", opts.Method)
+func (db *Database) solve(ctx context.Context, qi *dataset.QueryInstance, delta float64, k int, opts queryengine.Options) ([]*Result, error) {
+	if k <= 1 {
+		region, err := queryengine.Solve(ctx, qi, delta, opts)
+		if err != nil || region == nil {
+			return nil, err
+		}
+		return []*Result{db.materialize(qi, region)}, nil
 	}
+	regions, err := queryengine.SolveTopK(ctx, qi, delta, k, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -127,9 +127,8 @@ func (db *Database) Run(ctx context.Context, q Query, opts SearchOptions) (*Resu
 }
 
 // RunTopK answers the top-k LCMSR query (§6.2): up to k pairwise-disjoint
-// regions in decreasing quality order. ctx cancels between ranks (each
-// rank is one full single-region solve). RunTopK is the K-form
-// convenience wrapper over Do.
+// regions in decreasing quality order. ctx cancels mid-solve, exactly as
+// for Run. RunTopK is the K-form convenience wrapper over Do.
 func (db *Database) RunTopK(ctx context.Context, q Query, k int, opts SearchOptions) ([]*Result, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("repro: k must be positive, got %d", k)

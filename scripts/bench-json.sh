@@ -18,11 +18,11 @@
 # HOTCACHE_MIN_RATIO x (default 3.0) faster than the uncached cold path,
 # with 0 allocs/op on the cached leg (BenchmarkHotQueryCache).
 #
-# Usage: scripts/bench-json.sh [output.json]   (default BENCH_PR7.json)
+# Usage: scripts/bench-json.sh [output.json]   (default bench-snapshot.json)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-out="${1:-BENCH_PR7.json}"
+out="${1:-bench-snapshot.json}"
 baseline="scripts/bench-baseline.json"
 
 raw="$(go test -run=NONE -bench='^(BenchmarkServeQuery|BenchmarkLiveUpdate|BenchmarkTopKPruned)$' -benchmem -benchtime=50x -count=1 .)"

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/queryengine"
 )
@@ -190,15 +189,7 @@ func (s *Server) do(ctx context.Context, req Request, search SearchOptions) Resp
 			}
 		}
 		var verr error
-		if req.K > 1 {
-			results, verr = s.db.topK(ctx, qi, dq.Delta, req.K, search)
-		} else {
-			var region *core.Region
-			region, verr = queryengine.Solve(ctx, qi, dq.Delta, qeOpts)
-			if verr == nil && region != nil {
-				results = []*Result{s.db.materialize(qi, region)}
-			}
-		}
+		results, verr = s.db.solve(ctx, qi, dq.Delta, req.K, qeOpts)
 		// The trace aliases the worker's pooled planner; finish copies it
 		// out while qi is still this request's.
 		pl.finish(qi, started, t.Wait)

@@ -3,6 +3,7 @@ package repro
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/golden"
 	"repro/internal/queryengine"
 )
 
@@ -199,6 +201,50 @@ func TestServerDoPerRequestOptions(t *testing.T) {
 			t.Fatalf("server top-k = (%v, %v), want %v", resp.Results, resp.Err, wantK)
 		}
 	}
+}
+
+// TestGoldenTopK pins the top-k request path end to end: for every method,
+// K = 2 and K = 3 through Database.Do and through a Server must agree with
+// each other and with the answers recorded in testdata/topk.golden (from the
+// original allocating top-k, before it was deleted).
+func TestGoldenTopK(t *testing.T) {
+	db, qs := serveWorkload(t)
+	ctx := context.Background()
+	srv, err := db.Serve(ServeOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	var lines []string
+	for _, method := range []Method{MethodTGEN, MethodAPP, MethodGreedy} {
+		for qi, q := range qs[:4] {
+			for _, k := range []int{2, 3} {
+				req := Request{Query: q, K: k, Search: SearchOptions{Method: method}}
+				resp := db.Do(ctx, req)
+				if resp.Err != nil {
+					t.Fatal(resp.Err)
+				}
+				served := srv.DoWithOptions(ctx, req, req.Search)
+				if served.Err != nil || !reflect.DeepEqual(served.Results, resp.Results) {
+					t.Fatalf("%v query %d K=%d: Server.Do = (%v, %v), Database.Do = %v", method, qi, k, served.Results, served.Err, resp.Results)
+				}
+				key := fmt.Sprintf("method=%v query=%d k=%d", method, qi, k)
+				lines = append(lines, fmt.Sprintf("%s: ranks=%d", key, len(resp.Results)))
+				for rank, r := range resp.Results {
+					line := fmt.Sprintf("%s rank=%d: score=%s len=%s nodes=%v edges=[", key, rank, golden.Float(r.Score), golden.Float(r.Length), r.Nodes)
+					for _, e := range r.Edges {
+						line += fmt.Sprintf(" %d-%d", e.U, e.V)
+					}
+					line += " ] objects=["
+					for _, o := range r.Objects {
+						line += fmt.Sprintf(" %d:%s", o.ID, golden.Float(o.Score))
+					}
+					lines = append(lines, line+" ]")
+				}
+			}
+		}
+	}
+	golden.Check(t, "topk.golden", lines)
 }
 
 // TestServeSheddingAndStats drives the public shedding surface: with one
