@@ -20,7 +20,6 @@ import (
 	"repro/internal/geo"
 	"repro/internal/grid"
 	"repro/internal/queryengine"
-	"repro/internal/textindex"
 )
 
 var (
@@ -286,41 +285,6 @@ func BenchmarkServeQuery(b *testing.B) {
 			b.Fatalf("score cache saw no hits: %+v", st)
 		}
 	})
-}
-
-// BenchmarkTopKPruned measures WAND-style top-k object retrieval through
-// the grid index: per-cell maxW upper bounds let SearchTopKInto skip
-// cells that cannot displace the k-th heap entry, so the hot loop scores
-// only a fraction of the candidate cells. Gated for allocations by
-// scripts/bench-json.sh.
-func BenchmarkTopKPruned(b *testing.B) {
-	d, qs := throughputWorkload(b)
-	type preparedQuery struct {
-		q textindex.Query
-		r geo.Rect
-	}
-	prepared := make([]preparedQuery, len(qs))
-	for i, q := range qs {
-		prepared[i] = preparedQuery{q: d.Vocab.PrepareQuery(q.Keywords), r: q.Lambda}
-	}
-	var scratch grid.TopKScratch
-	for _, p := range prepared { // warm the pooled buffers
-		if _, err := d.Index.SearchTopKInto(p.q, p.r, 10, &scratch); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := prepared[i%len(prepared)]
-		if _, err := d.Index.SearchTopKInto(p.q, p.r, 10, &scratch); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	if scratch.Pruned() == 0 {
-		b.Fatal("top-k search pruned no cells on this workload")
-	}
 }
 
 // BenchmarkInstantiate isolates working-graph construction (extraction +

@@ -1,5 +1,5 @@
 // Command benchfig regenerates the paper's tables and figures as plain
-// text tables (see DESIGN.md for the experiment index).
+// text tables, one per experiment id (-list prints them in paper order).
 //
 // Usage:
 //

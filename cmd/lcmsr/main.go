@@ -391,9 +391,9 @@ func printPlan(p *repro.Plan) {
 	fmt.Printf("  budget=%v pressure=%.2f degraded=%v\n", p.Budget, p.Pressure, p.Degraded)
 	fmt.Printf("  cost: estimated=%v actual=%v (greedy=%v tgen=%v app=%v, %d nodes)\n",
 		p.EstimatedCost, p.ActualCost, p.EstGreedy, p.EstTGEN, p.EstAPP, p.Nodes)
-	fmt.Printf("  cells: in-rect=%d scanned=%d skipped=%d (empty=%d no-term=%d cache-hit=%d) wand-pruned=%d\n",
+	fmt.Printf("  cells: in-rect=%d scanned=%d skipped=%d (empty=%d no-term=%d cache-hit=%d)\n",
 		p.CellsInRect, p.CellsScanned, p.CellsSkipped(),
-		p.CellsSkippedEmpty, p.CellsSkippedNoTerm, p.CellsSkippedCache, p.CellsPrunedWAND)
+		p.CellsSkippedEmpty, p.CellsSkippedNoTerm, p.CellsSkippedCache)
 	fmt.Printf("  postings: lists=%d postings=%d rect-filtered=%d candidates=%d\n",
 		p.PostingLists, p.Postings, p.PostingsFiltered, p.Candidates)
 	if c := p.Cluster; c != nil {

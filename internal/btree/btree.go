@@ -280,12 +280,6 @@ func newTree(f iofault.File, osf *os.File, opts Options) *Tree {
 	}
 }
 
-// Count returns the number of keys stored in the tree.
-func (t *Tree) Count() int { return int(t.count) }
-
-// Version returns the on-disk format version (1 or 2).
-func (t *Tree) Version() int { return t.version }
-
 // Close flushes all dirty pages, releases the file lock and closes the
 // file.
 func (t *Tree) Close() error {

@@ -35,8 +35,8 @@ func TestPutGetSmall(t *testing.T) {
 	if _, err := tr.Get(43); err != ErrNotFound {
 		t.Errorf("missing key: err = %v, want ErrNotFound", err)
 	}
-	if tr.Count() != 1 {
-		t.Errorf("Count = %d, want 1", tr.Count())
+	if int(tr.count) != 1 {
+		t.Errorf("Count = %d, want 1", int(tr.count))
 	}
 }
 
@@ -52,8 +52,8 @@ func TestPutReplace(t *testing.T) {
 	if err != nil || string(got) != "v2" {
 		t.Fatalf("Get = %q, %v, want v2", got, err)
 	}
-	if tr.Count() != 1 {
-		t.Errorf("Count = %d after replaces, want 1", tr.Count())
+	if int(tr.count) != 1 {
+		t.Errorf("Count = %d after replaces, want 1", int(tr.count))
 	}
 }
 
@@ -69,8 +69,8 @@ func TestManyKeysSplitsAndPersistence(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if tr.Count() != n {
-		t.Fatalf("Count = %d, want %d", tr.Count(), n)
+	if int(tr.count) != n {
+		t.Fatalf("Count = %d, want %d", int(tr.count), n)
 	}
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
@@ -82,8 +82,8 @@ func TestManyKeysSplitsAndPersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tr2.Close()
-	if tr2.Count() != n {
-		t.Fatalf("reopened Count = %d, want %d", tr2.Count(), n)
+	if int(tr2.count) != n {
+		t.Fatalf("reopened Count = %d, want %d", int(tr2.count), n)
 	}
 	for k := 0; k < n; k++ {
 		v, err := tr2.Get(uint64(k))
@@ -169,8 +169,8 @@ func TestDelete(t *testing.T) {
 	if err := tr.Delete(50); err != ErrNotFound {
 		t.Error("double delete should report ErrNotFound")
 	}
-	if tr.Count() != 99 {
-		t.Errorf("Count = %d, want 99", tr.Count())
+	if int(tr.count) != 99 {
+		t.Errorf("Count = %d, want 99", int(tr.count))
 	}
 	// Neighbours unaffected.
 	if _, err := tr.Get(49); err != nil {

@@ -54,8 +54,8 @@ func TestOpenReadsV1Files(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Version() != 1 {
-		t.Fatalf("Version = %d, want 1", tr.Version())
+	if tr.version != 1 {
+		t.Fatalf("Version = %d, want 1", tr.version)
 	}
 	got, err := tr.Get(7)
 	if err != nil || string(got) != "seven" {
@@ -76,8 +76,8 @@ func TestOpenReadsV1Files(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tr2.Close()
-	if tr2.Version() != 1 {
-		t.Fatalf("reopened Version = %d, want 1", tr2.Version())
+	if tr2.version != 1 {
+		t.Fatalf("reopened Version = %d, want 1", tr2.version)
 	}
 	for k, want := range map[uint64]string{7: "seven", 8: "eight", 9: "nine"} {
 		got, err := tr2.Get(k)
@@ -89,8 +89,8 @@ func TestOpenReadsV1Files(t *testing.T) {
 
 func TestCreateWritesV2(t *testing.T) {
 	tr, path := newTempTree(t, Options{})
-	if tr.Version() != 2 {
-		t.Fatalf("Version = %d, want 2", tr.Version())
+	if tr.version != 2 {
+		t.Fatalf("Version = %d, want 2", tr.version)
 	}
 	if err := tr.Put(1, []byte("x")); err != nil {
 		t.Fatal(err)
@@ -145,8 +145,8 @@ func TestHeaderSlotFallback(t *testing.T) {
 	if tr2.seq >= tr.seq {
 		t.Fatalf("recovered seq %d, want the older slot (< %d)", tr2.seq, tr.seq)
 	}
-	if tr2.Count() != 200 {
-		t.Fatalf("recovered Count = %d, want 200", tr2.Count())
+	if int(tr2.count) != 200 {
+		t.Fatalf("recovered Count = %d, want 200", int(tr2.count))
 	}
 	if _, err := tr2.Verify(); err != nil {
 		t.Fatalf("Verify after fallback: %v", err)

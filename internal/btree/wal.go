@@ -116,9 +116,6 @@ func (w *WAL) Sync() error {
 	return nil
 }
 
-// Size returns the log length in bytes (0 means no records).
-func (w *WAL) Size() int64 { return w.off }
-
 // Reset discards every record — the caller has flushed their effects to a
 // durable home (tree pages plus a committed meta slot) and the log must
 // not replay them onto a future state. The truncation is synced (unless

@@ -68,7 +68,7 @@ func TestWALTornTail(t *testing.T) {
 		if err := w.Append(r); err != nil {
 			t.Fatal(err)
 		}
-		fullLens = append(fullLens, w.Size())
+		fullLens = append(fullLens, w.off)
 	}
 	img := f.Snapshot()
 	start := fullLens[1] // keep the first two records intact
@@ -194,7 +194,7 @@ func TestWALOpenResumesAfterTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Torn tail: half a frame of garbage.
-	if _, err := f.WriteAt([]byte{9, 9, 9}, w.Size()); err != nil {
+	if _, err := f.WriteAt([]byte{9, 9, 9}, w.off); err != nil {
 		t.Fatal(err)
 	}
 	reopened, err := OpenWAL(f, false, nil)

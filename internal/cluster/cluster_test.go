@@ -94,7 +94,7 @@ func TestClusterGoldenSearch(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var scratch grid.SearchScratch
 	for trial := 0; trial < 40; trial++ {
-		q := v.PrepareQuery([]string{vocab[rng.Intn(len(vocab))], vocab[rng.Intn(len(vocab))]})
+		q := prepareQuery(v, []string{vocab[rng.Intn(len(vocab))], vocab[rng.Intn(len(vocab))]})
 		x0, y0 := rng.Float64()*800, rng.Float64()*800
 		r := geo.Rect{MinX: x0, MinY: y0, MaxX: x0 + 50 + rng.Float64()*300, MaxY: y0 + 50 + rng.Float64()*300}
 		want, err := idx.SearchInto(q, r, &scratch)
@@ -153,7 +153,7 @@ func TestClusterSkipRouting(t *testing.T) {
 
 	// Rect skip: a thin rectangle in the far top-left rows misses the
 	// second group's cells entirely (row-major ids: low rows = low ids).
-	q := v.PrepareQuery([]string{"cafe"})
+	q := prepareQuery(v, []string{"cafe"})
 	if _, err := c.Search(context.Background(), q, geo.Rect{MinX: 0, MinY: 0, MaxX: 900, MaxY: 20}); err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestClusterReplicaFailover(t *testing.T) {
 	}
 	defer c.Close()
 
-	q := v.PrepareQuery([]string{"cafe", "museum"})
+	q := prepareQuery(v, []string{"cafe", "museum"})
 	rect := geo.Rect{MinX: 100, MinY: 100, MaxX: 600, MaxY: 600}
 	var scratch grid.SearchScratch
 	want, err := idx.SearchInto(q, rect, &scratch)
@@ -337,8 +337,15 @@ func TestClusterDeadline(t *testing.T) {
 
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	q := v.PrepareQuery([]string{"cafe"})
+	q := prepareQuery(v, []string{"cafe"})
 	if _, err := c.Search(ctx, q, geo.Rect{MinX: 0, MinY: 0, MaxX: 1000, MaxY: 1000}); err == nil {
 		t.Fatal("expired context searched successfully")
 	}
+}
+
+// prepareQuery prepares keywords on a scratch of its own, so the query
+// stays valid for the caller's lifetime.
+func prepareQuery(v *textindex.Vocabulary, keywords []string) textindex.Query {
+	var s textindex.QueryScratch
+	return v.PrepareQueryInto(keywords, &s)
 }

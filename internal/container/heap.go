@@ -35,23 +35,10 @@ func (h *Heap[T]) Reset() {
 	h.items = h.items[:0]
 }
 
-// Len returns the number of elements in the heap.
-func (h *Heap[T]) Len() int { return len(h.items) }
-
 // Push inserts v into the heap.
 func (h *Heap[T]) Push(v T) {
 	h.items = append(h.items, v)
 	h.up(len(h.items) - 1)
-}
-
-// Peek returns the minimum element without removing it.
-// The second return is false when the heap is empty.
-func (h *Heap[T]) Peek() (T, bool) {
-	var zero T
-	if len(h.items) == 0 {
-		return zero, false
-	}
-	return h.items[0], true
 }
 
 // Pop removes and returns the minimum element.

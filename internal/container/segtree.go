@@ -24,9 +24,6 @@ func NewMaxAddSegTree(n int) *MaxAddSegTree {
 	}
 }
 
-// Len returns the number of leaves.
-func (t *MaxAddSegTree) Len() int { return t.n }
-
 // Add adds v to every leaf in [lo, hi] (inclusive, clamped to the domain).
 func (t *MaxAddSegTree) Add(lo, hi int, v float64) {
 	if lo < 0 {

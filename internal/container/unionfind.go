@@ -4,7 +4,6 @@ package container
 type UnionFind struct {
 	parent []int32
 	rank   []int8
-	count  int // number of disjoint sets
 }
 
 // NewUnionFind returns a forest of n singleton sets labelled 0..n-1.
@@ -28,7 +27,6 @@ func (uf *UnionFind) Reset(n int) {
 		uf.parent[i] = int32(i)
 		uf.rank[i] = 0
 	}
-	uf.count = n
 }
 
 // Find returns the canonical representative of x's set.
@@ -60,12 +58,5 @@ func (uf *UnionFind) Union(x, y int) bool {
 	if uf.rank[rx] == uf.rank[ry] {
 		uf.rank[rx]++
 	}
-	uf.count--
 	return true
 }
-
-// Connected reports whether x and y are in the same set.
-func (uf *UnionFind) Connected(x, y int) bool { return uf.Find(x) == uf.Find(y) }
-
-// Count returns the current number of disjoint sets.
-func (uf *UnionFind) Count() int { return uf.count }

@@ -222,8 +222,8 @@ func TestInstanceResetReuse(t *testing.T) {
 // Example 2 of the paper: α = 0.15, σmax = 0.4, |VQ| = 6 gives θ = 0.01.
 func TestScaleExample2(t *testing.T) {
 	in := mustInstance(t, 6, nil, []float64{0.2, 0.3, 0.4, 0.2, 0.2, 0.4})
-	sc, err := Scale(in, 0.15)
-	if err != nil {
+	var sc Scaling
+	if err := ScaleInto(in, 0.15, &sc); err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(sc.Theta-0.01) > 1e-12 {
@@ -247,8 +247,8 @@ func TestScaleInvariant(t *testing.T) {
 		n := 2 + rng.Intn(20)
 		in := randomInstance(nil, rng, n)
 		alpha := 0.01 + float64(alphaRaw)/64.0 // 0.01 .. ~4
-		sc, err := Scale(in, alpha)
-		if err != nil {
+		var sc Scaling
+		if err := ScaleInto(in, alpha, &sc); err != nil {
 			return false
 		}
 		for v := 0; v < n; v++ {
@@ -266,18 +266,19 @@ func TestScaleInvariant(t *testing.T) {
 }
 
 func TestScaleRejectsBadInput(t *testing.T) {
+	var sc Scaling
 	in := mustInstance(t, 2, nil, []float64{1, 0})
 	for _, alpha := range []float64{0, -1, math.NaN(), math.Inf(1)} {
-		if _, err := Scale(in, alpha); err == nil {
+		if err := ScaleInto(in, alpha, &sc); err == nil {
 			t.Errorf("α=%v accepted", alpha)
 		}
 	}
 	empty := mustInstance(t, 0, nil, nil)
-	if _, err := Scale(empty, 0.5); err == nil {
+	if err := ScaleInto(empty, 0.5, &sc); err == nil {
 		t.Error("empty instance accepted")
 	}
 	zero := mustInstance(t, 3, nil, []float64{0, 0, 0})
-	if _, err := Scale(zero, 0.5); err == nil {
+	if err := ScaleInto(zero, 0.5, &sc); err == nil {
 		t.Error("all-zero weights accepted (no relevant node)")
 	}
 }
@@ -664,9 +665,6 @@ func TestSolverSPTVariant(t *testing.T) {
 func TestRegionHelpers(t *testing.T) {
 	a := &Region{Scaled: 5, Length: 2, Nodes: []int32{1, 3, 5}}
 	b := &Region{Scaled: 5, Length: 3, Nodes: []int32{2, 4}}
-	if !a.betterThan(b) {
-		t.Error("equal weight shorter region must win")
-	}
 	if !a.Contains(3) || a.Contains(2) {
 		t.Error("Contains wrong")
 	}
@@ -674,7 +672,7 @@ func TestRegionHelpers(t *testing.T) {
 		t.Error("nil String")
 	}
 	var nilR *Region
-	if nilR.betterThan(nil) {
+	if nilR.betterScore(nil) {
 		t.Error("nil not better than nil")
 	}
 	if !a.betterScore(b) { // scores both 0; falls to length

@@ -16,22 +16,11 @@ type Region struct {
 	Edges  []int32 // indices into Instance.Edges
 }
 
-// betterThan reports whether r should replace o as the query answer:
-// larger scaled weight wins; ties prefer the shorter region (§2: "In the
+// betterScore reports whether r should replace o as the query answer:
+// larger original (unscaled) score wins, so results of algorithms with
+// different scalings compare; ties prefer the shorter region (§2: "In the
 // rare case that there is more than one optimal region, we return the one
 // with shortest length").
-func (r *Region) betterThan(o *Region) bool {
-	if o == nil {
-		return r != nil
-	}
-	if r.Scaled != o.Scaled {
-		return r.Scaled > o.Scaled
-	}
-	return r.Length < o.Length
-}
-
-// betterScore is betterThan on the original (unscaled) score; used when
-// comparing results across algorithms with different scalings.
 func (r *Region) betterScore(o *Region) bool {
 	if o == nil {
 		return r != nil

@@ -16,23 +16,13 @@ type Scaling struct {
 	SumHat int64   // Σ σ̂v, an upper bound on any region's scaled weight
 }
 
-// Scale computes the scaled graph GS for an instance. α must be positive;
-// the paper uses α ∈ [0.01, 0.9] for APP and large values (50–1600) for
-// TGEN, where coarse scaling collapses more tuples per weight value.
-// An error is returned when the instance has no relevant node (σmax = 0),
-// in which case no meaningful region exists.
-func Scale(in *Instance, alpha float64) (*Scaling, error) {
-	s := &Scaling{}
-	if err := ScaleInto(in, alpha, s); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// ScaleInto is Scale into caller-owned storage: sc's Scaled slice is
-// reused when large enough, so a pooled Scaling scales a new instance with
-// zero steady-state allocations. The semantics and error cases are exactly
-// Scale's.
+// ScaleInto computes the scaled graph GS for an instance into sc. α must
+// be positive; the paper uses α ∈ [0.01, 0.9] for APP and large values
+// (50–1600) for TGEN, where coarse scaling collapses more tuples per
+// weight value. An error is returned when the instance has no relevant
+// node (σmax = 0), in which case no meaningful region exists. sc's Scaled
+// slice is reused when large enough, so a pooled Scaling scales a new
+// instance with zero steady-state allocations.
 func ScaleInto(in *Instance, alpha float64, sc *Scaling) error {
 	if alpha <= 0 || math.IsNaN(alpha) || math.IsInf(alpha, 0) {
 		return fmt.Errorf("core: scaling parameter α must be positive, got %v", alpha)

@@ -6,8 +6,9 @@
 //
 // Two ready-made builds mirror the paper's datasets at laptop scale:
 // NYLike (Manhattan-style grid + business-category-style Zipf text) and
-// USANWLike (random geometric network + tag-style Zipf text). See
-// DESIGN.md ("Substitutions") for the scale mapping.
+// USANWLike (random geometric network + tag-style Zipf text). The package
+// comment of internal/gen says what stands in for the real data and how
+// sizes scale.
 package dataset
 
 import (

@@ -43,10 +43,6 @@ func (d *Dataset) NewPlanner() *Planner {
 	return &Planner{d: d, ex: roadnet.NewExtractor(d.Graph)}
 }
 
-// SolveScratch exposes the planner's pooled solver scratch for callers
-// that drive the core solvers directly.
-func (p *Planner) SolveScratch() *core.SolveScratch { return &p.solve }
-
 // Instantiate restricts the road network to Q.Λ, scores the objects inside
 // it against the keywords through the grid index (Equation 2), and
 // aggregates object scores onto their road nodes: a node's weight σv is

@@ -8,7 +8,7 @@ import (
 	"repro/internal/dataset"
 )
 
-// AblationKMST compares APP's quota solvers (DESIGN.md experiment A1):
+// AblationKMST compares APP's quota solvers (experiment ablation-kmst):
 // the GW/Garg primal–dual solver the paper prescribes against the cheap
 // shortest-path-tree heuristic, on identical NY queries.
 func (e *Env) AblationKMST() (Table, error) {
@@ -63,7 +63,7 @@ func (e *Env) AblationKMST() (Table, error) {
 	return table, nil
 }
 
-// AblationOrder compares TGEN's edge processing orders (DESIGN.md A2;
+// AblationOrder compares TGEN's edge processing orders (ablation-order;
 // §5: "we can process the edges in other orders … the accuracy only
 // varies slightly while the order we adopt yields better efficiency").
 func (e *Env) AblationOrder() (Table, error) {
@@ -177,44 +177,6 @@ func (e *Env) AblationWeighting() (Table, error) {
 		})
 	}
 	return table, nil
-}
-
-// All runs every experiment in paper order. Used by cmd/benchfig -exp all.
-func (e *Env) All() ([]Table, error) {
-	var out []Table
-	type runner struct {
-		name string
-		fn   func() (Table, error)
-	}
-	runners := []runner{
-		{"table1", e.Table1},
-		{"fig7", e.Fig7And8},
-		{"fig9", e.Fig9And10},
-		{"fig11", e.Fig11And12},
-		{"fig13", e.Fig13And14},
-		{"fig15kw", func() (Table, error) { return e.Fig15(SweepKeywords) }},
-		{"fig15delta", func() (Table, error) { return e.Fig15(SweepDelta) }},
-		{"fig15lambda", func() (Table, error) { return e.Fig15(SweepLambda) }},
-		{"fig16kw", func() (Table, error) { return e.Fig16(SweepKeywords) }},
-		{"fig16delta", func() (Table, error) { return e.Fig16(SweepDelta) }},
-		{"fig16lambda", func() (Table, error) { return e.Fig16(SweepLambda) }},
-		{"examples", e.Examples},
-		{"maxrs", e.MaxRSComparison},
-		{"fig21", func() (Table, error) { return e.TopK("NY") }},
-		{"fig22", func() (Table, error) { return e.TopK("USANW") }},
-		{"ablation-kmst", e.AblationKMST},
-		{"ablation-order", e.AblationOrder},
-		{"ablation-weighting", e.AblationWeighting},
-		{"throughput", e.Throughput},
-	}
-	for _, r := range runners {
-		t, err := r.fn()
-		if err != nil {
-			return out, err
-		}
-		out = append(out, t)
-	}
-	return out, nil
 }
 
 // Named runs one experiment by its id (the -exp flag of cmd/benchfig).

@@ -14,7 +14,7 @@
 //
 // Densities (nodes/km², objects/node) track the real datasets; absolute
 // counts are scaled down by a size knob so the full benchmark suite runs
-// on one machine. See DESIGN.md ("Substitutions").
+// on one machine.
 package gen
 
 import (

@@ -169,18 +169,3 @@ func ToUTM(ll LatLng, zone int) Point {
 	}
 	return Point{X: x, Y: y}
 }
-
-// ProjectAll converts a slice of WGS84 coordinates to planar UTM points
-// using the zone of the first coordinate, so that all points share one
-// consistent planar frame (adequate for city/region-scale datasets).
-func ProjectAll(lls []LatLng) []Point {
-	if len(lls) == 0 {
-		return nil
-	}
-	zone := UTMZone(lls[0].Lng)
-	out := make([]Point, len(lls))
-	for i, ll := range lls {
-		out[i] = ToUTM(ll, zone)
-	}
-	return out
-}

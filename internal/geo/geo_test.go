@@ -189,18 +189,3 @@ func TestToUTMMonotone(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestProjectAll(t *testing.T) {
-	lls := []LatLng{{40.7128, -74.0060}, {40.7306, -73.9866}}
-	pts := ProjectAll(lls)
-	if len(pts) != 2 {
-		t.Fatalf("len = %d", len(pts))
-	}
-	// ~2.5 km apart in reality.
-	if d := pts[0].Dist(pts[1]); d < 2000 || d > 3500 {
-		t.Errorf("projected distance = %v, want ~2500 m", d)
-	}
-	if ProjectAll(nil) != nil {
-		t.Error("ProjectAll(nil) should be nil")
-	}
-}

@@ -39,7 +39,7 @@ func TestScoreCacheHitZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	idx.SetScoreCache(1024)
-	q := v.PrepareQuery([]string{vocab[0], vocab[7], vocab[23]})
+	q := prepareQuery(v, []string{vocab[0], vocab[7], vocab[23]})
 	var scratch SearchScratch
 	if _, err := idx.SearchInto(q, bounds, &scratch); err != nil { // fill the cache
 		t.Fatal(err)

@@ -40,24 +40,11 @@ func benchIndex(b *testing.B) (*Index, *textindex.Vocabulary) {
 	return idx, v
 }
 
-func BenchmarkSearch(b *testing.B) {
-	idx, v := benchIndex(b)
-	q := v.PrepareQuery([]string{"aa", "ba", "ca"})
-	r := geo.Rect{MinX: 5000, MinY: 5000, MaxX: 15000, MaxY: 15000}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := idx.Search(q, r); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSearchInto is the pooled counterpart of BenchmarkSearch; with
-// the in-memory store it must report 0 allocs/op steady-state.
+// BenchmarkSearchInto searches the in-memory store; it must report 0
+// allocs/op steady-state.
 func BenchmarkSearchInto(b *testing.B) {
 	idx, v := benchIndex(b)
-	q := v.PrepareQuery([]string{"aa", "ba", "ca"})
+	q := prepareQuery(v, []string{"aa", "ba", "ca"})
 	r := geo.Rect{MinX: 5000, MinY: 5000, MaxX: 15000, MaxY: 15000}
 	var scratch SearchScratch
 	if _, err := idx.SearchInto(q, r, &scratch); err != nil { // warm the buffers
@@ -88,7 +75,7 @@ func BenchmarkColdRead(b *testing.B) {
 	}
 	queries := make([]benchQuery, 64)
 	for i := range queries {
-		q := v.PrepareQuery([]string{vocab[rng.Intn(200)], vocab[rng.Intn(200)], vocab[rng.Intn(200)]})
+		q := prepareQuery(v, []string{vocab[rng.Intn(200)], vocab[rng.Intn(200)], vocab[rng.Intn(200)]})
 		x, y := rng.Float64()*12000, rng.Float64()*12000
 		queries[i] = benchQuery{q: q, r: geo.Rect{MinX: x, MinY: y, MaxX: x + 8000, MaxY: y + 8000}}
 	}
@@ -166,7 +153,7 @@ func BenchmarkHotQueryCache(b *testing.B) {
 		for j := range kws {
 			kws[j] = vocab[rng.Intn(200)]
 		}
-		hot[i] = benchQuery{q: v.PrepareQuery(kws), r: bounds}
+		hot[i] = benchQuery{q: prepareQuery(v, kws), r: bounds}
 	}
 	const cachePages = 16
 	mk := func(b *testing.B) *Index {

@@ -63,14 +63,13 @@ type docPatch struct {
 	weights []float64
 }
 
-// Meta format versions. V2 adds a per-directory-entry max normalized
-// term weight (the WAND pruning bound) after each posting count; V1
-// bodies are still decoded, with the bound defaulting to +Inf — a bound
-// that never prunes, and is snapped to exact the first time the entry is
-// re-derived from its posting list (reopen replay, or the next rebuild).
+// Meta format versions. The encoder writes V1: each directory entry is a
+// term and its posting count. V2 bodies, written by builds that kept a
+// per-entry weight bound after each count, still decode — the bound is
+// skipped — so every store those builds wrote still opens.
 const (
-	indexMetaMagic   = "LCMSRIX2"
-	indexMetaMagicV1 = "LCMSRIX1"
+	indexMetaMagic   = "LCMSRIX1"
+	indexMetaMagicV2 = "LCMSRIX2"
 )
 
 // encodeIndexMeta serializes a meta body deterministically (equal states
@@ -98,7 +97,6 @@ func encodeIndexMeta(m *indexMeta) []byte {
 		for _, te := range dir {
 			out = binary.LittleEndian.AppendUint32(out, uint32(te.term))
 			out = binary.LittleEndian.AppendUint32(out, uint32(te.count))
-			out = binary.LittleEndian.AppendUint64(out, math.Float64bits(te.maxW))
 		}
 	}
 
@@ -138,10 +136,10 @@ func encodeIndexMeta(m *indexMeta) []byte {
 func decodeIndexMeta(b []byte) (*indexMeta, error) {
 	r := updReader{b: b}
 	magic := string(r.bytes(len(indexMetaMagic)))
-	if magic != indexMetaMagic && magic != indexMetaMagicV1 {
+	if magic != indexMetaMagic && magic != indexMetaMagicV2 {
 		return nil, fmt.Errorf("%w: bad magic", ErrCorruptMeta)
 	}
-	hasMaxW := magic == indexMetaMagic
+	hasBound := magic == indexMetaMagicV2
 	m := &indexMeta{cellDir: make(map[uint32][]termEntry)}
 	m.bounds.MinX = math.Float64frombits(r.u64())
 	m.bounds.MinY = math.Float64frombits(r.u64())
@@ -168,16 +166,10 @@ func decodeIndexMeta(b []byte) (*indexMeta, error) {
 		}
 		dir := make([]termEntry, 0, nterms)
 		for j := uint32(0); j < nterms; j++ {
-			te := termEntry{term: textindex.TermID(r.u32()), count: int32(r.u32())}
-			if hasMaxW {
-				te.maxW = math.Float64frombits(r.u64())
-			} else {
-				// V1 recorded no bound. +Inf disables pruning for the entry
-				// rather than guessing: live reweights can push weights past
-				// any fixed constant.
-				te.maxW = math.Inf(1)
+			dir = append(dir, termEntry{term: textindex.TermID(r.u32()), count: int32(r.u32())})
+			if hasBound {
+				r.u64() // the V2 weight bound, unused
 			}
-			dir = append(dir, te)
 		}
 		m.cellDir[cell] = dir
 	}

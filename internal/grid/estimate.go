@@ -8,7 +8,7 @@ import (
 // SearchEstimate summarizes the work a search over (q, r) would perform,
 // computed from the per-cell term directories alone: no posting list is
 // fetched and nothing is allocated. The counts are exact for a cold
-// search (a warm score cache or a WAND cutoff only ever does less), so
+// search (a warm score cache only ever does less), so
 // they upper-bound the real work — which is what a cost model wants.
 type SearchEstimate struct {
 	// Cells is the rectangle walk's cell count; CellsWithTerms of them

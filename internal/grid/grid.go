@@ -31,19 +31,15 @@
 // query terms against it (stopping as soon as either sorted list is
 // exhausted), and the recorded lengths pre-size its result scratch.
 //
-// Searching comes in two flavors with bit-identical results — both walk
-// cells in row-major order and query terms in ascending TermID order, so
-// every object's score is accumulated in the same floating-point order,
-// and both sort results by ObjectID for deterministic downstream
-// accumulation:
-//
-//   - Search allocates its accumulator per call (a map) and returns a
-//     fresh result slice owned by the caller.
-//   - SearchInto uses a caller-owned SearchScratch: an epoch-stamped
-//     score array replaces the map, and the returned slice aliases the
-//     scratch, valid only until the next SearchInto call on it. Pool one
-//     scratch per worker (dataset.Planner does) and steady-state search
-//     performs zero allocations with a MemStore-backed index.
+// SearchInto walks cells in row-major order and query terms in ascending
+// TermID order, so every object's score is accumulated in the same
+// floating-point order on every path, and sorts results by ObjectID for
+// deterministic downstream accumulation. It accumulates into a
+// caller-owned SearchScratch (an epoch-stamped score array), and the
+// returned slice aliases the scratch, valid only until the next
+// SearchInto call on it. Pool one scratch per worker (dataset.Planner
+// does) and steady-state search performs zero allocations with a
+// MemStore-backed index.
 package grid
 
 import (
@@ -181,18 +177,11 @@ func DecodePostings(b []byte) ([]Posting, error) {
 }
 
 // termEntry is one row of a cell's term directory: a term present in the
-// cell, the length of its posting list (for query planning: which lists
-// exist, how much scratch a search needs), and an upper bound on the
-// normalized term weights in that list (for WAND-style top-k pruning:
-// Σ_t w_{Q,t}·maxW bounds any object's score in the cell). maxW is exact
-// after a batch build or a reopen re-derivation and stale-high under live
-// updates: Insert and Reweight raise it to cover new weights, Delete
-// leaves it — a too-high bound only costs pruning power, never
-// correctness.
+// cell and the length of its posting list (for query planning: which
+// lists exist, how much scratch a search needs).
 type termEntry struct {
 	term  textindex.TermID
 	count int32
-	maxW  float64
 }
 
 // Index is a uniform grid over the object space.
@@ -348,13 +337,7 @@ func newIndex(objects []Object, bounds geo.Rect, cellSize float64, store Store, 
 		}
 	}
 	for key, ps := range batch {
-		var maxW float64
-		for _, p := range ps {
-			if p.Weight > maxW {
-				maxW = p.Weight
-			}
-		}
-		idx.cellDir[key.Cell] = append(idx.cellDir[key.Cell], termEntry{term: key.Term, count: int32(len(ps)), maxW: maxW})
+		idx.cellDir[key.Cell] = append(idx.cellDir[key.Cell], termEntry{term: key.Term, count: int32(len(ps))})
 	}
 	for _, dir := range idx.cellDir {
 		sort.Slice(dir, func(i, j int) bool { return dir[i].term < dir[j].term })
@@ -428,15 +411,6 @@ func (idx *Index) appendBatch(batch map[CellKey][]Posting) error {
 // Store returns the posting store backing the index.
 func (idx *Index) Store() Store { return idx.store }
 
-// NumObjects returns the number of indexed objects.
-func (idx *Index) NumObjects() int { return len(idx.objects) }
-
-// Object returns the object with the given ID.
-func (idx *Index) Object(id ObjectID) Object { return idx.objects[id] }
-
-// Dims returns the grid dimensions (cells in x and y).
-func (idx *Index) Dims() (nx, ny int) { return idx.nx, idx.ny }
-
 func (idx *Index) cellOf(p geo.Point) (uint32, bool) {
 	if !idx.bounds.Contains(p) {
 		return 0, false
@@ -462,8 +436,8 @@ func (idx *Index) cellRect(cell uint32) geo.Rect {
 }
 
 // cellRange returns the inclusive cell-coordinate range covered by r, or
-// ok == false when r misses the grid entirely. Search and SearchInto both
-// derive their cell walks from it, so they visit identical cells.
+// ok == false when r misses the grid entirely. Every cell walk derives
+// from it, so searches and estimates visit identical cells.
 func (idx *Index) cellRange(r geo.Rect) (x0, x1, y0, y1 int, ok bool) {
 	clipped, ok := r.Intersect(idx.bounds)
 	if !ok {
@@ -476,79 +450,8 @@ func (idx *Index) cellRange(r geo.Rect) (x0, x1, y0, y1 int, ok bool) {
 	return x0, x1, y0, y1, true
 }
 
-// cellsOverlapping returns ids of all cells intersecting r.
-func (idx *Index) cellsOverlapping(r geo.Rect) []uint32 {
-	x0, x1, y0, y1, ok := idx.cellRange(r)
-	if !ok {
-		return nil
-	}
-	out := make([]uint32, 0, (x1-x0+1)*(y1-y0+1))
-	for cy := y0; cy <= y1; cy++ {
-		for cx := x0; cx <= x1; cx++ {
-			out = append(out, uint32(cy*idx.nx+cx))
-		}
-	}
-	return out
-}
-
 // ObjScore is an object with its query relevance σ(o.ψ, Q.ψ).
 type ObjScore struct {
 	Obj   ObjectID
 	Score float64
-}
-
-// Search returns every object inside r with a positive relevance to q,
-// computed from the cell inverted lists as in Equation (2): it reads the
-// postings lists of the query keywords in the overlapping cells and
-// accumulates (1/W_Q) Σ w_{Q,t}·wto(t) per object. Objects in boundary
-// cells but outside r are filtered by their exact location.
-func (idx *Index) Search(q textindex.Query, r geo.Rect) ([]ObjScore, error) {
-	if len(q.Terms) == 0 || q.Norm == 0 {
-		return nil, nil
-	}
-	idx.mu.RLock()
-	defer idx.mu.RUnlock()
-	acc := make(map[ObjectID]float64)
-	for _, cell := range idx.cellsOverlapping(r) {
-		dir := idx.cellDir[cell]
-		if len(dir) == 0 {
-			continue
-		}
-		fullInside := false
-		cr := idx.cellRect(cell)
-		if cr.MinX >= r.MinX && cr.MaxX <= r.MaxX && cr.MinY >= r.MinY && cr.MaxY <= r.MaxY {
-			fullInside = true
-		}
-		for qi, t := range q.Terms {
-			if !termInCell(dir, t) {
-				continue
-			}
-			ps, err := idx.fetchPostings(CellKey{Cell: cell, Term: t})
-			if err != nil {
-				return nil, err
-			}
-			for _, p := range ps {
-				if !fullInside && !r.Contains(idx.objects[p.Obj].Point) {
-					continue
-				}
-				acc[p.Obj] += q.IDF[qi] * p.Weight
-			}
-		}
-	}
-	out := make([]ObjScore, 0, len(acc))
-	for id, s := range acc {
-		out = append(out, ObjScore{Obj: id, Score: s / q.Norm})
-	}
-	// Map iteration order is randomized; sort by object ID so downstream
-	// floating-point accumulation (node weights in dataset.Planner) is
-	// deterministic — the parallel query engine's golden guarantee
-	// (identical results for any worker count) depends on this.
-	sort.Slice(out, func(i, j int) bool { return out[i].Obj < out[j].Obj })
-	return out, nil
-}
-
-// termInCell reports whether the (sorted) cell directory contains t.
-func termInCell(dir []termEntry, t textindex.TermID) bool {
-	i := sort.Search(len(dir), func(i int) bool { return dir[i].term >= t })
-	return i < len(dir) && dir[i].term == t
 }

@@ -36,7 +36,7 @@ func TestSearchMatchesLinearScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := v.PrepareQuery([]string{"cafe", "restaurant"})
+	q := prepareQuery(v, []string{"cafe", "restaurant"})
 	r := geo.Rect{MinX: 0, MinY: 0, MaxX: 60, MaxY: 60}
 	got, err := idx.Search(q, r)
 	if err != nil {
@@ -66,7 +66,7 @@ func TestSearchRespectsRect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := v.PrepareQuery([]string{"cafe"})
+	q := prepareQuery(v, []string{"cafe"})
 	// Tiny rect around object 0 only.
 	got, err := idx.Search(q, geo.Rect{MinX: 4, MinY: 4, MaxX: 6, MaxY: 6})
 	if err != nil {
@@ -88,7 +88,7 @@ func TestEmptyQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := v.PrepareQuery([]string{"nosuchterm"})
+	q := prepareQuery(v, []string{"nosuchterm"})
 	got, err := idx.Search(q, geo.Rect{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100})
 	if err != nil || got != nil {
 		t.Errorf("empty query: got %v, %v", got, err)
@@ -120,7 +120,7 @@ func TestBoundaryObjectsIndexed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := idx.Search(v.PrepareQuery([]string{"edge"}), bounds)
+	got, err := idx.Search(prepareQuery(v, []string{"edge"}), bounds)
 	if err != nil || len(got) != 2 {
 		t.Errorf("boundary search: %v, %v; want both corner objects", got, err)
 	}
@@ -198,7 +198,7 @@ func TestBTreeStoreSearchEquivalence(t *testing.T) {
 
 	for trial := 0; trial < 20; trial++ {
 		kws := []string{vocab[rng.Intn(len(vocab))], vocab[rng.Intn(len(vocab))]}
-		q := v.PrepareQuery(kws)
+		q := prepareQuery(v, kws)
 		x, y := rng.Float64()*800, rng.Float64()*800
 		r := geo.Rect{MinX: x, MinY: y, MaxX: x + 200, MaxY: y + 200}
 		a, err := memIdx.Search(q, r)
@@ -275,7 +275,7 @@ func TestSearchPropertyAgainstScan(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		q := v.PrepareQuery([]string{vocab[rng.Intn(4)], vocab[rng.Intn(4)]})
+		q := prepareQuery(v, []string{vocab[rng.Intn(4)], vocab[rng.Intn(4)]})
 		r := geo.Rect{MinX: rng.Float64() * 50, MinY: rng.Float64() * 50}
 		r.MaxX = r.MinX + rng.Float64()*50
 		r.MaxY = r.MinY + rng.Float64()*50

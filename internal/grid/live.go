@@ -47,11 +47,6 @@ func (idx *Index) Freeze() {
 // state (the dataset's vocabulary) must NOT roll back on this error.
 var ErrCompaction = errors.New("grid: automatic compaction failed (update applied)")
 
-// Contains reports whether p lies inside the index bounds (insertable).
-func (idx *Index) Contains(p geo.Point) bool {
-	return idx.bounds.Contains(p)
-}
-
 // Insert adds a new object and returns its id (always the next dense
 // ObjectID). doc must have ascending Terms with parallel Weights and TF,
 // and strs must hold the term strings parallel to doc.Terms — the WAL
@@ -91,7 +86,7 @@ func (idx *Index) Insert(p geo.Point, doc textindex.Doc, strs []string) (ObjectI
 		return 0, err
 	}
 	idx.objects = append(idx.objects, Object{Point: p, Doc: doc})
-	idx.bumpCellDir(cell, doc.Terms, doc.Weights, +1)
+	idx.bumpCellDir(cell, doc.Terms, +1)
 	idx.epoch++
 	idx.pending++
 	return id, idx.maybeCompactLocked()
@@ -123,7 +118,7 @@ func (idx *Index) Delete(id ObjectID) error {
 	}
 	idx.tombstones[id] = struct{}{}
 	delete(idx.reweighted, id) // a deleted object needs no weight patch
-	idx.bumpCellDir(cell, obj.Doc.Terms, nil, -1)
+	idx.bumpCellDir(cell, obj.Doc.Terms, -1)
 	idx.epoch++
 	idx.pending++
 	return idx.maybeCompactLocked()
@@ -158,21 +153,12 @@ func (idx *Index) Reweight(id ObjectID, weights []float64) error {
 		return err
 	}
 	obj.Doc.Weights = w
-	idx.bumpCellDir(cell, obj.Doc.Terms, w, 0) // counts unchanged; maxW covers the new weights
 	if int(id) < idx.baseObjects {
 		idx.reweighted[id] = struct{}{}
 	}
 	idx.epoch++
 	idx.pending++
 	return idx.maybeCompactLocked()
-}
-
-// Deleted reports whether id is tombstoned.
-func (idx *Index) Deleted(id ObjectID) bool {
-	idx.mu.RLock()
-	defer idx.mu.RUnlock()
-	_, dead := idx.tombstones[id]
-	return dead
 }
 
 func (idx *Index) checkLiveLocked(id ObjectID) error {
@@ -194,38 +180,26 @@ func (idx *Index) applyToStoreLocked(u *Update) error {
 }
 
 // bumpCellDir adjusts the cell directory's posting counts for one object
-// entering (delta +1, weights parallel to terms), leaving (delta -1,
-// weights nil) or changing weights in place (delta 0, Reweight), keeping
-// each directory sorted and dropping entries (and empty cells) at count
-// zero. Weights only ever raise an entry's maxW — after a delete or a
-// downward reweight the recorded bound may exceed every remaining
-// posting, which keeps it a valid (if loose) WAND upper bound until a
-// reopen re-derives it exactly.
-func (idx *Index) bumpCellDir(cell uint32, terms []textindex.TermID, weights []float64, delta int32) {
+// entering (delta +1) or leaving (delta -1), keeping each directory
+// sorted and dropping entries (and empty cells) at count zero. A
+// reweight changes no count, so it leaves the directory alone.
+func (idx *Index) bumpCellDir(cell uint32, terms []textindex.TermID, delta int32) {
 	dir := idx.cellDir[cell]
-	for ti, t := range terms {
-		var w float64
-		if weights != nil {
-			w = weights[ti]
-		}
+	for _, t := range terms {
 		i := sort.Search(len(dir), func(i int) bool { return dir[i].term >= t })
 		if i < len(dir) && dir[i].term == t {
 			dir[i].count += delta
 			if dir[i].count <= 0 {
 				dir = append(dir[:i], dir[i+1:]...)
-				continue
-			}
-			if w > dir[i].maxW {
-				dir[i].maxW = w
 			}
 			continue
 		}
 		if delta <= 0 {
-			continue // nothing to decrement or reweight under this term
+			continue // nothing to decrement under this term
 		}
 		dir = append(dir, termEntry{})
 		copy(dir[i+1:], dir[i:])
-		dir[i] = termEntry{term: t, count: delta, maxW: w}
+		dir[i] = termEntry{term: t, count: delta}
 	}
 	if len(dir) == 0 {
 		delete(idx.cellDir, cell)
@@ -235,11 +209,10 @@ func (idx *Index) bumpCellDir(cell uint32, terms []textindex.TermID, weights []f
 }
 
 // setCellDirEntry pins one directory entry to the store's ground truth
-// (reopen-time patching: count and maxW are re-derived from the actual
-// merged posting list, so replaying a record whose effects were already
-// flushed cannot double-count — and a bound left stale-high by deletes
-// or downward reweights snaps back to exact).
-func (idx *Index) setCellDirEntry(key CellKey, n int32, maxW float64) {
+// (reopen-time patching: the count is re-derived from the actual merged
+// posting list, so replaying a record whose effects were already flushed
+// cannot double-count).
+func (idx *Index) setCellDirEntry(key CellKey, n int32) {
 	dir := idx.cellDir[key.Cell]
 	i := sort.Search(len(dir), func(i int) bool { return dir[i].term >= key.Term })
 	found := i < len(dir) && dir[i].term == key.Term
@@ -248,11 +221,10 @@ func (idx *Index) setCellDirEntry(key CellKey, n int32, maxW float64) {
 		dir = append(dir[:i], dir[i+1:]...)
 	case n > 0 && found:
 		dir[i].count = n
-		dir[i].maxW = maxW
 	case n > 0 && !found:
 		dir = append(dir, termEntry{})
 		copy(dir[i+1:], dir[i:])
-		dir[i] = termEntry{term: key.Term, count: n, maxW: maxW}
+		dir[i] = termEntry{term: key.Term, count: n}
 	default:
 		return
 	}
@@ -261,30 +233,6 @@ func (idx *Index) setCellDirEntry(key CellKey, n int32, maxW float64) {
 	} else {
 		idx.cellDir[key.Cell] = dir
 	}
-}
-
-// SetAutoCompact sets the number of updates that triggers an automatic
-// compaction from the update path (n <= 0 disables; the default is
-// defaultAutoCompact). Tests use 0 to control compaction explicitly.
-func (idx *Index) SetAutoCompact(n int) {
-	idx.mu.Lock()
-	defer idx.mu.Unlock()
-	idx.autoCompact = n
-}
-
-// PendingUpdates returns the updates applied since the last compaction.
-func (idx *Index) PendingUpdates() int {
-	idx.mu.RLock()
-	defer idx.mu.RUnlock()
-	return idx.pending
-}
-
-// UpdateEpoch counts applied mutations and compactions; it changes iff
-// served results may change.
-func (idx *Index) UpdateEpoch() uint64 {
-	idx.mu.RLock()
-	defer idx.mu.RUnlock()
-	return idx.epoch
 }
 
 func (idx *Index) maybeCompactLocked() error {
@@ -523,13 +471,7 @@ func (idx *Index) openFromMeta(body []byte) error {
 		if err != nil {
 			return fmt.Errorf("grid: reopen count for cell %d term %d: %w", key.Cell, key.Term, err)
 		}
-		var maxW float64
-		for _, p := range ps {
-			if p.Weight > maxW {
-				maxW = p.Weight
-			}
-		}
-		idx.setCellDirEntry(key, int32(len(ps)), maxW)
+		idx.setCellDirEntry(key, int32(len(ps)))
 	}
 	return nil
 }

@@ -52,6 +52,10 @@ func TestLiveSnapshotReopenGolden(t *testing.T) {
 	if n := len(idx2.Replayed()); n != 0 {
 		t.Errorf("clean reopen replayed %d WAL records, want 0", n)
 	}
+	// The committed body is in the V1 layout: term and count per entry.
+	if body, _, _ := store2.MetaSnapshot(); string(body[:8]) != "LCMSRIX1" {
+		t.Errorf("meta body magic %q, want LCMSRIX1", body[:8])
+	}
 	assertExactState(t, idx2, want, nTerms, "clean reopen")
 
 	// Mutate after reopen, then close the store WITHOUT compacting: the
@@ -89,10 +93,10 @@ func TestLiveSnapshotReopenGolden(t *testing.T) {
 		t.Errorf("dirty reopen replayed %d WAL records, want 3", n)
 	}
 	assertExactState(t, idx3, want2, nTerms, "dirty reopen")
-	if idx3.PendingUpdates() != 0 {
+	if idx3.pending != 0 {
 		// Replayed records are not "pending": they are either already
 		// flushed or will be re-covered by the next compaction.
-		t.Errorf("dirty reopen starts with %d pending updates", idx3.PendingUpdates())
+		t.Errorf("dirty reopen starts with %d pending updates", idx3.pending)
 	}
 	if err := idx3.CloseStore(); err != nil {
 		t.Fatal(err)
@@ -225,7 +229,7 @@ func TestLiveConcurrentSearchUpdate(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer idx.CloseStore()
-	idx.SetAutoCompact(16)
+	idx.autoCompact = 16
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -234,7 +238,7 @@ func TestLiveConcurrentSearchUpdate(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			var scratch SearchScratch
-			q := v.PrepareQuery([]string{vocab[0], vocab[2]})
+			q := prepareQuery(v, []string{vocab[0], vocab[2]})
 			for {
 				select {
 				case <-stop:

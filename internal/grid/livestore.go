@@ -46,7 +46,6 @@ type liveStore interface {
 	TruncateWALs() error
 	ReplayedUpdates() []Update
 	MetaSnapshot() (body []byte, lastOp uint64, ok bool)
-	LastSeq() uint64
 }
 
 // ApplyUpdate assigns the update its global sequence number, appends it
@@ -70,21 +69,6 @@ func (s *ShardedStore) ApplyUpdate(u *Update) error {
 	}
 	sh.mem.apply(u)
 	return nil
-}
-
-// PendingOps returns the number of updates applied since the last flush,
-// summed over shards — the compaction trigger's input.
-func (s *ShardedStore) PendingOps() int {
-	n := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		if sh.mem != nil {
-			n += sh.mem.ops
-		}
-		sh.mu.Unlock()
-	}
-	return n
 }
 
 // Flush merges every shard's memtable into its tree and makes the trees
@@ -260,6 +244,3 @@ func (s *ShardedStore) MetaSnapshot() (body []byte, lastOp uint64, ok bool) {
 	defer s.metaMu.Unlock()
 	return s.metaBody, s.metaLastOp, s.metaLoaded
 }
-
-// LastSeq returns the last assigned update sequence number.
-func (s *ShardedStore) LastSeq() uint64 { return s.seq.Load() }

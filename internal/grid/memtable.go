@@ -18,9 +18,6 @@ type memEntry struct {
 // only inside Postings, and flush swaps it out under the same lock.
 type memtable struct {
 	entries map[CellKey]map[ObjectID]memEntry
-	// ops counts applied updates since the last flush (compaction
-	// trigger accounting lives in the Index, which sums shard counts).
-	ops int
 }
 
 func newMemtable() *memtable {
@@ -42,7 +39,6 @@ func (m *memtable) apply(u *Update) {
 			e[u.Obj] = memEntry{weight: u.Weights[i]}
 		}
 	}
-	m.ops++
 }
 
 // overrides returns the pending entries for key (nil when none — the
@@ -68,7 +64,6 @@ func (m *memtable) dirtyKeys() []CellKey {
 // clear resets the memtable after a successful flush.
 func (m *memtable) clear() {
 	m.entries = make(map[CellKey]map[ObjectID]memEntry)
-	m.ops = 0
 }
 
 // mergePostings overlays pending entries on a base posting list, keeping

@@ -36,7 +36,7 @@ func FuzzMemtableMerge(f *testing.F) {
 			w := 0.01 + float64(wb)/16
 			switch op {
 			case 0:
-				if mem.ops > 0 {
+				if len(mem.entries) > 0 {
 					// Base postings only before the first update — the
 					// tree list is fixed once updates start.
 					continue

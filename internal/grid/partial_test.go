@@ -35,7 +35,7 @@ func TestSearchRangeIntoPartition(t *testing.T) {
 			rng := rand.New(rand.NewSource(29))
 			var full, part SearchScratch
 			for trial := 0; trial < 30; trial++ {
-				q := v.PrepareQuery([]string{vocab[rng.Intn(len(vocab))], vocab[rng.Intn(len(vocab))]})
+				q := prepareQuery(v, []string{vocab[rng.Intn(len(vocab))], vocab[rng.Intn(len(vocab))]})
 				x0, y0 := rng.Float64()*800, rng.Float64()*800
 				r := geo.Rect{MinX: x0, MinY: y0, MaxX: x0 + 50 + rng.Float64()*150, MaxY: y0 + 50 + rng.Float64()*150}
 				want, err := idx.SearchInto(q, r, &full)
@@ -87,7 +87,7 @@ func TestRangeMetadata(t *testing.T) {
 		t.Fatal(err)
 	}
 	numCells := uint32(idx.NumCells())
-	nx, _ := idx.Dims()
+	nx := idx.nx
 	rng := rand.New(rand.NewSource(37))
 	for trial := 0; trial < 50; trial++ {
 		lo := uint32(rng.Intn(int(numCells)))
@@ -124,7 +124,7 @@ func TestRangeMetadata(t *testing.T) {
 	if !sort.SliceIsSorted(all, func(i, j int) bool { return all[i] < all[j] }) {
 		t.Error("RangeTerms not sorted")
 	}
-	q := v.PrepareQuery(vocab)
+	q := prepareQuery(v, vocab)
 	for _, term := range q.Terms {
 		found := false
 		for _, got := range all {

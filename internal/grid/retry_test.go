@@ -42,7 +42,7 @@ func TestFetchPostingsRetryPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := v.PrepareQuery([]string{"cafe", "bar"})
+	q := prepareQuery(v, []string{"cafe", "bar"})
 
 	// Fault-free baseline (copied out: the scratch is reused below).
 	var scratch SearchScratch
@@ -111,7 +111,7 @@ func TestFetchPostingsRetryPolicy(t *testing.T) {
 func TestSearchRecoversTransientShardRead(t *testing.T) {
 	v, _, objs := randomCorpus(t, 150, 41)
 	sb, idx := buildLiveBoard(t, objs)
-	q := v.PrepareQuery([]string{"cafe", "museum"})
+	q := prepareQuery(v, []string{"cafe", "museum"})
 	res, err := idx.Search(q, crashBounds)
 	if err != nil {
 		t.Fatal(err)

@@ -61,7 +61,7 @@ func TestScoreCacheDifferentialLiveUpdates(t *testing.T) {
 	for i := range hot {
 		x, y := rng.Float64()*500, rng.Float64()*500
 		hot[i] = hotQ{
-			q: v.PrepareQuery([]string{vocab[rng.Intn(len(vocab))], vocab[rng.Intn(len(vocab))]}),
+			q: prepareQuery(v, []string{vocab[rng.Intn(len(vocab))], vocab[rng.Intn(len(vocab))]}),
 			r: geo.Rect{MinX: x, MinY: y, MaxX: x + 300 + rng.Float64()*200, MaxY: y + 300 + rng.Float64()*200},
 		}
 	}
@@ -128,8 +128,8 @@ func TestScoreCacheCollisionGuard(t *testing.T) {
 		t.Fatal(err)
 	}
 	idx.SetScoreCache(64)
-	q1 := v.PrepareQuery([]string{"cafe", "bar"})
-	q2 := v.PrepareQuery([]string{"museum"})
+	q1 := prepareQuery(v, []string{"cafe", "bar"})
+	q2 := prepareQuery(v, []string{"museum"})
 	var scratch SearchScratch
 	if _, err := idx.SearchInto(q1, crashBounds, &scratch); err != nil {
 		t.Fatal(err)
@@ -183,7 +183,7 @@ func TestScoreCacheEviction(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			kws = append(kws, vocab[rng.Intn(len(vocab))], vocab[rng.Intn(len(vocab))])
 		}
-		q := v.PrepareQuery(kws)
+		q := prepareQuery(v, kws)
 		want, err := idx.Search(q, crashBounds)
 		if err != nil {
 			t.Fatal(err)

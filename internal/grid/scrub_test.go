@@ -306,7 +306,7 @@ func TestFetchPostingsRetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := v.PrepareQuery([]string{vocab[0], vocab[1]})
+	q := prepareQuery(v, []string{vocab[0], vocab[1]})
 	want, err := idx.Search(q, bounds)
 	if err != nil || len(want) == 0 {
 		t.Fatalf("baseline search: %d results, err %v", len(want), err)

@@ -92,15 +92,20 @@ func (s *SearchScratch) reset(n int) {
 	s.touched = s.touched[:0]
 }
 
-// SearchInto is Search with caller-owned scratch: it returns exactly the
-// same ObjScore slice as Search(q, r) — same objects, bit-identical scores,
-// ascending ObjectID — but accumulates into s's epoch-stamped arrays
-// instead of a per-query map and reuses s's result slice. The returned
-// slice aliases s and is valid only until the next SearchInto call on the
-// same scratch. With a MemStore-backed index the steady state performs
-// zero allocations; with a sharded disk store the posting fetches of one
-// query fan out across the shards concurrently (the accumulation order —
-// and therefore every floating-point sum — stays identical).
+// SearchInto returns every object inside r with a positive relevance to
+// q, computed from the cell inverted lists as in Equation (2): it reads
+// the posting lists of the query keywords in the overlapping cells and
+// accumulates (1/W_Q) Σ w_{Q,t}·wto(t) per object; objects in boundary
+// cells but outside r are filtered by their exact location. Results are
+// sorted by ascending ObjectID — downstream floating-point accumulation
+// (node weights in dataset.Planner) depends on that order for the
+// parallel engine's golden guarantee. Scores accumulate into s's
+// epoch-stamped arrays, and the returned slice aliases s, valid only
+// until the next SearchInto call on the same scratch. With a
+// MemStore-backed index the steady state performs zero allocations; with
+// a sharded disk store the posting fetches of one query fan out across
+// the shards concurrently (the accumulation order — and therefore every
+// floating-point sum — stays identical).
 func (idx *Index) SearchInto(q textindex.Query, r geo.Rect, s *SearchScratch) ([]ObjScore, error) {
 	return idx.SearchRangeInto(q, r, 0, ^uint32(0), s)
 }
@@ -121,7 +126,6 @@ func (idx *Index) SearchRangeInto(q textindex.Query, r geo.Rect, cellLo, cellHi 
 	idx.mu.RLock()
 	defer idx.mu.RUnlock()
 	s.reset(len(idx.objects))
-	// Same cell walk as cellsOverlapping, without materializing the list.
 	x0, x1, y0, y1, ok := idx.cellRange(r)
 	if !ok {
 		return s.out[:0], nil
@@ -210,8 +214,8 @@ func (idx *Index) cellInside(cell uint32, r geo.Rect) bool {
 
 // scoreCell merge-joins the query terms against one cell's directory and
 // accumulates posting contributions into the scratch. Both lists are sorted
-// by ascending TermID, so the join visits terms in the same order Search
-// does and stops as soon as either side is exhausted.
+// by ascending TermID, so the join visits terms in ascending order and
+// stops as soon as either side is exhausted.
 func (idx *Index) scoreCell(q textindex.Query, r geo.Rect, cell uint32, dir []termEntry, fullInside bool, s *SearchScratch) error {
 	qi, di := 0, 0
 	for qi < len(q.Terms) && di < len(dir) {
@@ -241,16 +245,14 @@ func (idx *Index) scoreCell(q textindex.Query, r geo.Rect, cell uint32, dir []te
 
 // accumulate folds one posting list into the scratch with the query-side
 // weight idf. It is the one shared inner loop of the serial and sharded
-// search paths, so both accumulate bit-identically. Tracing takes a
-// separate copy of the loop so the untraced (serving) path carries no
-// per-posting branch.
+// search paths, so both accumulate bit-identically. The trace counters are
+// added once per list, after the loop, so the per-posting path carries no
+// trace branch.
 func (idx *Index) accumulate(r geo.Rect, ps []Posting, idf float64, fullInside bool, s *SearchScratch) {
-	if s.Trace != nil {
-		idx.accumulateTraced(r, ps, idf, fullInside, s)
-		return
-	}
+	filtered := 0
 	for _, p := range ps {
 		if !fullInside && !r.Contains(idx.objects[p.Obj].Point) {
+			filtered++
 			continue
 		}
 		if s.stamp[p.Obj] != s.epoch {
@@ -260,25 +262,9 @@ func (idx *Index) accumulate(r geo.Rect, ps []Posting, idf float64, fullInside b
 		}
 		s.score[p.Obj] += idf * p.Weight
 	}
-}
-
-// accumulateTraced is accumulate with per-posting trace counting. The
-// scoring logic is identical line for line; only the counters differ, so
-// traced answers stay bit-identical to untraced ones.
-func (idx *Index) accumulateTraced(r geo.Rect, ps []Posting, idf float64, fullInside bool, s *SearchScratch) {
-	tr := s.Trace
-	tr.Postings += int64(len(ps))
-	for _, p := range ps {
-		if !fullInside && !r.Contains(idx.objects[p.Obj].Point) {
-			tr.PostingsFiltered++
-			continue
-		}
-		if s.stamp[p.Obj] != s.epoch {
-			s.stamp[p.Obj] = s.epoch
-			s.score[p.Obj] = 0
-			s.touched = append(s.touched, p.Obj)
-		}
-		s.score[p.Obj] += idf * p.Weight
+	if tr := s.Trace; tr != nil {
+		tr.Postings += int64(len(ps))
+		tr.PostingsFiltered += int64(filtered)
 	}
 }
 

@@ -250,7 +250,7 @@ func TestShardedSearchEquivalence(t *testing.T) {
 	vocab := []string{"cafe", "restaurant", "bar", "pizza", "museum", "park", "shop", "hotel"}
 	var scratch SearchScratch
 	for trial := 0; trial < 30; trial++ {
-		q := v.PrepareQuery([]string{vocab[rng.Intn(len(vocab))], vocab[rng.Intn(len(vocab))], vocab[rng.Intn(len(vocab))]})
+		q := prepareQuery(v, []string{vocab[rng.Intn(len(vocab))], vocab[rng.Intn(len(vocab))], vocab[rng.Intn(len(vocab))]})
 		x, y := rng.Float64()*800, rng.Float64()*800
 		r := geo.Rect{MinX: x, MinY: y, MaxX: x + 250, MaxY: y + 250}
 		want, err := memIdx.Search(q, r)
@@ -335,7 +335,7 @@ func TestConcurrentColdReadGolden(t *testing.T) {
 	queries := make([]testQuery, 16)
 	want := make([][]ObjScore, len(queries))
 	for i := range queries {
-		q := v.PrepareQuery([]string{vocab[rng.Intn(len(vocab))], vocab[rng.Intn(len(vocab))], vocab[rng.Intn(len(vocab))]})
+		q := prepareQuery(v, []string{vocab[rng.Intn(len(vocab))], vocab[rng.Intn(len(vocab))], vocab[rng.Intn(len(vocab))]})
 		x, y := rng.Float64()*600, rng.Float64()*600
 		r := geo.Rect{MinX: x, MinY: y, MaxX: x + 400, MaxY: y + 400}
 		queries[i] = testQuery{q, r}

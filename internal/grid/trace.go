@@ -2,10 +2,9 @@ package grid
 
 // SearchTrace counts, for one search, what the index scanned and what it
 // skipped — and why. It is the observability half of the skip machinery:
-// the rectangle walk, the per-cell term-directory merge-join, the score
-// cache, and (on the top-k path) the WAND bound all record their
-// decisions here, so an EXPLAIN plan can report them instead of leaving
-// them to be inferred from benchmarks.
+// the rectangle walk, the per-cell term-directory merge-join and the
+// score cache all record their decisions here, so an EXPLAIN plan can
+// report them instead of leaving them to be inferred from benchmarks.
 //
 // Tracing is off by default: SearchScratch.Trace is nil and the search
 // paths take their untraced branches, which keeps the served hot path
@@ -46,11 +45,6 @@ type SearchTrace struct {
 	// entries included).
 	Objects int64
 
-	// CellsPrunedWAND counts cells pruned by the WAND upper bound on the
-	// top-k object path (SearchTopKInto). The standard serving path does
-	// not use WAND, so there it stays zero.
-	CellsPrunedWAND int64
-
 	// Cluster routing decisions, filled by the coordinator (not by the
 	// grid itself): replica groups contacted for this search, and groups
 	// skipped because their cell range misses the rectangle or their term
@@ -78,7 +72,6 @@ func (t *SearchTrace) Add(o SearchTrace) {
 	t.Postings += o.Postings
 	t.PostingsFiltered += o.PostingsFiltered
 	t.Objects += o.Objects
-	t.CellsPrunedWAND += o.CellsPrunedWAND
 	t.GroupsContacted += o.GroupsContacted
 	t.GroupsSkippedRect += o.GroupsSkippedRect
 	t.GroupsSkippedTerm += o.GroupsSkippedTerm

@@ -126,15 +126,13 @@ type Plan struct {
 	Nodes int `json:"nodes"`
 	// Cell accounting: cellsInRect = cellsScanned + cellsSkipped, with
 	// the skip reasons broken out (empty directory, no shared term,
-	// score-cache hit). cellsPrunedWand is the top-k object path's WAND
-	// cutoff (zero on the standard serving path).
+	// score-cache hit).
 	CellsInRect        int64 `json:"cellsInRect"`
 	CellsScanned       int64 `json:"cellsScanned"`
 	CellsSkipped       int64 `json:"cellsSkipped"`
 	CellsSkippedEmpty  int64 `json:"cellsSkippedEmpty,omitempty"`
 	CellsSkippedNoTerm int64 `json:"cellsSkippedNoTerm,omitempty"`
 	CellsSkippedCache  int64 `json:"cellsSkippedCache,omitempty"`
-	CellsPrunedWAND    int64 `json:"cellsPrunedWand,omitempty"`
 	// Posting-level accounting and the resulting candidate objects.
 	PostingLists     int64 `json:"postingLists"`
 	Postings         int64 `json:"postings"`

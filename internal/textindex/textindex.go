@@ -15,15 +15,11 @@
 // grid.Index search) relies on that order for merge-joins and for
 // deterministic floating-point accumulation.
 //
-// Query preparation comes in two flavors with identical results:
-//
-//   - PrepareQuery allocates a fresh Query per call; the result is owned by
-//     the caller and never mutated afterwards.
-//   - PrepareQueryInto writes into a caller-owned QueryScratch and returns
-//     a Query aliasing the scratch buffers. The Query is valid only until
-//     the next PrepareQueryInto call on the same scratch; pool one scratch
-//     per worker (dataset.Planner does) and steady-state preparation
-//     performs zero allocations.
+// PrepareQueryInto writes a query into a caller-owned QueryScratch and
+// returns a Query aliasing the scratch buffers. The Query is valid only
+// until the next PrepareQueryInto call on the same scratch; pool one
+// scratch per worker (dataset.Planner does) and steady-state preparation
+// performs zero allocations.
 package textindex
 
 import (
@@ -118,12 +114,6 @@ func (d *Doc) Weight(t TermID) float64 {
 	return 0
 }
 
-// Has reports whether term t occurs in the document.
-func (d *Doc) Has(t TermID) bool {
-	i := sort.Search(len(d.Terms), func(i int) bool { return d.Terms[i] >= t })
-	return i < len(d.Terms) && d.Terms[i] == t
-}
-
 // IndexDoc registers one object description with the vocabulary (raising
 // document frequencies and |D|) and returns its Doc with normalized term
 // weights. The tokens are raw terms, possibly repeated; term frequency
@@ -176,32 +166,6 @@ type Query struct {
 	Norm  float64   // W_{Q.ψ}
 }
 
-// PrepareQuery builds a Query from raw keywords. Keywords not present in
-// the corpus contribute nothing to any score (their f_t is 0) and are
-// dropped; duplicated keywords are collapsed. As in Equation (1), the query
-// term frequency is taken as 1 per distinct keyword.
-func (v *Vocabulary) PrepareQuery(keywords []string) Query {
-	seen := make(map[TermID]bool, len(keywords))
-	var q Query
-	for _, kw := range keywords {
-		id := v.Lookup(kw)
-		if id < 0 || seen[id] {
-			continue
-		}
-		seen[id] = true
-		q.Terms = append(q.Terms, id)
-	}
-	sort.Slice(q.Terms, func(i, j int) bool { return q.Terms[i] < q.Terms[j] })
-	var norm2 float64
-	q.IDF = make([]float64, len(q.Terms))
-	for i, t := range q.Terms {
-		q.IDF[i] = v.IDF(t)
-		norm2 += q.IDF[i] * q.IDF[i]
-	}
-	q.Norm = math.Sqrt(norm2)
-	return q
-}
-
 // QueryScratch is pooled storage for PrepareQueryInto. The zero value is
 // ready to use. A scratch serves one prepared query at a time and is not
 // safe for concurrent use; pool one per worker.
@@ -210,12 +174,14 @@ type QueryScratch struct {
 	idf   []float64
 }
 
-// PrepareQueryInto is PrepareQuery with caller-owned scratch: it returns a
-// Query identical to PrepareQuery(keywords) whose Terms and IDF slices alias
-// s. The result is valid only until the next PrepareQueryInto call on the
-// same scratch. Steady state performs zero allocations — duplicates are
-// collapsed by a linear scan over the (small) distinct-term list instead of
-// a map.
+// PrepareQueryInto builds a Query from raw keywords. Keywords not present
+// in the corpus contribute nothing to any score (their f_t is 0) and are
+// dropped; duplicated keywords are collapsed. As in Equation (1), the query
+// term frequency is taken as 1 per distinct keyword. The Query's Terms and
+// IDF slices alias s, so the result is valid only until the next
+// PrepareQueryInto call on the same scratch. Steady state performs zero
+// allocations — duplicates are collapsed by a linear scan over the (small)
+// distinct-term list instead of a map.
 func (v *Vocabulary) PrepareQueryInto(keywords []string, s *QueryScratch) Query {
 	s.terms = s.terms[:0]
 	for _, kw := range keywords {

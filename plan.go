@@ -13,8 +13,8 @@ import (
 // Plan is the EXPLAIN annotation of one answered request: which solver
 // ran and why, what the cost model predicted versus what the request
 // actually cost, and what the search scanned versus skipped — rectangle
-// prunes, term-directory misses, score-cache hits, WAND cutoffs, and (in
-// a cluster) routing skips. It is attached to Response.Plan only when
+// prunes, term-directory misses, score-cache hits, and (in a cluster)
+// routing skips. It is attached to Response.Plan only when
 // Request.Explain was set; with Explain off no Plan is built and the
 // served path stays allocation-free.
 //
@@ -59,10 +59,6 @@ type Plan struct {
 	CellsSkippedEmpty  int64
 	CellsSkippedNoTerm int64
 	CellsSkippedCache  int64
-	// CellsPrunedWAND counts cells cut by the WAND bound on the top-k
-	// object path; the standard serving path does not use WAND, so it is
-	// zero there.
-	CellsPrunedWAND int64
 	// PostingLists / Postings are the lists fetched and postings
 	// accumulated; PostingsFiltered of them were rejected by the exact
 	// rectangle check (boundary cells). Candidates is the distinct
@@ -204,7 +200,6 @@ func (pl *Plan) finish(qi *dataset.QueryInstance, started time.Time, wait time.D
 	pl.CellsSkippedEmpty = tr.CellsEmpty
 	pl.CellsSkippedNoTerm = tr.CellsNoTerm
 	pl.CellsSkippedCache = tr.CellsCacheHit
-	pl.CellsPrunedWAND = tr.CellsPrunedWAND
 	pl.PostingLists = tr.Lists
 	pl.Postings = tr.Postings
 	pl.PostingsFiltered = tr.PostingsFiltered

@@ -160,9 +160,8 @@ func toObjectInputs(objects []ObjectSpec) []dataset.ObjectInput {
 }
 
 // NYLike builds the synthetic Manhattan-style dataset mirroring the
-// paper's New York setting (see DESIGN.md for the scale mapping). The
-// seed makes the build reproducible; scale multiplies the default size
-// (1.0 ≈ 3.6k road nodes and 6.8k objects).
+// paper's New York setting. The seed makes the build reproducible; scale
+// multiplies the default size (1.0 ≈ 3.6k road nodes and 6.8k objects).
 func NYLike(seed int64, scale float64) (*Database, error) {
 	return NYLikeWithStore(seed, scale, StoreConfig{})
 }

@@ -5,13 +5,12 @@
 # tgen-e2e, app-e2e, greedy-e2e, hot-cached), the live-update benchmarks
 # (BenchmarkLiveUpdate: insert/reweight/delete updates-per-second over
 # the sharded store, serve-after-updates for the memtable-empty query
-# path) and the WAND top-k benchmark (BenchmarkTopKPruned) with
-# -benchmem, writes the results as JSON (ns/op, B/op, allocs/op per
-# benchmark) to the output file, and fails when any benchmark's
-# allocs/op exceeds the committed baseline in
+# path) with -benchmem, writes the results as JSON (ns/op, B/op,
+# allocs/op per benchmark) to the output file, and fails when any
+# benchmark's allocs/op exceeds the committed baseline in
 # scripts/bench-baseline.json — the zero-alloc serve-path guarantee
-# (including cache hits and pruned top-k) and the bounded-allocation
-# update path, enforced numerically.
+# (including cache hits) and the bounded-allocation update path,
+# enforced numerically.
 #
 # It then runs the hot-query score cache gate: on a disk-backed sharded
 # store, a warm cache must answer a replayed hot query set at least
@@ -25,7 +24,7 @@ cd "$(dirname "$0")/.."
 out="${1:-bench-snapshot.json}"
 baseline="scripts/bench-baseline.json"
 
-raw="$(go test -run=NONE -bench='^(BenchmarkServeQuery|BenchmarkLiveUpdate|BenchmarkTopKPruned)$' -benchmem -benchtime=50x -count=1 .)"
+raw="$(go test -run=NONE -bench='^(BenchmarkServeQuery|BenchmarkLiveUpdate)$' -benchmem -benchtime=50x -count=1 .)"
 echo "$raw"
 
 # Each result line is "BenchmarkName  N  <value> <unit> ..."; pick the

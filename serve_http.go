@@ -119,7 +119,6 @@ func toWirePlan(p *Plan) *httpapi.Plan {
 		CellsSkippedEmpty:  p.CellsSkippedEmpty,
 		CellsSkippedNoTerm: p.CellsSkippedNoTerm,
 		CellsSkippedCache:  p.CellsSkippedCache,
-		CellsPrunedWAND:    p.CellsPrunedWAND,
 		PostingLists:       p.PostingLists,
 		Postings:           p.Postings,
 		PostingsFiltered:   p.PostingsFiltered,
