@@ -7,6 +7,7 @@ package repro
 // race step covers the same code for correctness, not allocs).
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -59,7 +60,7 @@ func TestServedSearchPathZeroAlloc(t *testing.T) {
 }
 
 // TestServedQueryZeroAlloc is the tentpole gate: the FULL served query —
-// Submit through the request channel, search path, solver (pooled scratch:
+// Do through the request channel, search path, solver (pooled scratch:
 // region arena, tuple arrays, kmst/pcst state), and answer mapping back to
 // parent node IDs — performs zero steady-state allocations for every
 // solver method.
@@ -179,5 +180,39 @@ func TestPlannerInstantiateZeroAlloc(t *testing.T) {
 	replay()
 	if allocs := testing.AllocsPerRun(3, replay); allocs != 0 {
 		t.Fatalf("planner replay allocated %.1f times per %d queries, want 0", allocs, len(qs))
+	}
+}
+
+// TestDatabaseDoPooledPlanner pins that Database.Do borrows a pooled
+// planner instead of building one per call: warm, it allocates per query
+// no more than Server.Do on the same queries, plus a little slack.
+func TestDatabaseDoPooledPlanner(t *testing.T) {
+	db, err := NYLike(3, 0.15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs, err := db.GenQueries(rand.New(rand.NewSource(5)), 16, 3, 25e6, 5000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := db.Serve(ServeOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	perQuery := func(do func(context.Context, Request) Response) float64 {
+		replay := func() {
+			for _, q := range qs {
+				if resp := do(context.Background(), Request{Query: q, Search: SearchOptions{Method: MethodGreedy}}); resp.Err != nil {
+					t.Fatal(resp.Err)
+				}
+			}
+		}
+		replay() // warm every pooled buffer across the whole workload
+		return testing.AllocsPerRun(3, replay) / float64(len(qs))
+	}
+	served := perQuery(srv.Do)
+	if direct := perQuery(db.Do); direct > served+16 {
+		t.Fatalf("Database.Do allocated %.1f times per query, Server.Do %.1f: want at most %.1f", direct, served, served+16)
 	}
 }

@@ -203,10 +203,7 @@ func TestAutoGoldenCluster(t *testing.T) {
 			t.Fatalf("cluster plan contacted no groups: %+v", probe.Plan.Cluster)
 		}
 		for _, method := range []Method{MethodGreedy, MethodTGEN, MethodAPP} {
-			want, err := ref.Run(ctx, q, SearchOptions{Method: method})
-			if err != nil {
-				t.Fatalf("%v direct: %v", method, err)
-			}
+			want := best(t, ref, q, SearchOptions{Method: method})
 			budget := autoBudgetFor(t, probe.Plan, method)
 			got := cl.Do(ctx, Request{
 				Query:   q,

@@ -4,11 +4,9 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"time"
-
-	"repro/internal/core"
-	"repro/internal/dataset"
-	"repro/internal/queryengine"
 )
 
 // BatchStats summarizes a RunBatch execution.
@@ -29,51 +27,58 @@ func (s BatchStats) QueriesPerSecond(n int) float64 {
 	return float64(n) / s.Elapsed.Seconds()
 }
 
-// RunBatch answers a whole query workload, fanning the queries out across
-// a pool of workers with per-worker pooled extraction and solver state
-// (internal/queryengine). workers <= 0 selects GOMAXPROCS. The returned
-// slice has one entry per query — nil when no object matched — and is
-// identical to calling Run on each query in order, for any worker count.
-// ctx bounds the whole batch: once it fires, in-flight solves return
-// ctx.Err() through their checkpoints, no further queries start, and
-// RunBatch returns ctx.Err().
+// RunBatch answers a whole query workload through a short-lived Server
+// with `workers` workers (<= 0 selects GOMAXPROCS) and as many concurrent
+// clients calling Do, so it accepts exactly what Do accepts, MethodAuto
+// included. The returned slice has one entry per query — nil when no
+// object matched — and is identical to calling Database.Do on each query
+// in order, for any worker count. The first failing query stops the
+// batch and its error is returned. ctx bounds the whole batch: once it
+// fires, in-flight solves return through their checkpoints, the server
+// rejects the queries not yet started, and RunBatch returns ctx.Err().
 func (db *Database) RunBatch(ctx context.Context, qs []Query, opts SearchOptions, workers int) ([]*Result, BatchStats, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(qs) && len(qs) > 0 {
-		workers = len(qs) // mirror the engine's clamp so stats are honest
-	}
+	workers = max(1, min(workers, len(qs))) // no idle workers, so stats are honest
 	stats := BatchStats{Workers: workers}
-	qeOpts, err := toEngineOptions(opts, workers)
+	srv, err := db.Serve(ServeOptions{Workers: workers, Search: opts})
 	if err != nil {
 		return nil, stats, err
 	}
-	dqs := make([]dataset.Query, len(qs))
-	for i, q := range qs {
-		dq, err := toDatasetQuery(q)
-		if err != nil {
-			return nil, stats, fmt.Errorf("repro: query %d: %w", i, err)
-		}
-		dqs[i] = dq
-	}
+	defer srv.Close()
+	batchCtx, stop := context.WithCancel(ctx)
+	defer stop()
 	results := make([]*Result, len(qs))
+	var (
+		next    atomic.Int64
+		errOnce sync.Once
+		firstE  error
+		wg      sync.WaitGroup
+	)
 	start := time.Now()
-	err = queryengine.RunFunc(ctx, db.ds, dqs, workers, func(i int, qi *dataset.QueryInstance) error {
-		region, err := queryengine.Solve(ctx, qi, dqs[i].Delta, qeOpts)
-		if err != nil {
-			return err
-		}
-		if region != nil {
-			// Materialize before the worker's planner is reused for the
-			// next query: the QueryInstance aliases pooled buffers.
-			results[i] = db.materialize(qi, region)
-		}
-		return nil
-	})
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(qs); i = int(next.Add(1)) - 1 {
+				resp := srv.Do(batchCtx, Request{Query: qs[i]})
+				if resp.Err != nil {
+					errOnce.Do(func() { firstE = fmt.Errorf("repro: query %d: %w", i, resp.Err) })
+					stop()
+					return
+				}
+				results[i] = resp.Best()
+			}
+		}()
+	}
+	wg.Wait()
 	stats.Elapsed = time.Since(start)
-	if err != nil {
-		return nil, stats, err
+	if firstE != nil {
+		if err := ctx.Err(); err != nil {
+			return nil, stats, err // the caller's cancellation, not a query's own failure
+		}
+		return nil, stats, firstE
 	}
 	for _, r := range results {
 		if r != nil {
@@ -81,36 +86,4 @@ func (db *Database) RunBatch(ctx context.Context, qs []Query, opts SearchOptions
 		}
 	}
 	return results, stats, nil
-}
-
-// toEngineOptions maps the public SearchOptions onto the engine's Options.
-// Every entry point converts through it, so RunBatch answers match
-// per-query Run calls exactly; a zero TGEN α is auto-sized by the engine
-// (σ̂max ≈ 9 over the query region).
-func toEngineOptions(opts SearchOptions, workers int) (queryengine.Options, error) {
-	out := queryengine.Options{
-		Workers: workers,
-		APP:     core.APPOptions{Alpha: opts.Alpha, Beta: opts.Beta},
-		TGEN:    core.TGENOptions{Alpha: opts.Alpha},
-		Greedy:  core.GreedyOptions{Mu: opts.Mu, MuSet: opts.MuSet},
-	}
-	if opts.UseSPTSolver {
-		out.APP.Solver = core.SolverSPT
-	}
-	switch opts.Method {
-	case MethodTGEN:
-		out.Method = queryengine.MethodTGEN
-	case MethodAPP:
-		out.Method = queryengine.MethodAPP
-	case MethodGreedy:
-		out.Method = queryengine.MethodGreedy
-	case MethodAuto:
-		// Auto is resolved per request by Database.Do and Server.Do before
-		// the engine sees it; the batch path has no per-request budget or
-		// load signal to resolve against.
-		return out, fmt.Errorf("repro: MethodAuto is resolved by Do/Serve, not the batch path; pick a concrete method")
-	default:
-		return out, fmt.Errorf("repro: unknown method %v", opts.Method)
-	}
-	return out, nil
 }

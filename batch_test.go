@@ -2,51 +2,56 @@ package repro
 
 import (
 	"context"
-	"math/rand"
+	"errors"
 	"reflect"
 	"testing"
+	"time"
 )
 
 // TestRunBatchMatchesRun: the parallel batch path must return exactly what
-// serial Run calls return, query by query, for every method.
+// serial Database.Do calls return, query by query, for every method —
+// MethodAuto with an explicit Budget included, since RunBatch accepts what
+// Do accepts.
 func TestRunBatchMatchesRun(t *testing.T) {
-	db, err := NYLike(4, 0.12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(44))
-	qs, err := db.GenQueries(rng, 10, 3, 25e6, 5000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, method := range []Method{MethodTGEN, MethodAPP, MethodGreedy} {
-		opts := SearchOptions{Method: method}
+	db, qs := serveWorkload(t)
+	for _, opts := range []SearchOptions{
+		{Method: MethodTGEN}, {Method: MethodAPP}, {Method: MethodGreedy},
+		{Method: MethodAuto, Budget: 20 * time.Millisecond},
+	} {
 		want := make([]*Result, len(qs))
+		wantMatched := 0
 		for i, q := range qs {
-			r, err := db.Run(context.Background(), q, opts)
-			if err != nil {
-				t.Fatalf("%v run %d: %v", method, i, err)
+			if want[i] = best(t, db, q, opts); want[i] != nil {
+				wantMatched++
 			}
-			want[i] = r
 		}
 		for _, workers := range []int{1, 4} {
 			got, stats, err := db.RunBatch(context.Background(), qs, opts, workers)
 			if err != nil {
-				t.Fatalf("%v batch workers=%d: %v", method, workers, err)
+				t.Fatalf("%v batch workers=%d: %v", opts.Method, workers, err)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%v: batch workers=%d differs from serial Run loop", method, workers)
-			}
-			wantMatched := 0
-			for _, r := range want {
-				if r != nil {
-					wantMatched++
-				}
+				t.Fatalf("%v: batch workers=%d differs from the serial Do loop", opts.Method, workers)
 			}
 			if stats.Matched != wantMatched {
-				t.Fatalf("%v: stats.Matched = %d, want %d", method, stats.Matched, wantMatched)
+				t.Fatalf("%v: stats.Matched = %d, want %d", opts.Method, stats.Matched, wantMatched)
 			}
 		}
+	}
+}
+
+// TestRunBatchHonorsContext checks batch-level cancellation: a cancelled
+// context stops the batch with ctx.Err() and leaves no goroutine behind.
+func TestRunBatchHonorsContext(t *testing.T) {
+	db, qs := serveWorkload(t)
+	baseline := countGoroutines()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, _, err := db.RunBatch(ctx, qs, SearchOptions{}, 4); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled RunBatch = %v, want context.Canceled", err)
+	}
+	if after := countGoroutines(); after > baseline {
+		t.Fatalf("goroutines leaked: %d before, %d after", baseline, after)
 	}
 }
 
@@ -60,6 +65,9 @@ func TestRunBatchValidation(t *testing.T) {
 	}
 	if _, _, err := db.RunBatch(context.Background(), []Query{{Keywords: []string{"a"}, Delta: -1}}, SearchOptions{}, 1); err == nil {
 		t.Error("non-positive delta accepted")
+	}
+	if _, _, err := db.RunBatch(context.Background(), nil, SearchOptions{Method: Method(99)}, 1); err == nil {
+		t.Error("unknown method accepted")
 	}
 	res, stats, err := db.RunBatch(context.Background(), nil, SearchOptions{}, 0)
 	if err != nil || len(res) != 0 {

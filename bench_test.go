@@ -160,10 +160,15 @@ func throughputWorkload(b *testing.B) (*dataset.Dataset, []dataset.Query) {
 }
 
 // BenchmarkQueryThroughput answers a fixed 64-query TGEN workload through
-// the worker-pool engine end-to-end (grid lookup → CSR extraction →
-// solver) and reports queries/s per worker count.
+// RunBatch end-to-end (server round trip → grid lookup → CSR extraction →
+// solver → materialize) and reports queries/s per worker count.
 func BenchmarkQueryThroughput(b *testing.B) {
-	d, qs := throughputWorkload(b)
+	d, dqs := throughputWorkload(b)
+	db := &Database{ds: d}
+	qs := make([]Query, len(dqs))
+	for i, q := range dqs {
+		qs[i] = Query{Keywords: q.Keywords, Delta: q.Delta, Region: fromGeo(q.Lambda)}
+	}
 	workerCounts := []int{1}
 	if p := runtime.GOMAXPROCS(0); p > 1 {
 		workerCounts = append(workerCounts, p)
@@ -172,7 +177,7 @@ func BenchmarkQueryThroughput(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := queryengine.Run(context.Background(), d, qs, queryengine.Options{Workers: w})
+				res, _, err := db.RunBatch(context.Background(), qs, SearchOptions{}, w)
 				if err != nil {
 					b.Fatal(err)
 				}

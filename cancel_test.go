@@ -342,7 +342,7 @@ func TestCancelMidSolveGreedy(t *testing.T) {
 
 // TestServerCancelMidSolve drives the same contract through the streaming
 // server: a deadline that fires mid-solve surfaces context.DeadlineExceeded
-// from Submit, the worker survives, and the very next submission on the
+// from Do, the worker survives, and the very next submission on the
 // same server (same worker, same scratch) answers bit-identically to an
 // undisturbed server.
 func TestServerCancelMidSolve(t *testing.T) {
@@ -350,11 +350,13 @@ func TestServerCancelMidSolve(t *testing.T) {
 	opts := queryengine.Options{Method: queryengine.MethodAPP}
 
 	undisturbed := queryengine.NewServer(d, queryengine.ServerOptions{Workers: 1, Options: opts})
-	want, err := undisturbed.Submit(context.Background(), q)
+	wantTask := queryengine.Task{Query: q}
+	err := undisturbed.Do(&wantTask)
 	undisturbed.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := wantTask.Result
 	if !want.Matched {
 		t.Fatal("bench query matched nothing; the test would be vacuous")
 	}
@@ -364,17 +366,18 @@ func TestServerCancelMidSolve(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err = srv.Submit(ctx, q)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("deadline-bounded submit returned err = %v, want context.DeadlineExceeded", err)
+	task := queryengine.Task{Ctx: ctx, Query: q}
+	if err := srv.Do(&task); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("deadline-bounded Do returned err = %v, want context.DeadlineExceeded", err)
 	}
 	if lag := time.Since(start); lag > 15*time.Millisecond+50*time.Millisecond {
-		t.Fatalf("submit returned %v after submission, want deadline+50ms", lag)
+		t.Fatalf("Do returned %v after submission, want deadline+50ms", lag)
 	}
-	got, err := srv.Submit(context.Background(), q)
-	if err != nil {
+	task.Ctx = nil
+	if err := srv.Do(&task); err != nil {
 		t.Fatal(err)
 	}
+	got := task.Result
 	if got.Score != want.Score || got.Length != want.Length || len(got.Nodes) != len(want.Nodes) {
 		t.Fatalf("post-cancel answer differs: got %v/%v/%d nodes, want %v/%v/%d",
 			got.Score, got.Length, len(got.Nodes), want.Score, want.Length, len(want.Nodes))

@@ -172,12 +172,6 @@ func (c *Cluster) Do(ctx context.Context, req Request) Response {
 	return c.srv.Do(ctx, req)
 }
 
-// Submit is the single-result convenience form of Do, like Server.Submit.
-func (c *Cluster) Submit(ctx context.Context, q Query) (*Result, error) {
-	resp := c.Do(ctx, Request{Query: q})
-	return resp.Best(), resp.Err
-}
-
 // HTTPHandler exposes the cluster over the same HTTP surface as
 // Server.HTTPHandler, plus per-client quota admission (429 with
 // Retry-After when a client outruns its bucket) and a cluster section in

@@ -469,8 +469,7 @@ func runServe(db *repro.Database, q repro.Query, opts repro.SearchOptions, n, wo
 			ctx, cancel = context.WithTimeout(ctx, timeout)
 			defer cancel()
 		}
-		_, err := srv.Submit(ctx, q)
-		return err
+		return srv.Do(ctx, repro.Request{Query: q}).Err
 	}
 	var (
 		wg         sync.WaitGroup

@@ -31,14 +31,15 @@ func Example() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := db.Run(context.Background(), repro.Query{
+	resp := db.Do(context.Background(), repro.Request{Query: repro.Query{
 		Keywords: []string{"cafe"},
 		Delta:    220,
 		Region:   db.Bounds(),
-	}, repro.SearchOptions{})
-	if err != nil {
-		log.Fatal(err)
+	}})
+	if resp.Err != nil {
+		log.Fatal(resp.Err)
 	}
+	res := resp.Best()
 	fmt.Printf("cafes in region: %d\n", len(res.Objects))
 	fmt.Printf("street length: %.0f m (budget 220 m)\n", res.Length)
 	// Output:

@@ -49,10 +49,11 @@ func main() {
 		Region:   db.Bounds(),
 	}
 	for _, method := range []repro.Method{repro.MethodTGEN, repro.MethodAPP, repro.MethodGreedy} {
-		res, err := db.Run(context.Background(), query, repro.SearchOptions{Method: method})
-		if err != nil {
-			log.Fatal(err)
+		resp := db.Do(context.Background(), repro.Request{Query: query, Search: repro.SearchOptions{Method: method}})
+		if resp.Err != nil {
+			log.Fatal(resp.Err)
 		}
+		res := resp.Best()
 		fmt.Printf("%-6s weight=%.4f length=%.0fm objects=%d\n",
 			method, res.Score, res.Length, len(res.Objects))
 		for _, o := range res.Objects {

@@ -36,10 +36,11 @@ func main() {
 
 	var best *repro.Result
 	for _, method := range []repro.Method{repro.MethodTGEN, repro.MethodAPP, repro.MethodGreedy} {
-		res, err := db.Run(context.Background(), q, repro.SearchOptions{Method: method})
-		if err != nil {
-			log.Fatal(err)
+		resp := db.Do(context.Background(), repro.Request{Query: q, Search: repro.SearchOptions{Method: method}})
+		if resp.Err != nil {
+			log.Fatal(resp.Err)
 		}
+		res := resp.Best()
 		if res == nil {
 			fmt.Printf("%-6s: no matching region\n", method)
 			continue

@@ -31,13 +31,13 @@ func main() {
 
 	const k = 3
 	for _, method := range []repro.Method{repro.MethodTGEN, repro.MethodGreedy} {
-		results, err := db.RunTopK(context.Background(), q, k, repro.SearchOptions{Method: method})
-		if err != nil {
-			log.Fatal(err)
+		resp := db.Do(context.Background(), repro.Request{Query: q, K: k, Search: repro.SearchOptions{Method: method}})
+		if resp.Err != nil {
+			log.Fatal(resp.Err)
 		}
 		fmt.Printf("%v top-%d:\n", method, k)
 		used := map[int]bool{}
-		for i, r := range results {
+		for i, r := range resp.Results {
 			overlap := false
 			for _, n := range r.Nodes {
 				if used[n] {

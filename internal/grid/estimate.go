@@ -48,7 +48,7 @@ func (idx *Index) EstimateSearch(q textindex.Query, r geo.Rect) SearchEstimate {
 			if len(dir) == 0 {
 				continue
 			}
-			// The same merge-join scoreCell runs, minus the fetches.
+			// The same merge-join SearchRangeInto plans with, minus the fetches.
 			lists := 0
 			qi, di := 0, 0
 			for qi < len(q.Terms) && di < len(dir) {

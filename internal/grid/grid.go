@@ -196,8 +196,8 @@ type Index struct {
 	nx, ny   int
 	store    Store
 	// sharded is store when it partitions keys across >1 independently
-	// locked shards, nil otherwise; it switches SearchInto to the
-	// fan-out fetch path.
+	// locked shards, nil otherwise; it makes the search fetch each
+	// shard's posting lists from its own goroutine.
 	sharded shardedStore
 	// cellDir is the per-cell term directory, sorted by ascending TermID
 	// so membership is a binary search and query∩cell intersection is a

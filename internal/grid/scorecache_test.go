@@ -27,7 +27,7 @@ func assertSameResults(t *testing.T, label string, got, want []ObjScore) {
 // test: while a live-update script (inserts, deletes, reweights, compacts)
 // runs, hot repeated queries through the cached path must stay
 // bit-identical to the uncached map-based Search at every step — on both
-// the MemStore serial path and the sharded fan-out path. Repeats within a
+// the MemStore loop fetch and the sharded fan-out fetch. Repeats within a
 // quiet period must actually hit the cache; every mutation must invalidate
 // it (served results reflect the new state immediately).
 func TestScoreCacheDifferentialLiveUpdates(t *testing.T) {

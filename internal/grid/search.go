@@ -50,10 +50,9 @@ type SearchScratch struct {
 	score   []float64
 	touched []ObjectID
 	out     []ObjScore
-	// Sharded fan-out state (used only with a sharded disk store): the
-	// fetch plan in deterministic accumulation order, the fetched lists
-	// (parallel to plan), the plan indices bucketed per shard, and one
-	// error slot per shard.
+	// The fetch plan in deterministic accumulation order and the fetched
+	// lists (parallel to plan); with a sharded store also the plan indices
+	// bucketed per shard and one error slot per shard.
 	plan    []fetchRef
 	fetched [][]Posting
 	byShard [][]int32
@@ -130,155 +129,12 @@ func (idx *Index) SearchRangeInto(q textindex.Query, r geo.Rect, cellLo, cellHi 
 	if !ok {
 		return s.out[:0], nil
 	}
-	if idx.sharded != nil {
-		if err := idx.searchSharded(q, r, x0, x1, y0, y1, cellLo, cellHi, s); err != nil {
-			return nil, err
-		}
-	} else {
-		sc := idx.scoreCache
-		var sig uint64
-		if sc != nil {
-			sig = q.Signature()
-		}
-		tr := s.Trace
-		for cy := y0; cy <= y1; cy++ {
-			for cx := x0; cx <= x1; cx++ {
-				cell := uint32(cy*idx.nx + cx)
-				if cell < cellLo || cell >= cellHi {
-					continue
-				}
-				if tr != nil {
-					tr.CellsInRect++
-				}
-				dir := idx.cellDir[cell]
-				if len(dir) == 0 {
-					if tr != nil {
-						tr.CellsEmpty++
-					}
-					continue
-				}
-				fullInside := idx.cellInside(cell, r)
-				// Only interior cells are cacheable: their contribution does
-				// not depend on the exact query rectangle. Replay order does
-				// not matter for bit-identicality — an object's postings all
-				// live in its one cell, and the touched set is sorted below.
-				if sc != nil && fullInside && sc.replay(cell, q, sig, idx.epoch, s) {
-					if tr != nil {
-						tr.CellsCacheHit++
-					}
-					continue
-				}
-				pre := len(s.touched)
-				var preLists int64
-				if tr != nil {
-					preLists = tr.Lists
-				}
-				if err := idx.scoreCell(q, r, cell, dir, fullInside, s); err != nil {
-					return nil, err
-				}
-				if tr != nil {
-					// A merge-join that fetched nothing is the term-directory
-					// miss; anything else was a real scan.
-					if tr.Lists == preLists {
-						tr.CellsNoTerm++
-					} else {
-						tr.CellsScanned++
-					}
-				}
-				if sc != nil && fullInside {
-					sc.fill(cell, q, sig, idx.epoch, s.touched[pre:], s.score)
-				}
-			}
-		}
-	}
-	if tr := s.Trace; tr != nil {
-		tr.Objects += int64(len(s.touched))
-	}
-	slices.Sort(s.touched)
-	if cap(s.out) < len(s.touched) {
-		s.out = make([]ObjScore, 0, len(s.touched))
-	}
-	s.out = s.out[:0]
-	for _, id := range s.touched {
-		s.out = append(s.out, ObjScore{Obj: id, Score: s.score[id] / q.Norm})
-	}
-	return s.out, nil
-}
-
-// cellInside reports whether cell lies fully inside r (objects then need
-// no per-point containment check).
-func (idx *Index) cellInside(cell uint32, r geo.Rect) bool {
-	cr := idx.cellRect(cell)
-	return cr.MinX >= r.MinX && cr.MaxX <= r.MaxX && cr.MinY >= r.MinY && cr.MaxY <= r.MaxY
-}
-
-// scoreCell merge-joins the query terms against one cell's directory and
-// accumulates posting contributions into the scratch. Both lists are sorted
-// by ascending TermID, so the join visits terms in ascending order and
-// stops as soon as either side is exhausted.
-func (idx *Index) scoreCell(q textindex.Query, r geo.Rect, cell uint32, dir []termEntry, fullInside bool, s *SearchScratch) error {
-	qi, di := 0, 0
-	for qi < len(q.Terms) && di < len(dir) {
-		switch {
-		case q.Terms[qi] < dir[di].term:
-			qi++
-		case q.Terms[qi] > dir[di].term:
-			di++
-		default:
-			ps, err := idx.fetchPostings(CellKey{Cell: cell, Term: q.Terms[qi]})
-			if err != nil {
-				return err
-			}
-			if s.Trace != nil {
-				s.Trace.Lists++
-			}
-			// The directory records the list length, so the touched set can
-			// grow once up front instead of reallocating mid-scan.
-			s.touched = slices.Grow(s.touched, int(dir[di].count))
-			idx.accumulate(r, ps, q.IDF[qi], fullInside, s)
-			qi++
-			di++
-		}
-	}
-	return nil
-}
-
-// accumulate folds one posting list into the scratch with the query-side
-// weight idf. It is the one shared inner loop of the serial and sharded
-// search paths, so both accumulate bit-identically. The trace counters are
-// added once per list, after the loop, so the per-posting path carries no
-// trace branch.
-func (idx *Index) accumulate(r geo.Rect, ps []Posting, idf float64, fullInside bool, s *SearchScratch) {
-	filtered := 0
-	for _, p := range ps {
-		if !fullInside && !r.Contains(idx.objects[p.Obj].Point) {
-			filtered++
-			continue
-		}
-		if s.stamp[p.Obj] != s.epoch {
-			s.stamp[p.Obj] = s.epoch
-			s.score[p.Obj] = 0
-			s.touched = append(s.touched, p.Obj)
-		}
-		s.score[p.Obj] += idf * p.Weight
-	}
-	if tr := s.Trace; tr != nil {
-		tr.Postings += int64(len(ps))
-		tr.PostingsFiltered += int64(filtered)
-	}
-}
-
-// searchSharded is SearchInto's fetch path for a sharded store. It runs
-// in three phases: (1) plan — walk the cells in row-major order and
-// merge-join the query terms against each cell directory, recording every
-// (cell, term) posting list the serial path would read, in the order it
-// would read them; (2) fetch — bucket the planned reads by owning shard
-// and fetch each shard's lists from its own goroutine, so one query's
-// cold reads load all shards concurrently and never block on a foreign
-// shard's lock; (3) accumulate — fold the fetched lists into the scratch
-// serially in plan order, which is exactly the serial path's order, so
-// scores stay bit-identical.
-func (idx *Index) searchSharded(q textindex.Query, r geo.Rect, x0, x1, y0, y1 int, cellLo, cellHi uint32, s *SearchScratch) error {
+	// The walk runs in three phases: (1) plan — visit the cells in row-major
+	// order and merge-join the query terms against each cell directory,
+	// recording every (cell, term) posting list to read, in order; (2) fetch
+	// the planned lists; (3) accumulate them serially in plan order. The
+	// plan order is the one accumulation order for every store, so scores
+	// are bit-identical whether the fetch ran in a loop or fanned out.
 	sc := idx.scoreCache
 	var sig uint64
 	if sc != nil {
@@ -303,11 +159,12 @@ func (idx *Index) searchSharded(q textindex.Query, r geo.Rect, x0, x1, y0, y1 in
 				continue
 			}
 			fullInside := idx.cellInside(cell, r)
-			// Cached interior cells replay during planning and are excluded
-			// from the fetch plan entirely — a hot query over a warm cache
-			// plans zero posting fetches. Cell processing order does not
-			// affect the result: every object's score comes wholly from its
-			// one cell, and the touched set is sorted by the caller.
+			// Only interior cells are cacheable: their contribution does not
+			// depend on the exact query rectangle. Cached cells replay here
+			// and are excluded from the fetch plan — a hot query over a warm
+			// cache plans zero posting fetches. Cell order does not affect
+			// the result: every object's score comes wholly from its one
+			// cell, and the touched set is sorted below.
 			if sc != nil && fullInside && sc.replay(cell, q, sig, idx.epoch, s) {
 				if tr != nil {
 					tr.CellsCacheHit++
@@ -329,6 +186,8 @@ func (idx *Index) searchSharded(q textindex.Query, r geo.Rect, x0, x1, y0, y1 in
 				}
 			}
 			if tr != nil {
+				// A merge-join that planned nothing is the term-directory
+				// miss; anything else is a real scan.
 				if len(s.plan) == planStart {
 					tr.CellsNoTerm++
 				} else {
@@ -343,7 +202,93 @@ func (idx *Index) searchSharded(q textindex.Query, r geo.Rect, x0, x1, y0, y1 in
 			}
 		}
 	}
+	if err := idx.fetch(q, s); err != nil {
+		clear(s.fetched) // drop the lists fetched before the failure
+		return nil, err
+	}
+	// Accumulate in plan order, grouping the consecutive fetches of each
+	// cell (the plan is cell-major) so a just-computed interior cell can be
+	// cached as one entry.
+	for i := 0; i < len(s.plan); {
+		cell := s.plan[i].cell
+		fullInside := s.plan[i].fullInside
+		pre := len(s.touched)
+		j := i
+		for ; j < len(s.plan) && s.plan[j].cell == cell; j++ {
+			ref := s.plan[j]
+			// The directory records the list length, so the touched set can
+			// grow once up front instead of reallocating mid-scan.
+			s.touched = slices.Grow(s.touched, int(ref.count))
+			idx.accumulate(r, s.fetched[j], q.IDF[ref.qi], ref.fullInside, s)
+			s.fetched[j] = nil // drop the reference; the lists die with this query
+		}
+		if sc != nil && fullInside {
+			sc.fill(cell, q, sig, idx.epoch, s.touched[pre:], s.score)
+		}
+		i = j
+	}
+	if tr != nil {
+		tr.Objects += int64(len(s.touched))
+	}
+	slices.Sort(s.touched)
+	if cap(s.out) < len(s.touched) {
+		s.out = make([]ObjScore, 0, len(s.touched))
+	}
+	s.out = s.out[:0]
+	for _, id := range s.touched {
+		s.out = append(s.out, ObjScore{Obj: id, Score: s.score[id] / q.Norm})
+	}
+	return s.out, nil
+}
+
+// cellInside reports whether cell lies fully inside r (objects then need
+// no per-point containment check).
+func (idx *Index) cellInside(cell uint32, r geo.Rect) bool {
+	cr := idx.cellRect(cell)
+	return cr.MinX >= r.MinX && cr.MaxX <= r.MaxX && cr.MinY >= r.MinY && cr.MaxY <= r.MaxY
+}
+
+// accumulate folds one posting list into the scratch with the query-side
+// weight idf. The trace counters are added once per list, after the loop,
+// so the per-posting path carries no trace branch.
+func (idx *Index) accumulate(r geo.Rect, ps []Posting, idf float64, fullInside bool, s *SearchScratch) {
+	filtered := 0
+	for _, p := range ps {
+		if !fullInside && !r.Contains(idx.objects[p.Obj].Point) {
+			filtered++
+			continue
+		}
+		if s.stamp[p.Obj] != s.epoch {
+			s.stamp[p.Obj] = s.epoch
+			s.score[p.Obj] = 0
+			s.touched = append(s.touched, p.Obj)
+		}
+		s.score[p.Obj] += idf * p.Weight
+	}
+	if tr := s.Trace; tr != nil {
+		tr.Postings += int64(len(ps))
+		tr.PostingsFiltered += int64(filtered)
+	}
+}
+
+// fetch reads every planned posting list into s.fetched (parallel to
+// s.plan). Over a sharded store the reads are bucketed by owning shard
+// and each shard's lists are fetched from its own goroutine, so one
+// query's cold reads load all shards concurrently and never block on a
+// foreign shard's lock; any other store is read in a plain loop.
+func (idx *Index) fetch(q textindex.Query, s *SearchScratch) error {
 	if len(s.plan) == 0 {
+		return nil // e.g. a hot query replayed wholly from the score cache
+	}
+	s.fetched = slices.Grow(s.fetched[:0], len(s.plan))[:len(s.plan)]
+	if idx.sharded == nil {
+		for i, ref := range s.plan {
+			ps, err := idx.fetchPostings(CellKey{Cell: ref.cell, Term: q.Terms[ref.qi]})
+			if err != nil {
+				return err
+			}
+			s.fetched[i] = ps
+		}
 		return nil
 	}
 	n := idx.sharded.NumShards()
@@ -361,7 +306,6 @@ func (idx *Index) searchSharded(q textindex.Query, r geo.Rect, x0, x1, y0, y1 in
 		sh := idx.sharded.ShardOf(CellKey{Cell: ref.cell, Term: q.Terms[ref.qi]})
 		byShard[sh] = append(byShard[sh], int32(i))
 	}
-	s.fetched = slices.Grow(s.fetched[:0], len(s.plan))[:len(s.plan)]
 	var wg sync.WaitGroup
 	for sh := 0; sh < n; sh++ {
 		if len(byShard[sh]) == 0 {
@@ -386,25 +330,6 @@ func (idx *Index) searchSharded(q textindex.Query, r geo.Rect, x0, x1, y0, y1 in
 		if err != nil {
 			return err
 		}
-	}
-	// Accumulate in plan order — the serial path's order — grouping the
-	// consecutive fetches of each cell (the plan is built cell-major) so a
-	// just-computed interior cell can be cached as one entry.
-	for i := 0; i < len(s.plan); {
-		cell := s.plan[i].cell
-		fullInside := s.plan[i].fullInside
-		pre := len(s.touched)
-		j := i
-		for ; j < len(s.plan) && s.plan[j].cell == cell; j++ {
-			ref := s.plan[j]
-			s.touched = slices.Grow(s.touched, int(ref.count))
-			idx.accumulate(r, s.fetched[j], q.IDF[ref.qi], ref.fullInside, s)
-			s.fetched[j] = nil // drop the reference; the lists die with this query
-		}
-		if sc != nil && fullInside {
-			sc.fill(cell, q, sig, idx.epoch, s.touched[pre:], s.score)
-		}
-		i = j
 	}
 	return nil
 }

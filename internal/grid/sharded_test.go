@@ -230,7 +230,8 @@ func TestShardedStoreAppendConcurrent(t *testing.T) {
 
 // TestShardedSearchEquivalence proves the sharded store and its fan-out
 // search path return bit-identical results to the in-memory index, for
-// both Search and SearchInto.
+// both Search and SearchInto, and that the one cell walk records the same
+// SearchTrace counters over either store.
 func TestShardedSearchEquivalence(t *testing.T) {
 	v, objs, bounds := shardCorpus(42, 400)
 	memIdx, err := NewIndex(objs, bounds, 50, NewMemStore())
@@ -248,7 +249,8 @@ func TestShardedSearchEquivalence(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(7))
 	vocab := []string{"cafe", "restaurant", "bar", "pizza", "museum", "park", "shop", "hotel"}
-	var scratch SearchScratch
+	var memTrace, shardTrace SearchTrace
+	memScratch, scratch := SearchScratch{Trace: &memTrace}, SearchScratch{Trace: &shardTrace}
 	for trial := 0; trial < 30; trial++ {
 		q := prepareQuery(v, []string{vocab[rng.Intn(len(vocab))], vocab[rng.Intn(len(vocab))], vocab[rng.Intn(len(vocab))]})
 		x, y := rng.Float64()*800, rng.Float64()*800
@@ -267,6 +269,15 @@ func TestShardedSearchEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		assertSameScores(t, fmt.Sprintf("trial %d SearchInto", trial), gotInto, want)
+		if _, err := memIdx.SearchInto(q, r, &memScratch); err != nil {
+			t.Fatal(err)
+		}
+		if memTrace != shardTrace { // both accumulate across trials
+			t.Fatalf("trial %d: memory trace %+v != sharded trace %+v", trial, memTrace, shardTrace)
+		}
+	}
+	if memTrace.Lists == 0 {
+		t.Fatal("no search fetched a posting list; the trace check is vacuous")
 	}
 }
 

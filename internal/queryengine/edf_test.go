@@ -192,21 +192,18 @@ func TestDeadlineOrderedBackpressure(t *testing.T) {
 // too — ordering changes scheduling, never answers.
 func TestDeadlineOrderedMatchesFIFO(t *testing.T) {
 	d, qs := testWorkload(t, 0.1, 8)
-	want, err := Run(context.Background(), d, qs, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := serial(t, d, qs, Options{})
 	srv := NewServer(d, ServerOptions{Workers: 2, DeadlineOrdered: true})
 	defer srv.Close()
 	for i, q := range qs {
 		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-		r, err := srv.Submit(ctx, q)
+		r, err := submit(ctx, srv, q)
 		cancel()
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
 		if !reflect.DeepEqual(r, want[i]) {
-			t.Fatalf("query %d: EDF result %+v, batch %+v", i, r, want[i])
+			t.Fatalf("query %d: EDF result %+v, serial %+v", i, r, want[i])
 		}
 	}
 }

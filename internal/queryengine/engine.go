@@ -1,16 +1,14 @@
-// Package queryengine executes LCMSR queries across a pool of workers, in
-// two modes sharing one execution core:
-//
-//   - Batch (Run/RunFunc): a fixed query slice fanned out over workers,
-//     used by experiments and RunBatch.
-//   - Streaming (Server): a long-lived service fed through a bounded
-//     request channel, with graceful shutdown and per-request latency
-//     percentiles, used by Database.Serve and cmd/lcmsr -serve.
+// Package queryengine answers LCMSR queries on a pool of workers: Server is
+// a long-lived service fed through a bounded request channel, with
+// deadline-aware admission, load shedding, graceful shutdown and
+// per-request latency percentiles. Package repro's Database.Serve,
+// RunBatch and Cluster all run on it; Solve and SolveTopK are the one
+// method dispatch every request path shares.
 //
 // Each worker owns one dataset.Planner — a pooled extractor, instance,
 // query/search scratch, and buffers — so steady-state query execution
 // reuses memory instead of allocating per query, and throughput scales
-// with worker count while results stay bit-identical to the serial path.
+// with worker count while results stay bit-identical to a serial loop.
 //
 // # Concurrency model and pooling ownership
 //
@@ -19,23 +17,17 @@
 // concurrent reads, BTreeStore serializes tree access behind one mutex,
 // and ShardedStore stripes cells across independently locked shards so
 // workers' cold posting fetches only contend when they hit the same shard.
-// All mutable per-query state lives in the worker-local Planner,
-// which only its owning goroutine touches; a QueryInstance handed to a
-// callback (RunFunc's fn, Task.Visit) aliases that planner's buffers and
-// is valid only for the duration of the call. In batch mode work is
-// distributed by an atomic cursor over the query slice and results are
-// written to disjoint slots, so output order (and content — extraction,
-// scoring, and the solvers are deterministic) is independent of
-// scheduling; the streaming server inherits the same guarantee because
-// every request is answered from the same immutable state.
+// All mutable per-query state lives in the worker-local Planner, which
+// only its owning goroutine touches; the QueryInstance handed to
+// Task.Visit aliases that planner's buffers and is valid only for the
+// duration of the call. Extraction, scoring and the solvers are
+// deterministic and every request is answered from the same immutable
+// state, so scheduling cannot change an answer.
 package queryengine
 
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -68,10 +60,8 @@ func (m Method) String() string {
 	}
 }
 
-// Options tunes a workload run.
+// Options selects the algorithm and its tuning for one solve.
 type Options struct {
-	// Workers is the worker-pool size; <= 0 means runtime.GOMAXPROCS(0).
-	Workers int
 	// Method picks the algorithm (default MethodTGEN).
 	Method Method
 	// APP tunes MethodAPP.
@@ -83,8 +73,9 @@ type Options struct {
 	Greedy core.GreedyOptions
 }
 
-// Result is the outcome of one query of a workload, expressed in parent
-// (road-network) node IDs so it is comparable across runs.
+// Result is the outcome of one query on the Server's default solve path,
+// expressed in parent (road-network) node IDs so it is comparable across
+// runs.
 type Result struct {
 	// Matched reports whether any region matched the query.
 	Matched bool
@@ -96,92 +87,8 @@ type Result struct {
 	Nodes []roadnet.NodeID
 }
 
-// RunFunc executes fn for every query, fanning out across workers. Each
-// worker owns a pooled Planner; fn receives the query index and the
-// materialized working graph, whose buffers are valid only for the
-// duration of the call. The first error cancels the remaining work, as
-// does ctx: once ctx is done, workers stop picking up queries and the
-// call returns ctx.Err() (callbacks already running observe the same ctx
-// through Solve's checkpoints).
-func RunFunc(ctx context.Context, d *dataset.Dataset, queries []dataset.Query, workers int, fn func(i int, qi *dataset.QueryInstance) error) error {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(queries) {
-		workers = len(queries)
-	}
-	if len(queries) == 0 {
-		return ctx.Err()
-	}
-	var (
-		next    atomic.Int64
-		failed  atomic.Bool
-		errOnce sync.Once
-		firstE  error
-		wg      sync.WaitGroup
-	)
-	report := func(err error) {
-		errOnce.Do(func() { firstE = err })
-		failed.Store(true)
-	}
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			p := d.NewPlanner()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(queries) || failed.Load() {
-					return
-				}
-				if err := ctx.Err(); err != nil {
-					report(err)
-					return
-				}
-				qi, err := p.Instantiate(queries[i])
-				if err != nil {
-					report(fmt.Errorf("queryengine: query %d: %w", i, err))
-					return
-				}
-				if err := fn(i, qi); err != nil {
-					report(fmt.Errorf("queryengine: query %d: %w", i, err))
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return firstE
-}
-
-// Run answers every query of the workload with the configured method and
-// returns one Result per query. The results are identical for any worker
-// count, including the serial Workers == 1 path.
-func Run(ctx context.Context, d *dataset.Dataset, queries []dataset.Query, opts Options) ([]Result, error) {
-	results := make([]Result, len(queries))
-	err := RunFunc(ctx, d, queries, opts.Workers, func(i int, qi *dataset.QueryInstance) error {
-		region, err := Solve(ctx, qi, queries[i].Delta, opts)
-		if err != nil {
-			return err
-		}
-		if region == nil {
-			return nil
-		}
-		nodes := make([]roadnet.NodeID, len(region.Nodes))
-		for j, v := range region.Nodes {
-			nodes[j] = qi.Sub.ToParent[v]
-		}
-		results[i] = Result{Matched: true, Score: region.Score, Length: region.Length, Nodes: nodes}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
-// Solve runs the configured algorithm on one materialized query. Callers
-// composing their own RunFunc loops (package repro's RunBatch) share this
+// Solve runs the configured algorithm on one materialized query. The
+// Server's default path and every Task.Visit in package repro share this
 // dispatch so method selection lives in one place. The solve runs on the
 // instance's SolveScratch (set by Planner.Instantiate and Detach): zero
 // steady-state allocations and mid-solve cancellation — a cancelled ctx

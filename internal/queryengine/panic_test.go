@@ -18,10 +18,7 @@ import (
 // unpoisoned server — and shutting it down leaks no goroutines.
 func TestServerPanicContainment(t *testing.T) {
 	d, qs := testWorkload(t, 0.1, 8)
-	want, err := Run(context.Background(), d, qs, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := serial(t, d, qs, Options{})
 
 	goroutinesBefore := runtime.NumGoroutine()
 	srv := NewServer(d, ServerOptions{Workers: 2})
@@ -29,12 +26,12 @@ func TestServerPanicContainment(t *testing.T) {
 	submitAll := func(phase string) {
 		t.Helper()
 		for i, q := range qs {
-			r, err := srv.Submit(context.Background(), q)
+			r, err := submit(context.Background(), srv, q)
 			if err != nil {
 				t.Fatalf("%s: submit %d: %v", phase, i, err)
 			}
 			if !reflect.DeepEqual(r, want[i]) {
-				t.Fatalf("%s: result %d differs from the batch answer", phase, i)
+				t.Fatalf("%s: result %d differs from the serial answer", phase, i)
 			}
 		}
 	}
@@ -89,7 +86,7 @@ func TestServerPanicContainment(t *testing.T) {
 	}
 
 	// A closed server still answers submissions, with the typed error.
-	if _, err := srv.Submit(context.Background(), qs[0]); !errors.Is(err, ErrServerClosed) {
+	if _, err := submit(context.Background(), srv, qs[0]); !errors.Is(err, ErrServerClosed) {
 		t.Fatalf("submit after close: %v, want ErrServerClosed", err)
 	}
 }
@@ -99,10 +96,7 @@ func TestServerPanicContainment(t *testing.T) {
 // every poisoned one must fail typed.
 func TestServerPanicConcurrent(t *testing.T) {
 	d, qs := testWorkload(t, 0.1, 6)
-	want, err := Run(context.Background(), d, qs, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := serial(t, d, qs, Options{})
 	srv := NewServer(d, ServerOptions{Workers: 3, Queue: 4})
 	defer srv.Close()
 
@@ -122,7 +116,7 @@ func TestServerPanicConcurrent(t *testing.T) {
 	}()
 	for r := 0; r < rounds; r++ {
 		for i, q := range qs {
-			res, err := srv.Submit(context.Background(), q)
+			res, err := submit(context.Background(), srv, q)
 			if err != nil {
 				t.Fatalf("round %d query %d: %v", r, i, err)
 			}

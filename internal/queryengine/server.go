@@ -14,7 +14,7 @@ import (
 	"repro/internal/roadnet"
 )
 
-// ErrServerClosed is returned by Do and Submit after Close.
+// ErrServerClosed is returned by Do after Close.
 var ErrServerClosed = errors.New("queryengine: server closed")
 
 // ErrOverloaded is returned when the server sheds a request under load:
@@ -36,8 +36,7 @@ type ServerOptions struct {
 	// dataset.Planner; <= 0 means runtime.GOMAXPROCS(0).
 	Workers int
 	// Options selects the algorithm and its tuning for the default solve
-	// path (its Workers field is ignored; ServerOptions.Workers rules).
-	// A Task may override it per request through Task.Opts.
+	// path (tasks without a Visit).
 	Options Options
 	// Queue is the request-channel capacity. A full queue makes Do block —
 	// that backpressure is the server's admission control. <= 0 means
@@ -80,9 +79,6 @@ type Task struct {
 	// by the solver checkpoints, all surfacing ctx.Err(). nil means
 	// context.Background() (never cancelled).
 	Ctx context.Context
-	// Opts, when non-nil, overrides the server's configured Options for
-	// this request only (its Workers field is ignored).
-	Opts *Options
 	// Visit, when non-nil, replaces the default solve: it runs on the
 	// worker goroutine with the materialized working graph, which aliases
 	// the worker's pooled planner buffers and is valid only for the
@@ -119,9 +115,10 @@ func (t *Task) ctx() context.Context {
 // through a bounded channel and are picked up by a fixed pool of workers,
 // each owning one pooled dataset.Planner, so the steady-state search path
 // (query preparation, grid search, subgraph extraction, instance build) is
-// allocation-free. Results are bit-identical to Run/RunFunc on the same
-// dataset: the shared state is immutable and all per-query computation is
-// deterministic, so scheduling cannot change answers.
+// allocation-free. Results are bit-identical to a serial Instantiate +
+// Solve loop on the same dataset: the shared state is immutable and all
+// per-query computation is deterministic, so scheduling cannot change
+// answers.
 //
 // Admission control is deadline-aware: a request whose context is already
 // done is rejected without dispatch, a request still queued past
@@ -200,7 +197,7 @@ func (ws *workerState) recordRejected() {
 }
 
 // NewServer starts a streaming query server over d. The returned server is
-// immediately ready; callers submit through Do or Submit from any number of
+// immediately ready; callers submit through Do from any number of
 // goroutines and must Close it when done.
 func NewServer(d *dataset.Dataset, opts ServerOptions) *Server {
 	workers := opts.Workers
@@ -282,15 +279,6 @@ func (s *Server) Do(t *Task) error {
 	return <-t.done
 }
 
-// Submit answers one query through the default solve path. It is the
-// convenience form of Do with a fresh Task per call; ctx bounds the
-// request exactly as Task.Ctx does.
-func (s *Server) Submit(ctx context.Context, q dataset.Query) (Result, error) {
-	t := Task{Ctx: ctx, Query: q}
-	err := s.Do(&t)
-	return t.Result, err
-}
-
 // Close stops accepting new requests, serves everything already queued,
 // and waits for the workers to exit. It is idempotent and safe to call
 // concurrently.
@@ -367,10 +355,6 @@ func (s *Server) serve(p *dataset.Planner, ws *workerState, t *Task) error {
 		ws.recordShed()
 		return ErrOverloaded
 	}
-	opts := s.opts
-	if t.Opts != nil {
-		opts = *t.Opts
-	}
 	matched := false
 	qi, err := p.InstantiateCtx(ctx, t.Query)
 	if err == nil {
@@ -378,7 +362,7 @@ func (s *Server) serve(p *dataset.Planner, ws *workerState, t *Task) error {
 			err = t.Visit(qi)
 		} else {
 			var region *core.Region
-			region, err = Solve(ctx, qi, t.Query.Delta, opts)
+			region, err = Solve(ctx, qi, t.Query.Delta, s.opts)
 			if err == nil && region != nil {
 				matched = true
 				nodes := t.nodes[:0] // reuse the task's pooled backing array

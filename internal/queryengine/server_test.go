@@ -13,28 +13,24 @@ import (
 )
 
 // TestServerMatchesRun is the streaming golden guarantee: serving a
-// workload query by query must return exactly what the batch engine
-// returns, for every method.
+// workload query by query through one reused Task must return exactly
+// what the serial Instantiate + Solve loop returns, for every method.
 func TestServerMatchesRun(t *testing.T) {
 	d, qs := testWorkload(t, 0.12, 12)
 	for _, method := range []Method{MethodTGEN, MethodGreedy, MethodAPP} {
-		want, err := Run(context.Background(), d, qs, Options{Workers: 1, Method: method})
-		if err != nil {
-			t.Fatalf("%v batch: %v", method, err)
-		}
+		want := serial(t, d, qs, Options{Method: method})
 		srv := NewServer(d, ServerOptions{Workers: 2, Options: Options{Method: method}})
-		got := make([]Result, len(qs))
+		var task Task
 		for i, q := range qs {
-			r, err := srv.Submit(context.Background(), q)
-			if err != nil {
-				t.Fatalf("%v submit %d: %v", method, i, err)
+			task.Query = q
+			if err := srv.Do(&task); err != nil {
+				t.Fatalf("%v query %d: %v", method, i, err)
 			}
-			got[i] = r
+			if !reflect.DeepEqual(task.Result, want[i]) {
+				t.Fatalf("%v query %d: served result differs from the serial one", method, i)
+			}
 		}
 		srv.Close()
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%v: served results differ from batch results", method)
-		}
 	}
 }
 
@@ -42,10 +38,7 @@ func TestServerMatchesRun(t *testing.T) {
 // -race CI step exercises the locking) and checks every answer.
 func TestServerConcurrentSubmits(t *testing.T) {
 	d, qs := testWorkload(t, 0.1, 8)
-	want, err := Run(context.Background(), d, qs, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := serial(t, d, qs, Options{})
 	srv := NewServer(d, ServerOptions{Workers: 3, Queue: 2})
 	defer srv.Close()
 	const clients = 6
@@ -56,13 +49,13 @@ func TestServerConcurrentSubmits(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i, q := range qs {
-				r, err := srv.Submit(context.Background(), q)
+				r, err := submit(context.Background(), srv, q)
 				if err != nil {
 					errs <- err
 					return
 				}
 				if !reflect.DeepEqual(r, want[i]) {
-					errs <- errors.New("served result differs from batch result")
+					errs <- errors.New("served result differs from the serial result")
 					return
 				}
 			}
@@ -82,10 +75,7 @@ func TestServerConcurrentSubmits(t *testing.T) {
 // worker with the pooled instance and can solve in place.
 func TestServerVisit(t *testing.T) {
 	d, qs := testWorkload(t, 0.1, 4)
-	want, err := Run(context.Background(), d, qs, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := serial(t, d, qs, Options{})
 	srv := NewServer(d, ServerOptions{Workers: 1})
 	defer srv.Close()
 	for i, q := range qs {
@@ -170,14 +160,14 @@ func TestServerClose(t *testing.T) {
 		wg.Add(1)
 		go func(q dataset.Query) {
 			defer wg.Done()
-			if _, err := srv.Submit(context.Background(), q); err != nil {
+			if _, err := submit(context.Background(), srv, q); err != nil {
 				t.Errorf("submit before close: %v", err)
 			}
 		}(q)
 	}
 	wg.Wait()
 	srv.Close()
-	if _, err := srv.Submit(context.Background(), qs[0]); !errors.Is(err, ErrServerClosed) {
+	if _, err := submit(context.Background(), srv, qs[0]); !errors.Is(err, ErrServerClosed) {
 		t.Fatalf("submit after close: %v, want ErrServerClosed", err)
 	}
 	srv.Close() // must not panic or deadlock
@@ -191,7 +181,7 @@ func TestServerStats(t *testing.T) {
 	d, qs := testWorkload(t, 0.1, 8)
 	srv := NewServer(d, ServerOptions{Workers: 2, LatencyWindow: 4})
 	for _, q := range qs {
-		if _, err := srv.Submit(context.Background(), q); err != nil {
+		if _, err := submit(context.Background(), srv, q); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -241,7 +231,7 @@ func TestServerConcurrentClose(t *testing.T) {
 	d, qs := testWorkload(t, 0.1, 4)
 	srv := NewServer(d, ServerOptions{Workers: 2})
 	for _, q := range qs {
-		if _, err := srv.Submit(context.Background(), q); err != nil {
+		if _, err := submit(context.Background(), srv, q); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -254,7 +244,7 @@ func TestServerConcurrentClose(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if _, err := srv.Submit(context.Background(), qs[0]); !errors.Is(err, ErrServerClosed) {
+	if _, err := submit(context.Background(), srv, qs[0]); !errors.Is(err, ErrServerClosed) {
 		t.Fatalf("submit after concurrent close = %v, want ErrServerClosed", err)
 	}
 }
@@ -268,7 +258,7 @@ func TestServerRejectsDoneContext(t *testing.T) {
 	defer srv.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := srv.Submit(ctx, qs[0]); !errors.Is(err, context.Canceled) {
+	if _, err := submit(ctx, srv, qs[0]); !errors.Is(err, context.Canceled) {
 		t.Fatalf("submit with done context = %v, want context.Canceled", err)
 	}
 	st := srv.Stats()
@@ -279,7 +269,7 @@ func TestServerRejectsDoneContext(t *testing.T) {
 		t.Fatalf("Errors = %d, want 1", st.Errors)
 	}
 	// The server is still healthy for live contexts.
-	if _, err := srv.Submit(context.Background(), qs[0]); err != nil {
+	if _, err := submit(context.Background(), srv, qs[0]); err != nil {
 		t.Fatalf("submit after rejection: %v", err)
 	}
 }
@@ -309,7 +299,7 @@ func TestServerShedsByQueueAge(t *testing.T) {
 	errs := make(chan error, queued)
 	for i := 0; i < queued; i++ {
 		go func(q dataset.Query) {
-			_, err := srv.Submit(context.Background(), q)
+			_, err := submit(context.Background(), srv, q)
 			errs <- err
 		}(qs[1+i%(len(qs)-1)])
 	}
@@ -335,47 +325,13 @@ func TestServerShedsByQueueAge(t *testing.T) {
 	}
 }
 
-// TestServerPerTaskOptions checks per-request option overrides: a Task
-// carrying its own Options is answered with that method, not the server
-// default.
-func TestServerPerTaskOptions(t *testing.T) {
-	d, qs := testWorkload(t, 0.12, 6)
-	wantGreedy, err := Run(context.Background(), d, qs, Options{Workers: 1, Method: MethodGreedy})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantTGEN, err := Run(context.Background(), d, qs, Options{Workers: 1, Method: MethodTGEN})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := NewServer(d, ServerOptions{Workers: 1, Options: Options{Method: MethodTGEN}})
-	defer srv.Close()
-	override := Options{Method: MethodGreedy}
-	for i, q := range qs {
-		task := Task{Query: q, Opts: &override}
-		if err := srv.Do(&task); err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(task.Result, wantGreedy[i]) {
-			t.Fatalf("query %d: per-task Greedy override not honored", i)
-		}
-		r, err := srv.Submit(context.Background(), q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(r, wantTGEN[i]) {
-			t.Fatalf("query %d: default options disturbed by per-task override", i)
-		}
-	}
-}
-
 // TestServerErrorCounter checks that errored requests show up in stats
 // (they used to be invisible).
 func TestServerErrorCounter(t *testing.T) {
 	d, qs := testWorkload(t, 0.1, 2)
 	srv := NewServer(d, ServerOptions{Workers: 1, Options: Options{Method: Method(99)}})
 	defer srv.Close()
-	if _, err := srv.Submit(context.Background(), qs[0]); err == nil {
+	if _, err := submit(context.Background(), srv, qs[0]); err == nil {
 		t.Fatal("unknown method accepted")
 	}
 	st := srv.Stats()
@@ -384,16 +340,5 @@ func TestServerErrorCounter(t *testing.T) {
 	}
 	if !strings.Contains(st.String(), "errors=1") {
 		t.Fatalf("ServerStats.String() omits the error counter: %q", st.String())
-	}
-}
-
-// TestRunFuncHonorsContext checks batch-level cancellation: a cancelled
-// context stops the fan-out and surfaces ctx.Err().
-func TestRunFuncHonorsContext(t *testing.T) {
-	d, qs := testWorkload(t, 0.1, 8)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := Run(ctx, d, qs, Options{Workers: 2}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled Run = %v, want context.Canceled", err)
 	}
 }

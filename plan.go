@@ -104,8 +104,9 @@ func fromEngineMethod(m queryengine.Method) Method {
 	}
 }
 
-// toEngineMethod maps a concrete public method onto the engine's enum
-// (MethodAuto has no engine counterpart; resolve it first).
+// toEngineMethod maps a concrete public method onto the engine's enum.
+// MethodAuto has no engine counterpart and maps to TGEN, the placeholder
+// until planQuery resolves it.
 func toEngineMethod(m Method) queryengine.Method {
 	switch m {
 	case MethodAPP:

@@ -16,13 +16,14 @@
 //
 // A Database is built either from caller-supplied nodes, edges and
 // objects (New) or from the built-in synthetic datasets mirroring the
-// paper's experimental setting (NYLike, USANWLike). The API is
-// context-first: every query path — Do (the unified Request/Response
-// form), the Run/RunTopK wrappers, RunBatch, and a Server's Do/Submit —
-// takes a context.Context whose cancellation or deadline is honored
-// mid-solve, so a slow query can always be bounded. Database.Serve
-// starts a streaming server with deadline-aware admission and load
-// shedding; Server.HTTPHandler exposes it over HTTP as JSON.
+// paper's experimental setting (NYLike, USANWLike). Every query is a
+// Request answered through one path: Database.Do for one-shot queries,
+// RunBatch for a workload, a Server's Do for continuous traffic (and a
+// Cluster's Do across node processes). Each takes a context.Context whose
+// cancellation or deadline is honored mid-solve, so a slow query can
+// always be bounded. Database.Serve starts a streaming server with
+// deadline-aware admission and load shedding; Server.HTTPHandler exposes
+// it over HTTP as JSON.
 //
 // Basic usage:
 //
@@ -32,8 +33,10 @@
 //	...
 //	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 //	defer cancel()
-//	res, err := db.Run(ctx, qs[0], repro.SearchOptions{})
-//	fmt.Println(res.Score, res.Length, len(res.Objects))
+//	resp := db.Do(ctx, repro.Request{Query: qs[0]})
+//	if res := resp.Best(); res != nil {
+//		fmt.Println(res.Score, res.Length, len(res.Objects))
+//	}
 package repro
 
 import (
@@ -42,6 +45,7 @@ import (
 	"math/rand"
 	"os"
 	"strings"
+	"sync"
 
 	"repro/internal/btree"
 	"repro/internal/dataset"
@@ -117,6 +121,8 @@ type ObjectSpec struct {
 // internal reader/writer lock and always observe a consistent state).
 type Database struct {
 	ds *dataset.Dataset
+	// planners pools the *dataset.Planner scratch Do borrows per request.
+	planners sync.Pool
 }
 
 // New builds a Database from explicit nodes, edges and objects. Objects

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -43,6 +44,17 @@ func tinyDB(t *testing.T) *Database {
 	return db
 }
 
+// best answers q with opts through Database.Do, failing the test on an
+// error, and returns the best region (nil when nothing matched).
+func best(t *testing.T, db *Database, q Query, opts SearchOptions) *Result {
+	t.Helper()
+	resp := db.Do(context.Background(), Request{Query: q, Search: opts})
+	if resp.Err != nil {
+		t.Fatal(resp.Err)
+	}
+	return resp.Best()
+}
+
 func TestNewValidation(t *testing.T) {
 	if _, err := New(nil, nil, []ObjectSpec{{Text: "x"}}); err == nil {
 		t.Error("no nodes accepted")
@@ -67,10 +79,7 @@ func TestTinyEndToEnd(t *testing.T) {
 		Region:   db.Bounds(),
 	}
 	for _, m := range []Method{MethodTGEN, MethodAPP, MethodGreedy} {
-		res, err := db.Run(context.Background(), q, SearchOptions{Method: m})
-		if err != nil {
-			t.Fatalf("%v: %v", m, err)
-		}
+		res := best(t, db, q, SearchOptions{Method: m})
 		if res == nil {
 			t.Fatalf("%v: nil result", m)
 		}
@@ -94,40 +103,30 @@ func TestTinyEndToEnd(t *testing.T) {
 	}
 	// TGEN with budget 250 should capture all three cafes: they sit at
 	// corners (0,0), (100,0), (0,100) — 200 m of road connects them.
-	res, err := db.Run(context.Background(), q, SearchOptions{Method: MethodTGEN})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Objects) != 3 {
+	if res := best(t, db, q, SearchOptions{Method: MethodTGEN}); len(res.Objects) != 3 {
 		t.Errorf("TGEN found %d cafes, want 3 (score %v, len %v)", len(res.Objects), res.Score, res.Length)
 	}
 }
 
 func TestRunNoMatch(t *testing.T) {
 	db := tinyDB(t)
-	res, err := db.Run(context.Background(), Query{Keywords: []string{"zzz"}, Delta: 100, Region: db.Bounds()}, SearchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res != nil {
-		t.Errorf("unknown keyword produced %+v", res)
+	resp := db.Do(context.Background(), Request{Query: Query{Keywords: []string{"zzz"}, Delta: 100, Region: db.Bounds()}})
+	if resp.Err != nil || resp.Results != nil {
+		t.Errorf("unknown keyword produced (%+v, %v), want an empty answer", resp.Results, resp.Err)
 	}
 }
 
 func TestRunValidation(t *testing.T) {
 	db := tinyDB(t)
-	if _, err := db.Run(context.Background(), Query{Delta: 10, Region: db.Bounds()}, SearchOptions{}); err == nil {
-		t.Error("empty keywords accepted")
-	}
-	if _, err := db.Run(context.Background(), Query{Keywords: []string{"cafe"}, Delta: 0, Region: db.Bounds()}, SearchOptions{}); err == nil {
-		t.Error("zero ∆ accepted")
-	}
-	if _, err := db.Run(context.Background(), Query{Keywords: []string{"cafe"}, Delta: 1, Region: db.Bounds()},
-		SearchOptions{Method: Method(99)}); err == nil {
-		t.Error("unknown method accepted")
-	}
-	if _, err := db.RunTopK(context.Background(), Query{Keywords: []string{"cafe"}, Delta: 1, Region: db.Bounds()}, 0, SearchOptions{}); err == nil {
-		t.Error("k=0 accepted")
+	for name, req := range map[string]Request{
+		"empty keywords":  {Query: Query{Delta: 10, Region: db.Bounds()}},
+		"zero ∆":          {Query: Query{Keywords: []string{"cafe"}, Delta: 0, Region: db.Bounds()}},
+		"unknown method":  {Query: Query{Keywords: []string{"cafe"}, Delta: 1, Region: db.Bounds()}, Search: SearchOptions{Method: Method(99)}},
+		"negative method": {Query: Query{Keywords: []string{"cafe"}, Delta: 1, Region: db.Bounds()}, Search: SearchOptions{Method: -1}},
+	} {
+		if resp := db.Do(context.Background(), req); resp.Err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }
 
@@ -135,10 +134,11 @@ func TestRunTopK(t *testing.T) {
 	db := tinyDB(t)
 	q := Query{Keywords: []string{"cafe"}, Delta: 120, Region: db.Bounds()}
 	for _, m := range []Method{MethodTGEN, MethodAPP, MethodGreedy} {
-		rs, err := db.RunTopK(context.Background(), q, 2, SearchOptions{Method: m})
-		if err != nil {
-			t.Fatalf("%v: %v", m, err)
+		resp := db.Do(context.Background(), Request{Query: q, K: 2, Search: SearchOptions{Method: m}})
+		if resp.Err != nil {
+			t.Fatalf("%v: %v", m, resp.Err)
 		}
+		rs := resp.Results
 		if len(rs) == 0 || len(rs) > 2 {
 			t.Fatalf("%v: %d results", m, len(rs))
 		}
@@ -166,10 +166,7 @@ func TestRegionRestriction(t *testing.T) {
 		Delta:    250,
 		Region:   Rect{MinX: -10, MinY: -10, MaxX: 110, MaxY: 110},
 	}
-	res, err := db.Run(context.Background(), q, SearchOptions{Method: MethodTGEN})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := best(t, db, q, SearchOptions{Method: MethodTGEN})
 	if res == nil {
 		t.Fatal("nil result")
 	}
@@ -192,11 +189,7 @@ func TestNYLikeFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, q := range qs {
-		res, err := db.Run(context.Background(), q, SearchOptions{})
-		if err != nil {
-			t.Fatalf("query %d: %v", i, err)
-		}
-		if res == nil || res.Score <= 0 {
+		if res := best(t, db, q, SearchOptions{}); res == nil || res.Score <= 0 {
 			t.Fatalf("query %d: empty result %+v", i, res)
 		}
 	}
@@ -224,14 +217,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 			db2.NumNodes(), db2.NumObjects(), db.NumNodes(), db.NumObjects())
 	}
 	q := Query{Keywords: []string{"cafe"}, Delta: 250, Region: db.Bounds()}
-	a, err := db.Run(context.Background(), q, SearchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := db2.Run(context.Background(), q, SearchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, b := best(t, db, q, SearchOptions{}), best(t, db2, q, SearchOptions{})
 	if len(a.Objects) != len(b.Objects) {
 		t.Errorf("loaded db answers differently: %d vs %d objects", len(a.Objects), len(b.Objects))
 	}
@@ -247,10 +233,7 @@ func TestWeightingModes(t *testing.T) {
 	for _, w := range []Weighting{WeightingRelevance, WeightingRating, WeightingLanguageModel} {
 		q := base
 		q.Weighting = w
-		res, err := db.Run(context.Background(), q, SearchOptions{})
-		if err != nil {
-			t.Fatalf("weighting %d: %v", w, err)
-		}
+		res := best(t, db, q, SearchOptions{})
 		if res == nil || res.Score <= 0 {
 			t.Fatalf("weighting %d: empty result", w)
 		}
@@ -266,8 +249,10 @@ func TestWeightingModes(t *testing.T) {
 	}
 }
 
-// A Database must serve concurrent queries: everything after construction
-// is read-only (the B+-tree posting store serializes internally).
+// A Database must serve concurrent Do calls: each borrows its own pooled
+// planner, so goroutines mixing methods, K = 2 and Explain must each get
+// exactly the answer a serial Do gives — a planner shared between two
+// requests would corrupt one of them.
 func TestConcurrentQueries(t *testing.T) {
 	db, err := NYLike(9, 0.08)
 	if err != nil {
@@ -278,24 +263,37 @@ func TestConcurrentQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var reqs []Request
+	for _, q := range qs {
+		for _, m := range []Method{MethodTGEN, MethodAPP, MethodGreedy} {
+			search := SearchOptions{Method: m}
+			reqs = append(reqs, Request{Query: q, Search: search}, Request{Query: q, Search: search, K: 2, Explain: true})
+		}
+	}
+	want := make([][]*Result, len(reqs))
+	for i, req := range reqs {
+		resp := db.Do(context.Background(), req)
+		if resp.Err != nil || len(resp.Results) == 0 {
+			t.Fatalf("request %d: serial Do = (%v, %v), want a region", i, resp.Results, resp.Err)
+		}
+		want[i] = resp.Results
+	}
+	const workers = 4
 	var wg sync.WaitGroup
-	errs := make(chan error, 16)
-	for w := 0; w < 4; w++ {
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func() {
+		go func(w int) {
 			defer wg.Done()
-			for _, q := range qs {
-				res, err := db.Run(context.Background(), q, SearchOptions{})
-				if err != nil {
-					errs <- err
-					return
-				}
-				if res == nil {
-					errs <- fmt.Errorf("nil result")
+			for k := range reqs {
+				i := (k + w*len(reqs)/workers) % len(reqs) // every goroutine starts elsewhere
+				resp := db.Do(context.Background(), reqs[i])
+				if resp.Err != nil || !reflect.DeepEqual(resp.Results, want[i]) || (resp.Plan == nil) == reqs[i].Explain {
+					errs <- fmt.Errorf("request %d: concurrent Do = (%v, plan %v, %v), want %v", i, resp.Results, resp.Plan != nil, resp.Err, want[i])
 					return
 				}
 			}
-		}()
+		}(w)
 	}
 	wg.Wait()
 	close(errs)

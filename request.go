@@ -5,14 +5,15 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/queryengine"
 )
 
 // Request is the unified query request: every way into the system —
 // one-shot (Database.Do), batch (Database.RunBatch), streaming
-// (Server.Do), and the HTTP front end — speaks this shape. Run, RunTopK
-// and Submit remain as thin wrappers over it.
+// (Server.Do), a cluster (Cluster.Do), and the HTTP front end — speaks
+// this shape and is answered by the same code path.
 type Request struct {
 	// Query is the LCMSR query ⟨ψ, ∆, Λ⟩.
 	Query Query
@@ -22,12 +23,12 @@ type Request struct {
 	// defaults"; any non-zero Search overrides them for this request
 	// only. Because plain TGEN defaults ARE the zero value, they cannot
 	// be forced through this field on a server configured with another
-	// method — use Server.DoWithOptions for that.
+	// method; the HTTP front end's method field can.
 	Search SearchOptions
 	// K, when > 1, asks for the top-K pairwise-disjoint regions in
 	// decreasing quality order (§6.2); K <= 1 returns the single best
-	// region. Either way the request runs on the worker's pooled solver
-	// state and is cancelled mid-solve.
+	// region. Either way the request runs on pooled solver state and is
+	// cancelled mid-solve.
 	K int
 	// Explain asks for an EXPLAIN annotation: the answered Response
 	// carries a Plan describing the method choice, estimated vs. actual
@@ -62,51 +63,98 @@ func (r Response) Best() *Result {
 	return r.Results[0]
 }
 
-// Do answers one request against the database. ctx bounds the work: the
-// solvers carry cancellation checkpoints, so a cancelled or expired
-// context makes Do return ctx.Err() in Response.Err within a bounded
-// number of solver iterations, top-K requests included. Do is the one-shot
-// form; use RunBatch for workloads and Serve for continuous traffic.
+// Do answers one request against the database. ctx bounds the work: it
+// reaches the object search (a cluster scatter included) and the solvers'
+// cancellation checkpoints, so a cancelled or expired context makes Do
+// return ctx.Err() in Response.Err within a bounded number of solver
+// iterations, top-K requests included. Do runs in the caller's goroutine
+// on a planner borrowed from the database's pool; use RunBatch for
+// workloads and Serve for continuous traffic.
 func (db *Database) Do(ctx context.Context, req Request) Response {
+	return db.answer(ctx, nil, req, req.Search)
+}
+
+// answer is the one request path — validate, instantiate, plan, solve,
+// finish — behind Database.Do, Server.Do (and so RunBatch and Cluster.Do)
+// and the HTTP front end. search is the tuning to answer with, already
+// resolved against any server default. With srv nil the request runs in
+// the caller's goroutine on a pooled planner; otherwise it queues on srv
+// and runs on a worker's planner, where its queue wait is the load signal
+// the planner degrades MethodAuto on.
+func (db *Database) answer(ctx context.Context, srv *Server, req Request, search SearchOptions) Response {
 	dq, err := toDatasetQuery(req.Query)
 	if err != nil {
 		return Response{Err: fmt.Errorf("repro: %w", err)}
 	}
 	dq.Trace = req.Explain
-	search := req.Search
-	// Validate the tuning knobs (and any concrete method) before doing
-	// instantiate work. MethodAuto is resolved after instantiation, when
-	// the instance size is known, so it is probed as its cheapest
-	// resolution here.
-	probe := search
-	if probe.Method == MethodAuto {
-		probe.Method = MethodTGEN
-	}
-	if _, err := toEngineOptions(probe, 1); err != nil {
+	// Validate the knobs before any instantiate work; MethodAuto is
+	// resolved by planQuery once the instance size is known.
+	opts, err := toEngineOptions(search)
+	if err != nil {
 		return Response{Err: err}
 	}
+	var results []*Result
+	var pl *Plan
 	started := time.Now()
-	qi, err := db.ds.Instantiate(dq)
+	t := queryengine.Task{Ctx: ctx, Query: dq}
+	// Visit materializes the answer while qi is still this request's: the
+	// instance aliases pooled planner buffers the next request reuses.
+	t.Visit = func(qi *dataset.QueryInstance) error {
+		// At pressure ≥ plan.DegradePressure Auto serves one rung cheaper;
+		// shedding only fires at pressure > 1, so degradation always gets
+		// its chance first.
+		pressure := 0.0
+		if srv != nil && srv.maxQueueAge > 0 {
+			pressure = float64(t.Wait) / float64(srv.maxQueueAge)
+		}
+		resolved, p := db.planQuery(ctx, qi, dq.Lambda, search, pressure, req.Explain)
+		opts.Method = toEngineMethod(resolved.Method)
+		var err error
+		results, err = db.solve(ctx, qi, dq.Delta, req.K, opts)
+		// The trace aliases the planner; finish copies it out.
+		p.finish(qi, started, t.Wait)
+		pl = p
+		return err
+	}
+	if srv != nil {
+		err = srv.inner.Do(&t)
+	} else {
+		err = db.visit(&t)
+	}
 	if err != nil {
 		return Response{Err: err}
 	}
-	search, pl := db.planQuery(ctx, qi, dq.Lambda, search, 0, req.Explain)
-	qeOpts, err := toEngineOptions(search, 1)
-	if err != nil {
-		return Response{Err: err}
+	if srv != nil && len(results) > 0 {
+		srv.matched.Add(1)
 	}
-	results, err := db.solve(ctx, qi, dq.Delta, req.K, qeOpts)
-	if err != nil {
-		return Response{Err: err}
-	}
-	pl.finish(qi, started, 0)
 	return Response{Results: results, Plan: pl}
+}
+
+// visit runs t the way a server worker does — instantiate, then Visit —
+// in the caller's goroutine on a planner borrowed from the database's
+// pool. A planner goes back to the pool only after a clean run; one a
+// panic unwound through is dropped with its scratch.
+func (db *Database) visit(t *queryengine.Task) error {
+	p, _ := db.planners.Get().(*dataset.Planner)
+	if p == nil {
+		p = db.ds.NewPlanner()
+	}
+	qi, err := p.InstantiateCtx(t.Ctx, t.Query)
+	if err == nil {
+		err = t.Visit(qi)
+		// The pool keeps the instantiate buffers, not the solver state:
+		// APP's λ-cache and GW arenas and TGEN's tuple arrays run to
+		// megabytes, and a pooled planner stays reachable until two
+		// garbage collections pass it by unused.
+		*qi.Scratch = core.SolveScratch{}
+	}
+	db.planners.Put(p)
+	return err
 }
 
 // solve answers a materialized query with a resolved method — the single
 // best region, or the top k when k > 1 — and materializes the regions before
-// the instance's pooled planner and scratch are reused; shared by
-// Database.Do and Server.Do.
+// the instance's pooled planner and scratch are reused.
 func (db *Database) solve(ctx context.Context, qi *dataset.QueryInstance, delta float64, k int, opts queryengine.Options) ([]*Result, error) {
 	if k <= 1 {
 		region, err := queryengine.Solve(ctx, qi, delta, opts)
@@ -122,6 +170,26 @@ func (db *Database) solve(ctx context.Context, qi *dataset.QueryInstance, delta 
 	out := make([]*Result, 0, len(regions))
 	for _, r := range regions {
 		out = append(out, db.materialize(qi, r))
+	}
+	return out, nil
+}
+
+// toEngineOptions maps the public SearchOptions onto the engine's Options,
+// rejecting unknown methods. MethodAuto maps to TGEN until planQuery
+// resolves it per request; a zero TGEN α is auto-sized by the engine
+// (σ̂max ≈ 9 over the query region).
+func toEngineOptions(opts SearchOptions) (queryengine.Options, error) {
+	if opts.Method < MethodTGEN || opts.Method > MethodAuto {
+		return queryengine.Options{}, fmt.Errorf("repro: unknown method %v", opts.Method)
+	}
+	out := queryengine.Options{
+		Method: toEngineMethod(opts.Method),
+		APP:    core.APPOptions{Alpha: opts.Alpha, Beta: opts.Beta},
+		TGEN:   core.TGENOptions{Alpha: opts.Alpha},
+		Greedy: core.GreedyOptions{Mu: opts.Mu, MuSet: opts.MuSet},
+	}
+	if opts.UseSPTSolver {
+		out.APP.Solver = core.SolverSPT
 	}
 	return out, nil
 }

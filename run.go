@@ -1,7 +1,6 @@
 package repro
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -27,8 +26,7 @@ const (
 	// term directories and the instance size, picks the most expensive
 	// method affordable within the request's budget (SearchOptions.Budget,
 	// else the context deadline), and degrades one rung under queue
-	// pressure instead of shedding. Database.Do and Server.Do resolve it;
-	// RunBatch requires a concrete method. Set Request.Explain to see the
+	// pressure instead of shedding. Set Request.Explain to see the
 	// decision in Response.Plan.
 	MethodAuto
 )
@@ -115,26 +113,6 @@ type Result struct {
 	Edges []EdgeSpec
 	// Objects are the relevant objects the region contains.
 	Objects []ResultObject
-}
-
-// Run answers an LCMSR query and returns the best region, or nil when no
-// object in Q.Λ matches the keywords. ctx bounds the solve: a cancelled
-// or expired context returns ctx.Err() within a bounded number of solver
-// iterations. Run is the single-result convenience form of Do.
-func (db *Database) Run(ctx context.Context, q Query, opts SearchOptions) (*Result, error) {
-	resp := db.Do(ctx, Request{Query: q, Search: opts})
-	return resp.Best(), resp.Err
-}
-
-// RunTopK answers the top-k LCMSR query (§6.2): up to k pairwise-disjoint
-// regions in decreasing quality order. ctx cancels mid-solve, exactly as
-// for Run. RunTopK is the K-form convenience wrapper over Do.
-func (db *Database) RunTopK(ctx context.Context, q Query, k int, opts SearchOptions) ([]*Result, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("repro: k must be positive, got %d", k)
-	}
-	resp := db.Do(ctx, Request{Query: q, Search: opts, K: k})
-	return resp.Results, resp.Err
 }
 
 // materialize converts a core region (local IDs) into a public Result

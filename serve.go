@@ -6,15 +6,13 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/dataset"
 	"repro/internal/queryengine"
 )
 
-// ErrOverloaded is returned (in Response.Err / Submit's error) when the
-// server sheds a request under load: the request waited in the queue
-// longer than ServeOptions.MaxQueueAge. Clients should back off and
-// retry. It aliases the engine's sentinel so errors.Is works across
-// layers.
+// ErrOverloaded is returned in Response.Err when the server sheds a
+// request under load: the request waited in the queue longer than
+// ServeOptions.MaxQueueAge. Clients should back off and retry. It aliases
+// the engine's sentinel so errors.Is works across layers.
 var ErrOverloaded = queryengine.ErrOverloaded
 
 // ServeOptions configures a streaming query server (Database.Serve).
@@ -23,11 +21,11 @@ type ServeOptions struct {
 	// worker owns one pooled planner, so memory grows with workers, not
 	// with traffic.
 	Workers int
-	// Search selects the algorithm and tuning, exactly as for Run/RunBatch.
+	// Search selects the algorithm and tuning, exactly as for Database.Do.
 	// A Request may override it per request (Request.Search).
 	Search SearchOptions
 	// Queue bounds the number of requests waiting for a worker; a full
-	// queue makes Do/Submit block (backpressure) until space frees or the
+	// queue makes Do block (backpressure) until space frees or the
 	// request's context fires. <= 0 means 2×Workers.
 	Queue int
 	// MaxQueueAge, when positive, sheds requests that waited in the queue
@@ -77,8 +75,8 @@ func (st ServeStats) String() string {
 }
 
 // Server is a long-lived streaming query service over one Database. Any
-// number of goroutines may Do/Submit concurrently; answers are
-// bit-identical to Run/RunBatch on the same database. Admission is
+// number of goroutines may call Do concurrently; answers are
+// bit-identical to Database.Do on the same database. Admission is
 // deadline-aware: a request whose context is already done is rejected
 // without dispatch, one that out-waits MaxQueueAge is shed with
 // ErrOverloaded, and one cancelled mid-solve returns ctx.Err() promptly
@@ -86,7 +84,6 @@ func (st ServeStats) String() string {
 type Server struct {
 	db          *Database
 	inner       *queryengine.Server
-	opts        queryengine.Options
 	search      SearchOptions
 	maxQueueAge time.Duration
 	matched     atomic.Int64
@@ -96,26 +93,17 @@ type Server struct {
 // fixed workload and returns, the server accepts requests continuously
 // until Close, with per-request latency tracking (Stats).
 func (db *Database) Serve(opts ServeOptions) (*Server, error) {
-	// MethodAuto is resolved per request (it needs the instance size and
-	// the live queue pressure); validate the remaining knobs against its
-	// cheapest resolution.
-	probe := opts.Search
-	if probe.Method == MethodAuto {
-		probe.Method = MethodTGEN
-	}
-	qeOpts, err := toEngineOptions(probe, opts.Workers)
-	if err != nil {
+	if _, err := toEngineOptions(opts.Search); err != nil {
 		return nil, err
 	}
 	inner := queryengine.NewServer(db.ds, queryengine.ServerOptions{
 		Workers:         opts.Workers,
-		Options:         qeOpts,
 		Queue:           opts.Queue,
 		MaxQueueAge:     opts.MaxQueueAge,
 		LatencyWindow:   opts.LatencyWindow,
 		DeadlineOrdered: opts.DeadlineOrdered,
 	})
-	return &Server{db: db, inner: inner, opts: qeOpts, search: opts.Search, maxQueueAge: opts.MaxQueueAge}, nil
+	return &Server{db: db, inner: inner, search: opts.Search, maxQueueAge: opts.MaxQueueAge}, nil
 }
 
 // Do answers one request, blocking until a worker is free (that is the
@@ -130,91 +118,12 @@ func (s *Server) Do(ctx context.Context, req Request) Response {
 	if req.Search != (SearchOptions{}) {
 		search = req.Search
 	}
-	return s.do(ctx, req, search)
-}
-
-// DoWithOptions answers req with search used exactly as given, bypassing
-// Do's zero-Search convention. Reach for it when the desired options are
-// themselves the zero value — plain TGEN defaults — on a server
-// configured with a different method: that override is inexpressible
-// through Request.Search, whose zero value means "server defaults". The
-// HTTP front end resolves its method field through this path.
-func (s *Server) DoWithOptions(ctx context.Context, req Request, search SearchOptions) Response {
-	return s.do(ctx, req, search)
-}
-
-// do answers req with an explicitly resolved search.
-func (s *Server) do(ctx context.Context, req Request, search SearchOptions) Response {
-	dq, err := toDatasetQuery(req.Query)
-	if err != nil {
-		return Response{Err: fmt.Errorf("repro: %w", err)}
-	}
-	dq.Trace = req.Explain
-	auto := search.Method == MethodAuto
-	qeOpts := s.opts
-	if search != s.search {
-		probe := search
-		if auto {
-			probe.Method = MethodTGEN // knob validation; Auto resolves on the worker
-		}
-		qeOpts, err = toEngineOptions(probe, 0)
-		if err != nil {
-			return Response{Err: err}
-		}
-	}
-	var results []*Result
-	var pl *Plan
-	started := time.Now()
-	t := queryengine.Task{Ctx: ctx, Query: dq}
-	t.Visit = func(qi *dataset.QueryInstance) error {
-		// Materialize on the worker: the instance aliases pooled planner
-		// buffers that are reused for the next request.
-		if auto || req.Explain {
-			// Plan on the worker, where both the instance size and the
-			// request's own queue wait (the load signal) are known. At
-			// pressure ≥ plan.DegradePressure Auto serves one rung cheaper;
-			// shedding only fires at pressure > 1, so degradation always
-			// gets its chance first.
-			pressure := 0.0
-			if s.maxQueueAge > 0 {
-				pressure = float64(t.Wait) / float64(s.maxQueueAge)
-			}
-			search, pl = s.db.planQuery(ctx, qi, dq.Lambda, search, pressure, req.Explain)
-			if auto {
-				o, oerr := toEngineOptions(search, 0)
-				if oerr != nil {
-					return oerr
-				}
-				qeOpts = o
-			}
-		}
-		var verr error
-		results, verr = s.db.solve(ctx, qi, dq.Delta, req.K, qeOpts)
-		// The trace aliases the worker's pooled planner; finish copies it
-		// out while qi is still this request's.
-		pl.finish(qi, started, t.Wait)
-		return verr
-	}
-	if err := s.inner.Do(&t); err != nil {
-		return Response{Err: err}
-	}
-	if len(results) > 0 {
-		s.matched.Add(1)
-	}
-	return Response{Results: results, Plan: pl}
-}
-
-// Submit answers one query through the server's configured options. It
-// returns nil when no object inside Q.Λ matches the keywords, exactly
-// like Run. Submit is the single-result convenience form of Do.
-func (s *Server) Submit(ctx context.Context, q Query) (*Result, error) {
-	resp := s.Do(ctx, Request{Query: q})
-	return resp.Best(), resp.Err
+	return s.db.answer(ctx, s, req, search)
 }
 
 // Close stops accepting requests, drains the queue, and waits for the
 // workers to exit. It is idempotent and safe to call concurrently;
-// Do/Submit after Close return queryengine.ErrServerClosed.
+// Do after Close returns queryengine.ErrServerClosed.
 func (s *Server) Close() {
 	s.inner.Close()
 }

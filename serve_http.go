@@ -61,10 +61,10 @@ func (b httpBackend) Query(ctx context.Context, req httpapi.QueryRequest) (httpa
 	if req.K < 0 || req.K > maxHTTPTopK {
 		return httpapi.QueryResponse{}, fmt.Errorf("%w: k must be in [0, %d], got %d", httpapi.ErrBadRequest, maxHTTPTopK, req.K)
 	}
-	// Resolve the effective options explicitly and go through
-	// DoWithOptions, not Do's zero-Search convention: a client naming the
-	// method that happens to be the zero value (TGEN) must still override
-	// a differently configured server.
+	// Resolve the effective options here and answer with them exactly,
+	// bypassing Do's zero-Search convention: a client naming the method
+	// that happens to be the zero value (TGEN) must still override a
+	// differently configured server.
 	search := b.s.search
 	if req.Method != "" {
 		m, err := ParseMethod(req.Method)
@@ -73,7 +73,7 @@ func (b httpBackend) Query(ctx context.Context, req httpapi.QueryRequest) (httpa
 		}
 		search.Method = m
 	}
-	resp := b.s.DoWithOptions(ctx, Request{
+	resp := b.s.db.answer(ctx, b.s, Request{
 		Query: Query{
 			Keywords: req.Keywords,
 			Delta:    req.Delta,

@@ -83,11 +83,7 @@ func TestHTTPQueryMatchesRun(t *testing.T) {
 		var q Query
 		var want *Result
 		for _, cand := range qs {
-			r, err := db.Run(context.Background(), cand, SearchOptions{Method: method})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if r != nil {
+			if r := best(t, db, cand, SearchOptions{Method: method}); r != nil {
 				q, want = cand, r
 				break
 			}
@@ -130,11 +126,11 @@ func TestHTTPTopK(t *testing.T) {
 	var q Query
 	var want []*Result
 	for _, cand := range qs {
-		rs, err := db.RunTopK(context.Background(), cand, 2, SearchOptions{})
-		if err != nil {
-			t.Fatal(err)
+		resp := db.Do(context.Background(), Request{Query: cand, K: 2})
+		if resp.Err != nil {
+			t.Fatal(resp.Err)
 		}
-		if len(rs) >= 2 {
+		if rs := resp.Results; len(rs) >= 2 {
 			q, want = cand, rs
 			break
 		}
@@ -253,14 +249,8 @@ func TestHTTPMethodOverrideOnNonDefaultServer(t *testing.T) {
 	var q Query
 	var wantTGEN, wantAPP *Result
 	for _, cand := range qs {
-		rt, err := db.Run(context.Background(), cand, SearchOptions{Method: MethodTGEN})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ra, err := db.Run(context.Background(), cand, SearchOptions{Method: MethodAPP})
-		if err != nil {
-			t.Fatal(err)
-		}
+		rt := best(t, db, cand, SearchOptions{Method: MethodTGEN})
+		ra := best(t, db, cand, SearchOptions{Method: MethodAPP})
 		if rt != nil && ra != nil && rt.Score != ra.Score {
 			q, wantTGEN, wantAPP = cand, rt, ra
 			break

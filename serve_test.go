@@ -11,8 +11,11 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/geo"
 	"repro/internal/golden"
+	"repro/internal/grid"
 	"repro/internal/queryengine"
+	"repro/internal/textindex"
 )
 
 func serveWorkload(t *testing.T) (*Database, []Query) {
@@ -30,7 +33,7 @@ func serveWorkload(t *testing.T) (*Database, []Query) {
 }
 
 // TestServeMatchesRunBatch is the acceptance guarantee for the streaming
-// service: for every method, submitting a workload through a server —
+// service: for every method, sending a workload through a server —
 // concurrently, from several clients — returns exactly what RunBatch
 // returns for the same queries.
 func TestServeMatchesRunBatch(t *testing.T) {
@@ -51,12 +54,12 @@ func TestServeMatchesRunBatch(t *testing.T) {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				r, err := srv.Submit(context.Background(), qs[i])
-				if err != nil {
-					t.Errorf("%v submit %d: %v", method, i, err)
+				resp := srv.Do(context.Background(), Request{Query: qs[i]})
+				if resp.Err != nil {
+					t.Errorf("%v Do %d: %v", method, i, resp.Err)
 					return
 				}
-				got[i] = r
+				got[i] = resp.Best()
 			}(i)
 		}
 		wg.Wait()
@@ -86,18 +89,19 @@ func TestServeValidationAndClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.Submit(context.Background(), Query{Delta: 10}); err == nil {
+	do := func(q Query) error { return srv.Do(context.Background(), Request{Query: q}).Err }
+	if err := do(Query{Delta: 10}); err == nil {
 		t.Error("query without keywords accepted")
 	}
-	if _, err := srv.Submit(context.Background(), Query{Keywords: []string{"a"}, Delta: -1}); err == nil {
+	if err := do(Query{Keywords: []string{"a"}, Delta: -1}); err == nil {
 		t.Error("non-positive ∆ accepted")
 	}
-	if _, err := srv.Submit(context.Background(), qs[0]); err != nil {
-		t.Fatalf("valid submit: %v", err)
+	if err := do(qs[0]); err != nil {
+		t.Fatalf("valid Do: %v", err)
 	}
 	srv.Close()
-	if _, err := srv.Submit(context.Background(), qs[0]); !errors.Is(err, queryengine.ErrServerClosed) {
-		t.Fatalf("submit after close = %v, want ErrServerClosed", err)
+	if err := do(qs[0]); !errors.Is(err, queryengine.ErrServerClosed) {
+		t.Fatalf("Do after close = %v, want ErrServerClosed", err)
 	}
 	if _, err := db.Serve(ServeOptions{Search: SearchOptions{Method: Method(99)}}); err == nil {
 		t.Error("unknown method accepted")
@@ -125,43 +129,52 @@ func TestParseMethod(t *testing.T) {
 	}
 }
 
-// TestDatabaseDo checks the unified one-shot surface: Do matches the
-// Run/RunTopK wrappers and validates like them.
+// TestDatabaseDo checks the one-shot surface: K = 0 and K = 1 both ask
+// for the single best region, answered identically when the request is
+// repeated on a pooled planner, and Do rejects invalid requests.
 func TestDatabaseDo(t *testing.T) {
 	db, qs := serveWorkload(t)
 	ctx := context.Background()
 	for _, method := range []Method{MethodTGEN, MethodAPP, MethodGreedy} {
-		opts := SearchOptions{Method: method}
 		for _, q := range qs[:4] {
-			want, err := db.Run(ctx, q, opts)
-			if err != nil {
-				t.Fatal(err)
+			req := Request{Query: q, Search: SearchOptions{Method: method}}
+			first := db.Do(ctx, req)
+			if first.Err != nil || len(first.Results) > 1 {
+				t.Fatalf("%v: Do = (%d regions, %v), want at most one", method, len(first.Results), first.Err)
 			}
-			resp := db.Do(ctx, Request{Query: q, Search: opts})
-			if resp.Err != nil {
-				t.Fatal(resp.Err)
-			}
-			if !reflect.DeepEqual(resp.Best(), want) {
-				t.Fatalf("%v: Do differs from Run", method)
-			}
-			if want == nil && len(resp.Results) != 0 {
-				t.Fatalf("%v: empty answer carries results", method)
+			req.K = 1
+			if again := db.Do(ctx, req); !reflect.DeepEqual(again, first) {
+				t.Fatalf("%v: Do K=1 = %+v, K=0 gave %+v", method, again, first)
 			}
 		}
-	}
-	wantK, err := db.RunTopK(ctx, qs[0], 3, SearchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp := db.Do(ctx, Request{Query: qs[0], K: 3})
-	if resp.Err != nil || !reflect.DeepEqual(resp.Results, wantK) {
-		t.Fatalf("Do K=3 = (%v, %v), want %v", resp.Results, resp.Err, wantK)
 	}
 	if resp := db.Do(ctx, Request{Query: Query{Delta: 5}}); resp.Err == nil {
 		t.Fatal("keyword-less request accepted")
 	}
 	if resp := db.Do(ctx, Request{Query: qs[0], Search: SearchOptions{Method: Method(99)}}); resp.Err == nil {
 		t.Fatal("unknown method accepted")
+	}
+}
+
+// TestDoCarriesDeadlineToSearch pins the deadline through Database.Do on a
+// database whose search is routed elsewhere (as OpenCluster routes it to
+// the coordinator's scatter): the search must see the caller's deadline,
+// not a background context.
+func TestDoCarriesDeadlineToSearch(t *testing.T) {
+	db, qs := serveWorkload(t)
+	var seen time.Time
+	db.ds.SetSearchFunc(func(ctx context.Context, q textindex.Query, r geo.Rect, s *grid.SearchScratch) ([]grid.ObjScore, error) {
+		seen, _ = ctx.Deadline()
+		return db.ds.Index.SearchInto(q, r, s)
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	want, _ := ctx.Deadline()
+	if resp := db.Do(ctx, Request{Query: qs[0], Search: SearchOptions{Method: MethodGreedy}}); resp.Err != nil {
+		t.Fatal(resp.Err)
+	}
+	if !seen.Equal(want) {
+		t.Fatalf("search saw deadline %v, want the request's %v", seen, want)
 	}
 }
 
@@ -177,14 +190,8 @@ func TestServerDoPerRequestOptions(t *testing.T) {
 	}
 	defer srv.Close()
 	for _, q := range qs[:4] {
-		wantTGEN, err := db.Run(ctx, q, SearchOptions{Method: MethodTGEN})
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantGreedy, err := db.Run(ctx, q, SearchOptions{Method: MethodGreedy})
-		if err != nil {
-			t.Fatal(err)
-		}
+		wantTGEN := best(t, db, q, SearchOptions{Method: MethodTGEN})
+		wantGreedy := best(t, db, q, SearchOptions{Method: MethodGreedy})
 		if resp := srv.Do(ctx, Request{Query: q}); resp.Err != nil || !reflect.DeepEqual(resp.Best(), wantTGEN) {
 			t.Fatalf("default-path Do = (%v, %v), want TGEN answer", resp.Best(), resp.Err)
 		}
@@ -193,12 +200,9 @@ func TestServerDoPerRequestOptions(t *testing.T) {
 			t.Fatalf("override Do = (%v, %v), want Greedy answer", resp.Best(), resp.Err)
 		}
 		// K rides through the server too.
-		wantK, err := db.RunTopK(ctx, q, 2, SearchOptions{Method: MethodTGEN})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp := srv.Do(ctx, Request{Query: q, K: 2}); resp.Err != nil || !reflect.DeepEqual(resp.Results, wantK) {
-			t.Fatalf("server top-k = (%v, %v), want %v", resp.Results, resp.Err, wantK)
+		wantK := db.Do(ctx, Request{Query: q, K: 2, Search: SearchOptions{Method: MethodTGEN}})
+		if resp := srv.Do(ctx, Request{Query: q, K: 2}); resp.Err != nil || !reflect.DeepEqual(resp.Results, wantK.Results) {
+			t.Fatalf("server top-k = (%v, %v), want %v", resp.Results, resp.Err, wantK.Results)
 		}
 	}
 }
@@ -224,7 +228,7 @@ func TestGoldenTopK(t *testing.T) {
 				if resp.Err != nil {
 					t.Fatal(resp.Err)
 				}
-				served := srv.DoWithOptions(ctx, req, req.Search)
+				served := srv.Do(ctx, req)
 				if served.Err != nil || !reflect.DeepEqual(served.Results, resp.Results) {
 					t.Fatalf("%v query %d K=%d: Server.Do = (%v, %v), Database.Do = %v", method, qi, k, served.Results, served.Err, resp.Results)
 				}
@@ -278,8 +282,7 @@ func TestServeSheddingAndStats(t *testing.T) {
 
 	first := make(chan error, 1)
 	go func() {
-		_, err := srv.Submit(context.Background(), stress)
-		first <- err
+		first <- srv.Do(context.Background(), Request{Query: stress}).Err
 	}()
 	time.Sleep(50 * time.Millisecond) // the worker is now mid-APP-solve
 
@@ -287,17 +290,16 @@ func TestServeSheddingAndStats(t *testing.T) {
 	shedErrs := make(chan error, queued)
 	for i := 0; i < queued; i++ {
 		go func() {
-			_, err := srv.Submit(context.Background(), stress)
-			shedErrs <- err
+			shedErrs <- srv.Do(context.Background(), Request{Query: stress}).Err
 		}()
 	}
 	for i := 0; i < queued; i++ {
 		if err := <-shedErrs; !errors.Is(err, ErrOverloaded) {
-			t.Fatalf("queued submit err = %v, want ErrOverloaded", err)
+			t.Fatalf("queued Do err = %v, want ErrOverloaded", err)
 		}
 	}
 	if err := <-first; err != nil {
-		t.Fatalf("stress submit: %v", err)
+		t.Fatalf("stress Do: %v", err)
 	}
 	st := srv.Stats()
 	if st.Shed != queued {
@@ -309,38 +311,5 @@ func TestServeSheddingAndStats(t *testing.T) {
 	line := st.String()
 	if !strings.Contains(line, "errors=0") || !strings.Contains(line, "shed=3") {
 		t.Fatalf("ServeStats.String() missing counters: %q", line)
-	}
-}
-
-// TestServerDoWithOptions covers the escape hatch for the zero-value
-// trap: plain TGEN defaults are SearchOptions' zero value, so on a
-// server configured with another method they are inexpressible through
-// Request.Search — DoWithOptions applies them explicitly.
-func TestServerDoWithOptions(t *testing.T) {
-	db, qs := serveWorkload(t)
-	ctx := context.Background()
-	srv, err := db.Serve(ServeOptions{Workers: 1, Search: SearchOptions{Method: MethodGreedy}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	for _, q := range qs[:4] {
-		wantTGEN, err := db.Run(ctx, q, SearchOptions{Method: MethodTGEN})
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp := srv.DoWithOptions(ctx, Request{Query: q}, SearchOptions{Method: MethodTGEN})
-		if resp.Err != nil || !reflect.DeepEqual(resp.Best(), wantTGEN) {
-			t.Fatalf("DoWithOptions(TGEN) = (%v, %v), want the TGEN answer", resp.Best(), resp.Err)
-		}
-		// Through Do, the same zero-value Search means server defaults.
-		wantGreedy, err := db.Run(ctx, q, SearchOptions{Method: MethodGreedy})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp := srv.Do(ctx, Request{Query: q, Search: SearchOptions{Method: MethodTGEN}}); resp.Err != nil ||
-			!reflect.DeepEqual(resp.Best(), wantGreedy) {
-			t.Fatalf("Do with zero-value Search = (%v, %v), want the server default (Greedy)", resp.Best(), resp.Err)
-		}
 	}
 }

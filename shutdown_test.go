@@ -64,8 +64,8 @@ func TestServerCloseDuringInflightHTTP(t *testing.T) {
 	srv.Close() // double Close after the fact: still a no-op
 
 	// A request after Close fails typed, not by hanging.
-	if _, err := srv.Submit(context.Background(), qs[0]); !errors.Is(err, queryengine.ErrServerClosed) {
-		t.Fatalf("submit after close = %v, want ErrServerClosed", err)
+	if err := srv.Do(context.Background(), Request{Query: qs[0]}).Err; !errors.Is(err, queryengine.ErrServerClosed) {
+		t.Fatalf("Do after close = %v, want ErrServerClosed", err)
 	}
 
 	// The worker pool must be gone. The HTTP test server keeps its own
@@ -122,8 +122,8 @@ func TestClusterDoubleClose(t *testing.T) {
 	}
 	wg.Wait()
 	// Local serving is restored: the database answers without the cluster.
-	if _, err := coordDB.Run(context.Background(), qs[0], SearchOptions{}); err != nil {
-		t.Fatalf("local run after cluster close: %v", err)
+	if err := coordDB.Do(context.Background(), Request{Query: qs[0]}).Err; err != nil {
+		t.Fatalf("local Do after cluster close: %v", err)
 	}
 	// Node accept loops are still running (owned by startClusterNodes's
 	// cleanup); only the coordinator-side goroutines must be gone, so

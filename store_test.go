@@ -82,9 +82,7 @@ func TestStoreConfigSingleTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Run(context.Background(), qs[0], SearchOptions{}); err != nil {
-		t.Fatal(err)
-	}
+	best(t, db, qs[0], SearchOptions{})
 }
 
 func TestStoreConfigValidation(t *testing.T) {
