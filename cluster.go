@@ -73,14 +73,13 @@ func (cn *ClusterNode) Close() error { return cn.node.Close() }
 // RecordCellRange persists the cell assignment [lo, hi) into the posting
 // store's MANIFEST (checksummed alongside the shard count), so a node
 // process reopening the store serves the same cells it was built for
-// without out-of-band configuration. It requires a disk-backed sharded
-// store.
+// without out-of-band configuration. It requires a disk-backed store.
 func (db *Database) RecordCellRange(lo, hi uint32) error {
-	rec, ok := db.ds.Index.Store().(interface{ RecordCellRange(lo, hi uint32) error })
+	s, ok := db.ds.Index.Store().(*grid.ShardedStore)
 	if !ok {
-		return fmt.Errorf("repro: RecordCellRange: the database's store does not persist cell assignments (need a sharded disk store)")
+		return fmt.Errorf("repro: RecordCellRange: the database's store does not persist cell assignments (need a disk store)")
 	}
-	return rec.RecordCellRange(lo, hi)
+	return s.RecordCellRange(lo, hi)
 }
 
 // ClusterQuota configures per-client token-bucket admission at the
@@ -187,55 +186,15 @@ func (c *Cluster) ServeStats() ServeStats { return c.srv.Stats() }
 // ClusterNodeStats is the coordinator's view of one node connection.
 // Latencies are RPC round-trips measured at the coordinator, network
 // included.
-type ClusterNodeStats struct {
-	Addr           string
-	CellLo, CellHi uint32
-	Sent, Errors   int64
-	P50, P95, P99  time.Duration
-	Samples        int
-}
+type ClusterNodeStats = cluster.NodeClientStats
 
 // ClusterStats aggregates the whole cluster: the coordinator's routing
 // decisions (skips by rectangle and by term directory, retries, replica
 // exhaustion, quota denials) and one entry per node connection.
-type ClusterStats struct {
-	Searches    int64
-	SkippedRect int64
-	SkippedTerm int64
-	Retries     int64
-	NoReplica   int64
-	QuotaDenied int64
-	Groups      int
-	Nodes       []ClusterNodeStats
-}
+type ClusterStats = cluster.Stats
 
 // Stats snapshots the cluster-wide counters.
-func (c *Cluster) Stats() ClusterStats {
-	st := c.coord.Stats()
-	out := ClusterStats{
-		Searches:    st.Searches,
-		SkippedRect: st.SkippedRect,
-		SkippedTerm: st.SkippedTerm,
-		Retries:     st.Retries,
-		NoReplica:   st.NoReplica,
-		QuotaDenied: st.QuotaDenied,
-		Groups:      st.Groups,
-	}
-	for _, ns := range st.Nodes {
-		out.Nodes = append(out.Nodes, ClusterNodeStats{
-			Addr:    ns.Addr,
-			CellLo:  ns.CellLo,
-			CellHi:  ns.CellHi,
-			Sent:    ns.Sent,
-			Errors:  ns.Errors,
-			P50:     ns.P50,
-			P95:     ns.P95,
-			P99:     ns.P99,
-			Samples: ns.Samples,
-		})
-	}
-	return out
-}
+func (c *Cluster) Stats() ClusterStats { return c.coord.Stats() }
 
 // Close stops the serving pool, restores the database's local search
 // path, and releases the node connections. The database itself stays

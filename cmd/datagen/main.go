@@ -5,15 +5,14 @@
 //
 // Usage:
 //
-//	datagen -dataset ny -scale 1.0 -out ny.graph -postings ny.bt
+//	datagen -dataset ny -scale 1.0 -out ny.graph -postings ny.store
 //	datagen -dataset ny -out ny.graph -postings ny.store -shards 8
 //
-// With -shards > 1 the posting store is a directory of that many
-// independent B+-tree shards (see grid.ShardedStore) instead of a single
-// tree file. A sharded store is written with an index metadata
-// checkpoint (META.0/META.1), so it can later be reopened without a
-// rebuild — `lcmsr -open -postings DIR` with the matching -seed/-scale,
-// or grid.NewIndexOver from the library — and absorb live updates.
+// The posting store is a directory of -shards independent B+-tree shards
+// (see grid.ShardedStore), written with an index metadata checkpoint
+// (META.0/META.1), so it can later be reopened without a rebuild —
+// `lcmsr -open -postings DIR` with the matching -seed/-scale, or
+// grid.NewIndexOver from the library — and absorb live updates.
 package main
 
 import (
@@ -32,7 +31,7 @@ func main() {
 		scale    = flag.Float64("scale", 1.0, "dataset size multiplier")
 		seed     = flag.Int64("seed", 1, "random seed")
 		out      = flag.String("out", "", "output path for the road network (required)")
-		postings = flag.String("postings", "", "optional path for the B+-tree posting store (a directory when -shards > 1)")
+		postings = flag.String("postings", "", "optional directory for the B+-tree posting store")
 		shards   = flag.Int("shards", 1, "number of posting-store shards (requires -postings)")
 	)
 	flag.Parse()
@@ -46,15 +45,7 @@ func main() {
 	}
 	cfg := dataset.Config{Seed: *seed, Scale: *scale}
 	if *postings != "" {
-		var (
-			store grid.PostingStore
-			err   error
-		)
-		if *shards > 1 {
-			store, err = grid.CreateShardedStore(*postings, grid.ShardedOptions{Shards: *shards})
-		} else {
-			store, err = grid.NewBTreeStore(*postings)
-		}
+		store, err := grid.CreateShardedStore(*postings, grid.ShardedOptions{Shards: max(*shards, 1)})
 		if err != nil {
 			fatal(err)
 		}
@@ -101,11 +92,7 @@ func main() {
 			fatal(fmt.Errorf("flushing posting store: %w", err))
 		}
 		fatalCleanups = nil // store closed and valid; nothing to undo
-		if *shards > 1 {
-			fmt.Printf("posting lists persisted to %s (%d shards)\n", *postings, *shards)
-		} else {
-			fmt.Printf("posting lists persisted to %s\n", *postings)
-		}
+		fmt.Printf("posting lists persisted to %s (%d shard(s))\n", *postings, max(*shards, 1))
 	}
 }
 

@@ -42,12 +42,12 @@
 // (POST /query, GET /stats) until SIGINT/SIGTERM, honoring client
 // disconnects and per-request timeouts end to end.
 //
-// With -shards N the posting lists live on disk instead of in memory: one
-// B+-tree file for N = 1, a directory of N independent tree shards for
-// N > 1 (cells striped cell mod N; each shard has its own page cache and
-// lock, so concurrent cold reads scale with cores). -postings picks the location;
-// without it a temporary store is built and removed on exit. Cache
-// counters are printed at exit.
+// With -shards N the posting lists live on disk instead of in memory: a
+// directory of N independent B+-tree shards (cells striped cell mod N;
+// each shard has its own page cache and lock, so concurrent cold reads
+// scale with cores). -postings picks the directory; without it a
+// temporary store is built and removed on exit. Cache counters are
+// printed at exit.
 //
 // With -updates N the command first applies N random live updates — a mix
 // of inserts, deletes and reweights through the mutable index (each one
@@ -89,7 +89,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"strings"
@@ -114,8 +113,8 @@ func main() {
 		k          = flag.Int("k", 1, "number of regions (top-k)")
 		explain    = flag.Bool("explain", false, "single-query mode: print the EXPLAIN plan (method choice, estimated vs actual cost, cells scanned vs skipped)")
 		auto       = flag.Bool("auto", false, "generate keywords and region automatically")
-		shards     = flag.Int("shards", 0, "disk-backed posting store: 1 = single B+-tree, >1 = that many cell-striped shards (cell mod N); 0 keeps postings in memory")
-		postings   = flag.String("postings", "", "posting store location (file for -shards 1, directory for -shards >1); default: a temporary path removed on exit")
+		shards     = flag.Int("shards", 0, "disk-backed posting store: this many cell-striped B+-tree shards (cell mod N); 0 keeps postings in memory")
+		postings   = flag.String("postings", "", "posting store directory; default: a temporary directory removed on exit")
 		open       = flag.Bool("open", false, "reopen the persisted posting store at -postings (committed meta + WAL replay) instead of rebuilding it; -seed/-scale must match the run that created it")
 		updates    = flag.Int("updates", 0, "apply this many random live updates (insert/delete/reweight mix) before the query phase, then compact")
 		queries    = flag.Int("queries", 1, "number of queries (>1 switches to workload mode)")
@@ -763,11 +762,7 @@ func storeConfig(shards int, path string, open bool) (repro.StoreConfig, func(),
 			return repro.StoreConfig{}, cleanup, err
 		}
 		cleanup = func() { os.RemoveAll(tmp) }
-		if shards == 1 {
-			path = filepath.Join(tmp, "postings.bt")
-		} else {
-			path = tmp
-		}
+		path = tmp
 	}
 	return repro.StoreConfig{Path: path, Shards: shards}, cleanup, nil
 }

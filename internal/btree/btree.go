@@ -74,17 +74,6 @@ var ErrNotFound = errors.New("btree: key not found")
 // failures.
 var ErrCorrupt = errors.New("btree: corrupt page")
 
-// ValidMagic reports whether buf starts with a tree file magic (either
-// format version) — callers use it to recognize a tree file without
-// opening (and locking) it.
-func ValidMagic(buf []byte) bool {
-	if len(buf) < 8 {
-		return false
-	}
-	m := binary.LittleEndian.Uint64(buf)
-	return m == magicV1 || m == magicV2
-}
-
 type leafEntry struct {
 	key     uint64
 	val     []byte // inline value; nil when stored in an overflow chain

@@ -102,9 +102,6 @@ func TestCreateWritesV2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ValidMagic(head) {
-		t.Error("ValidMagic rejects a v2 file")
-	}
 	if binary.LittleEndian.Uint64(head) != magicV2 {
 		t.Errorf("file magic = %#x, want v2", binary.LittleEndian.Uint64(head))
 	}

@@ -126,6 +126,19 @@ func TestClusterGoldenSearch(t *testing.T) {
 			t.Errorf("node %s never reached (stats %+v)", ns.Addr, ns)
 		}
 	}
+
+	// Node percentiles are nearest-rank, like the server's: the p95 of 13
+	// samples is the 13th.
+	nc := c.groups[0].replicas[0]
+	nc.latMu.Lock()
+	nc.lat = nc.lat[:0]
+	for i := 1; i <= 13; i++ {
+		nc.lat = append(nc.lat, time.Duration(i))
+	}
+	nc.latMu.Unlock()
+	if ns := c.Stats().Nodes[0]; ns.P50 != 7 || ns.P95 != 13 || ns.P99 != 13 {
+		t.Errorf("13-sample p50/p95/p99 = %d/%d/%d, want 7/13/13", ns.P50, ns.P95, ns.P99)
+	}
 }
 
 // TestClusterSkipRouting: groups whose cells cannot intersect the

@@ -3,6 +3,8 @@ package cluster
 import (
 	"sort"
 	"time"
+
+	"repro/internal/queryengine"
 )
 
 // NodeClientStats is the coordinator's view of one node: routing
@@ -63,28 +65,13 @@ func (c *Coordinator) Stats() Stats {
 				copy(sorted, nc.lat)
 				sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 				ns.Samples = len(sorted)
-				ns.P50 = pctile(sorted, 0.50)
-				ns.P95 = pctile(sorted, 0.95)
-				ns.P99 = pctile(sorted, 0.99)
+				ns.P50 = queryengine.Percentile(sorted, 50)
+				ns.P95 = queryengine.Percentile(sorted, 95)
+				ns.P99 = queryengine.Percentile(sorted, 99)
 			}
 			nc.latMu.Unlock()
 			st.Nodes = append(st.Nodes, ns)
 		}
 	}
 	return st
-}
-
-// pctile is the nearest-rank percentile of a sorted sample.
-func pctile(sorted []time.Duration, p float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(p*float64(len(sorted))+0.5) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
 }

@@ -87,10 +87,10 @@ type Config struct {
 	Scale float64
 	// CellSize is the grid-index cell size in metres (default 500).
 	CellSize float64
-	// Store, when non-nil, persists posting lists — a single BTreeStore
-	// or a ShardedStore (cells striped across N B+-trees, so concurrent
-	// cold reads from the query-engine workers don't contend on one tree
-	// lock). nil keeps them in memory.
+	// Store, when non-nil, persists posting lists — a grid.ShardedStore
+	// (cells striped across N B+-trees, so concurrent cold reads from the
+	// query-engine workers don't contend on one tree lock). nil keeps them
+	// in memory.
 	Store grid.Store
 	// Reopen treats Store as a previously persisted store: instead of
 	// rebuilding postings from the regenerated corpus, the index comes

@@ -101,9 +101,10 @@ func (d *Dataset) Compact() error {
 // store's committed metadata plus WAL replay, and the vocabulary from the
 // metadata's snapshot blob patched with the replayed updates' term
 // statistics. A store that was populated but never carried a metadata
-// snapshot (single-file B+-tree layout, or a store from before the
-// live-update format) falls back to deriving the index from the corpus
-// objects — correct as long as no live updates were ever applied to it.
+// snapshot (a store from before the live-update format, or a legacy
+// single-file tree moved into a one-shard directory) falls back to
+// deriving the index from the corpus objects — correct as long as no live
+// updates were ever applied to it.
 func reassemble(name string, g *roadnet.Graph, corpus *gen.Corpus, bounds geo.Rect, cfg Config) (*Dataset, error) {
 	idx, err := grid.NewIndexOver(corpus.Objects, bounds, cfg.CellSize, cfg.Store)
 	if err != nil {

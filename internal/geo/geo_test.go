@@ -116,76 +116,3 @@ func TestRectAreaDegenerate(t *testing.T) {
 		t.Error("inverted rect must have zero area")
 	}
 }
-
-func TestUTMZone(t *testing.T) {
-	cases := []struct {
-		lng  float64
-		want int
-	}{
-		{-74.0, 18},  // New York
-		{-122.3, 10}, // Seattle (USANW)
-		{0, 31},
-		{-180, 1},
-		{179.999, 60},
-		{-999, 1}, // clamped
-		{999, 60}, // clamped
-	}
-	for _, c := range cases {
-		if got := UTMZone(c.lng); got != c.want {
-			t.Errorf("UTMZone(%v) = %d, want %d", c.lng, got, c.want)
-		}
-	}
-}
-
-// Reference values cross-checked with an independent meridian-arc
-// computation (Helmert series): NYC, 40.7128N 74.0060W, zone 18 gives
-// E 583959, N 4507351.
-func TestToUTMReference(t *testing.T) {
-	p := ToUTM(LatLng{40.7128, -74.0060}, 18)
-	if math.Abs(p.X-583959) > 5 || math.Abs(p.Y-4507351) > 5 {
-		t.Errorf("NYC UTM = %v, want ~ (583959, 4507351)", p)
-	}
-}
-
-func TestToUTMCentralMeridian(t *testing.T) {
-	// On the central meridian of the zone the easting is the false easting.
-	p := ToUTM(LatLng{45, -75}, 18) // zone 18 central meridian is 75W
-	if math.Abs(p.X-utmFE) > 1e-6 {
-		t.Errorf("easting on central meridian = %v, want %v", p.X, utmFE)
-	}
-}
-
-func TestToUTMSouthernHemisphere(t *testing.T) {
-	n := ToUTM(LatLng{-33.8688, 151.2093}, 56) // Sydney
-	if n.Y < 5.8e6 || n.Y > 6.5e6 {
-		t.Errorf("southern-hemisphere northing = %v, want ~6.25e6", n.Y)
-	}
-}
-
-// Local distances must be preserved by the projection: 0.01° of latitude is
-// ~1111 m anywhere.
-func TestToUTMLocalScale(t *testing.T) {
-	a := ToUTM(LatLng{40.70, -74.00}, 18)
-	b := ToUTM(LatLng{40.71, -74.00}, 18)
-	d := a.Dist(b)
-	if math.Abs(d-1110.9) > 3 {
-		t.Errorf("projected 0.01° latitude = %v m, want ~1111 m", d)
-	}
-}
-
-// Monotonicity property: increasing longitude (east of the central meridian)
-// increases easting; increasing latitude increases northing.
-func TestToUTMMonotone(t *testing.T) {
-	f := func(latSeed, lngSeed uint16) bool {
-		lat := 20 + float64(latSeed%400)/10 // 20..60 N
-		lng := -75 + float64(lngSeed%50)/10 // within zone 18-ish
-		zone := 18
-		p1 := ToUTM(LatLng{lat, lng}, zone)
-		p2 := ToUTM(LatLng{lat + 0.01, lng}, zone)
-		p3 := ToUTM(LatLng{lat, lng + 0.01}, zone)
-		return p2.Y > p1.Y && p3.X > p1.X
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}

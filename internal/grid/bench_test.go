@@ -2,7 +2,6 @@ package grid
 
 import (
 	"math/rand"
-	"path/filepath"
 	"sync/atomic"
 	"testing"
 
@@ -61,9 +60,9 @@ func BenchmarkSearchInto(b *testing.B) {
 
 // BenchmarkColdRead measures concurrent query throughput against a
 // disk-backed posting store whose page cache is far smaller than the
-// working set, so nearly every posting fetch decodes pages cold. The
-// single-tree layout serializes all of that work behind one mutex and one
-// cache; the sharded layout gives every shard its own, so throughput
+// working set, so nearly every posting fetch decodes pages cold. A
+// one-shard store ("single") serializes all of that work behind one mutex
+// and one cache; eight shards give every shard its own, so throughput
 // scales with -cpu. CI runs this with -cpu=1,4 and gates on the sharded
 // ratio (scripts/bench-scaling.sh).
 func BenchmarkColdRead(b *testing.B) {
@@ -97,30 +96,23 @@ func BenchmarkColdRead(b *testing.B) {
 	// 16 cache pages per tree versus a multi-thousand-page working set:
 	// effectively every fetch is cold.
 	const cachePages = 16
-	b.Run("single", func(b *testing.B) {
-		store, err := NewBTreeStoreCached(filepath.Join(b.TempDir(), "p.bt"), cachePages)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer store.Close()
-		idx, err := NewIndex(objs, bounds, 500, store)
-		if err != nil {
-			b.Fatal(err)
-		}
-		run(b, idx)
-	})
-	b.Run("sharded", func(b *testing.B) {
-		store, err := CreateShardedStore(b.TempDir(), ShardedOptions{Shards: 8, CachePages: cachePages})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer store.Close()
-		idx, err := NewIndex(objs, bounds, 500, store)
-		if err != nil {
-			b.Fatal(err)
-		}
-		run(b, idx)
-	})
+	for _, layout := range []struct {
+		name   string
+		shards int
+	}{{"single", 1}, {"sharded", 8}} {
+		b.Run(layout.name, func(b *testing.B) {
+			store, err := CreateShardedStore(b.TempDir(), ShardedOptions{Shards: layout.shards, CachePages: cachePages})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer store.Close()
+			idx, err := NewIndex(objs, bounds, 500, store)
+			if err != nil {
+				b.Fatal(err)
+			}
+			run(b, idx)
+		})
+	}
 }
 
 // BenchmarkHotQueryCache replays a small hot query set — the workload

@@ -8,23 +8,21 @@
 // wto(t) (Equation 2), so query-time scoring is a multiply-accumulate of
 // the query-side IDF weights against the postings of the cells overlapping
 // Q.Λ. Posting lists live behind the Store interface: MemStore keeps them
-// in memory, and the btreestore sub-package persists them in the
-// disk-based B+-tree, exactly as the paper describes.
+// in memory, and ShardedStore persists them in disk-based B+-trees (one
+// per shard), exactly as the paper describes.
 //
 // # Invariants and ownership rules
 //
-// An Index is safe for concurrent readers, and — over a MemStore or a
-// ShardedStore — accepts live mutations (Insert, Delete, Reweight; see
-// live.go) serialized behind an internal RWMutex: searches take the read
-// side, mutations the write side. Over a sharded store each mutation is
-// one WAL record plus a memtable overlay, merged into reads until a
-// compaction folds it into the shard trees (livestore.go); over a
-// MemStore the posting lists are edited in place. The single-file
-// BTreeStore layout remains immutable after build (ErrUpdatesUnsupported).
-// BTreeStore serializes tree access behind one mutex, and ShardedStore
-// partitions the key space across N trees with one mutex and one page
-// cache each, so concurrent cold reads only contend when they need the
-// same shard (and SearchInto fans one query's fetches across shards).
+// An Index is safe for concurrent readers and accepts live mutations
+// (Insert, Delete, Reweight; see live.go) serialized behind an internal
+// RWMutex: searches take the read side, mutations the write side. Over a
+// ShardedStore each mutation is one WAL record plus a memtable overlay,
+// merged into reads until a compaction folds it into the shard trees
+// (livestore.go); over a MemStore the posting lists are edited in place.
+// ShardedStore partitions the key space across N trees with one mutex and
+// one page cache each, so concurrent cold reads only contend when they
+// need the same shard (and SearchInto fans one query's fetches across
+// shards).
 // Each cell keeps a term directory sorted by ascending TermID with
 // posting-list lengths, maintained exactly under mutation: term
 // membership is a binary search, the pooled search path merge-joins the
@@ -205,8 +203,7 @@ type Index struct {
 	cellDir map[uint32][]termEntry
 
 	// live is store when it has a WAL + memtable update path (the sharded
-	// layout); memStore is store when updates edit lists in place. Both
-	// nil: the index is immutable (single-file BTreeStore).
+	// layout); memStore is store when updates edit lists in place.
 	live     liveStore
 	memStore *MemStore
 	// baseObjects is the object count of the original batch build; ids at

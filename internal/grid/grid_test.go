@@ -163,8 +163,9 @@ func TestCellKeyPacking(t *testing.T) {
 }
 
 func TestBTreeStoreSearchEquivalence(t *testing.T) {
-	// The disk-backed store must return exactly the same results as the
-	// in-memory store on a randomized corpus.
+	// A one-shard disk store — the paper's single B+-tree, read without
+	// the cross-shard fan-out — must return exactly the same results as
+	// the in-memory store on a randomized corpus.
 	rng := rand.New(rand.NewSource(21))
 	v := textindex.NewVocabulary()
 	vocab := []string{"cafe", "restaurant", "bar", "pizza", "museum", "park", "shop"}
@@ -186,7 +187,7 @@ func TestBTreeStoreSearchEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := NewBTreeStore(filepath.Join(t.TempDir(), "postings.bt"))
+	store, err := CreateShardedStore(filepath.Join(t.TempDir(), "store"), ShardedOptions{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,8 +227,8 @@ func TestBTreeStoreSearchEquivalence(t *testing.T) {
 }
 
 func TestBTreeStorePersistence(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "p.bt")
-	store, err := NewBTreeStore(path)
+	path := filepath.Join(t.TempDir(), "store")
+	store, err := CreateShardedStore(path, ShardedOptions{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +242,7 @@ func TestBTreeStorePersistence(t *testing.T) {
 	if err := store.Close(); err != nil {
 		t.Fatal(err)
 	}
-	store2, err := OpenBTreeStore(path)
+	store2, err := OpenShardedStore(path, ShardedOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,9 +23,8 @@ import (
 // or is already deleted.
 var ErrNoSuchObject = errors.New("grid: no such object")
 
-// ErrFrozen marks a mutation attempted after Freeze. Distinct from
-// ErrUpdatesUnsupported (a store layout without an update path): a
-// frozen index could apply the update, but its owner promised not to.
+// ErrFrozen marks a mutation attempted after Freeze: the index could
+// apply the update, but its owner promised not to.
 var ErrFrozen = errors.New("grid: index is frozen (read-only)")
 
 // Freeze permanently disables the live-update path: every later Insert,
@@ -57,9 +56,6 @@ func (idx *Index) Insert(p geo.Point, doc textindex.Doc, strs []string) (ObjectI
 	defer idx.mu.Unlock()
 	if idx.frozen {
 		return 0, ErrFrozen
-	}
-	if idx.live == nil && idx.memStore == nil {
-		return 0, ErrUpdatesUnsupported
 	}
 	if len(doc.Weights) != len(doc.Terms) || len(doc.TF) != len(doc.Terms) || len(strs) != len(doc.Terms) {
 		return 0, fmt.Errorf("grid: insert: terms/weights/tf/strs must be parallel (%d/%d/%d/%d)",
@@ -101,9 +97,6 @@ func (idx *Index) Delete(id ObjectID) error {
 	if idx.frozen {
 		return ErrFrozen
 	}
-	if idx.live == nil && idx.memStore == nil {
-		return ErrUpdatesUnsupported
-	}
 	if err := idx.checkLiveLocked(id); err != nil {
 		return err
 	}
@@ -132,9 +125,6 @@ func (idx *Index) Reweight(id ObjectID, weights []float64) error {
 	defer idx.mu.Unlock()
 	if idx.frozen {
 		return ErrFrozen
-	}
-	if idx.live == nil && idx.memStore == nil {
-		return ErrUpdatesUnsupported
 	}
 	if err := idx.checkLiveLocked(id); err != nil {
 		return err
@@ -289,8 +279,8 @@ func (idx *Index) CloseStore() error {
 			errs = append(errs, err)
 		}
 	}
-	if c, ok := idx.store.(interface{ Close() error }); ok {
-		if err := c.Close(); err != nil {
+	if s, ok := idx.store.(*ShardedStore); ok {
+		if err := s.Close(); err != nil {
 			errs = append(errs, err)
 		}
 	}

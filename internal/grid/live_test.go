@@ -41,7 +41,7 @@ func TestLiveSnapshotReopenGolden(t *testing.T) {
 	}
 
 	// Clean reopen: everything comes from the committed meta snapshot.
-	store2, err := OpenShardedStore(dir)
+	store2, err := OpenShardedStore(dir, ShardedOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestLiveSnapshotReopenGolden(t *testing.T) {
 	}
 
 	// Dirty reopen: the state must come back through WAL replay.
-	store3, err := OpenShardedStore(dir)
+	store3, err := OpenShardedStore(dir, ShardedOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestLiveSnapshotReopenGolden(t *testing.T) {
 	}
 
 	// Third open is clean again (close compacted the replayed records).
-	store4, err := OpenShardedStore(dir)
+	store4, err := OpenShardedStore(dir, ShardedOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,20 +197,6 @@ func TestLiveValidation(t *testing.T) {
 	alive := ObjectID(5)
 	if err := idx.Reweight(alive, make([]float64, len(objs[alive].Doc.Terms)+1)); err == nil {
 		t.Error("reweight with wrong arity accepted")
-	}
-
-	// Single-file B+-tree stores have no update path.
-	bs, err := NewBTreeStore(filepath.Join(t.TempDir(), "s.bt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bs.Close()
-	bIdx, err := NewIndex(copyObjs(objs), crashBounds, crashCell, bs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := bIdx.Insert(geo.Point{X: 1, Y: 1}, okDoc, []string{"a"}); !errors.Is(err, ErrUpdatesUnsupported) {
-		t.Errorf("insert on BTreeStore: %v, want ErrUpdatesUnsupported", err)
 	}
 }
 

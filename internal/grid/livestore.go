@@ -32,10 +32,6 @@ import (
 
 func defaultShards() int { return runtime.GOMAXPROCS(0) }
 
-// ErrUpdatesUnsupported is returned by stores without a live-update path
-// (the single-file BTreeStore layout). Migrate to a sharded store.
-var ErrUpdatesUnsupported = fmt.Errorf("grid: this store layout does not support live updates")
-
 // liveStore is the store surface the Index's mutation path dispatches
 // on; *ShardedStore implements it.
 type liveStore interface {

@@ -78,7 +78,7 @@ func TestMetaV2StoreReopens(t *testing.T) {
 	if err := store.Close(); err != nil {
 		t.Fatal(err)
 	}
-	store2, err := OpenShardedStore(dir)
+	store2, err := OpenShardedStore(dir, ShardedOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

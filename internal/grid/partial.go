@@ -70,9 +70,8 @@ func (idx *Index) RangeTerms(cellLo, cellHi uint32) []textindex.TermID {
 // one. It is how a cluster node discovers — and is held to — the
 // assignment its store was built for.
 func (idx *Index) StoreCellRange() (lo, hi uint32, ok bool) {
-	type cellRanger interface{ CellRange() (uint32, uint32, bool) }
-	if cr, has := idx.store.(cellRanger); has {
-		return cr.CellRange()
+	if s, has := idx.store.(*ShardedStore); has {
+		return s.CellRange()
 	}
 	return 0, 0, false
 }

@@ -47,12 +47,13 @@ import (
 const scoreCacheStripes = 16
 
 // ScoreCacheStats are the score cache's monotonic counters plus its
-// current live entry count.
+// current live entry count. The JSON form is the score_cache fragment of
+// the HTTP front end's GET /stats.
 type ScoreCacheStats struct {
-	Hits      uint64
-	Misses    uint64
-	Evictions uint64
-	Entries   int
+	Hits      uint64 `json:"hits"`
+	Misses    uint64 `json:"misses"`
+	Evictions uint64 `json:"evictions"`
+	Entries   int    `json:"entries"`
 }
 
 // cacheKey addresses one entry: a cell and a query signature.

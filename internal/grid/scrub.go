@@ -10,15 +10,14 @@ import (
 )
 
 // ShardScrub is one shard's scrub outcome: the verification statistics and
-// the corruption (or I/O) error, if any. For the single-tree layout the
-// whole store reports as shard 0.
+// the corruption (or I/O) error, if any.
 type ShardScrub struct {
 	Shard int
 	Stats btree.VerifyStats
 	Err   error
 }
 
-// ScrubReport aggregates per-shard scrub outcomes for a posting store.
+// ScrubReport aggregates per-shard scrub outcomes for a sharded store.
 type ScrubReport struct {
 	Shards []ShardScrub
 }
@@ -74,13 +73,4 @@ func (s *ShardedStore) Scrub() ScrubReport {
 	}
 	wg.Wait()
 	return report
-}
-
-// Scrub verifies the single tree, reporting as shard 0.
-func (s *BTreeStore) Scrub() ScrubReport {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var sh ShardScrub
-	sh.Stats, sh.Err = s.tree.Verify()
-	return ScrubReport{Shards: []ShardScrub{sh}}
 }

@@ -37,7 +37,7 @@ func buildShardedStore(t *testing.T, shards int) string {
 
 func TestScrubCleanStores(t *testing.T) {
 	dir := buildShardedStore(t, 4)
-	s, err := OpenShardedStore(dir)
+	s, err := OpenShardedStore(dir, ShardedOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,21 +56,6 @@ func TestScrubCleanStores(t *testing.T) {
 	if keys != 40 {
 		t.Errorf("scrub counted %d keys across shards, want 40", keys)
 	}
-
-	// Single-tree layout reports as shard 0.
-	path := filepath.Join(t.TempDir(), "single.bt")
-	bs, err := NewBTreeStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bs.Close()
-	if err := bs.Append(CellKey{Cell: 1, Term: 2}, []Posting{{Obj: 9, Weight: 1}}); err != nil {
-		t.Fatal(err)
-	}
-	brep := bs.Scrub()
-	if err := brep.Err(); err != nil || len(brep.Shards) != 1 || brep.Shards[0].Shard != 0 {
-		t.Fatalf("single-tree scrub: %+v, %v", brep, err)
-	}
 }
 
 // TestScrubDetectsShardCorruption flips one byte in one shard's data page;
@@ -87,7 +72,7 @@ func TestScrubDetectsShardCorruption(t *testing.T) {
 	if err := os.WriteFile(victim, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s, err := OpenShardedStore(dir)
+	s, err := OpenShardedStore(dir, ShardedOptions{})
 	if err != nil {
 		// Lazy page reads mean Open may or may not trip over the damage;
 		// if it does, it must at least be typed.
@@ -133,7 +118,7 @@ func TestManifestChecksum(t *testing.T) {
 	if err := os.WriteFile(mpath, []byte(bad), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenShardedStore(dir); err == nil || !strings.Contains(err.Error(), "checksum") {
+	if _, err := OpenShardedStore(dir, ShardedOptions{}); err == nil || !strings.Contains(err.Error(), "checksum") {
 		t.Fatalf("tampered manifest opened (err = %v)", err)
 	}
 
@@ -143,7 +128,7 @@ func TestManifestChecksum(t *testing.T) {
 	if err := os.WriteFile(mpath, []byte(legacy), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s, err := OpenShardedStore(dir)
+	s, err := OpenShardedStore(dir, ShardedOptions{})
 	if err != nil {
 		t.Fatalf("legacy manifest refused: %v", err)
 	}
@@ -175,7 +160,7 @@ func TestManifestChecksum(t *testing.T) {
 		if err := os.WriteFile(mpath, []byte(img), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := OpenShardedStore(dir); !errors.Is(err, ErrBadManifest) {
+		if _, err := OpenShardedStore(dir, ShardedOptions{}); !errors.Is(err, ErrBadManifest) {
 			t.Errorf("%s: open returned %v, want ErrBadManifest", name, err)
 		}
 	}
@@ -201,7 +186,7 @@ func TestManifestUpgradeReopenCycle(t *testing.T) {
 	}
 
 	// Legacy open upgrades; the data must be readable through it.
-	s, err := OpenShardedStore(dir)
+	s, err := OpenShardedStore(dir, ShardedOptions{})
 	if err != nil {
 		t.Fatalf("legacy open: %v", err)
 	}
@@ -216,7 +201,7 @@ func TestManifestUpgradeReopenCycle(t *testing.T) {
 	}
 
 	// Reopen: now on the checksummed path, same data, no further rewrite.
-	s, err = OpenShardedStore(dir)
+	s, err = OpenShardedStore(dir, ShardedOptions{})
 	if err != nil {
 		t.Fatalf("reopen after upgrade: %v", err)
 	}
@@ -239,7 +224,7 @@ func TestManifestUpgradeReopenCycle(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s, err = OpenShardedStore(dir)
+	s, err = OpenShardedStore(dir, ShardedOptions{})
 	if err != nil {
 		t.Fatalf("reopen after RecordCellRange: %v", err)
 	}
@@ -261,7 +246,7 @@ func TestManifestUpgradeReopenCycle(t *testing.T) {
 	if err := os.WriteFile(mpath, []byte(tampered), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenShardedStore(dir); !errors.Is(err, ErrBadManifest) {
+	if _, err := OpenShardedStore(dir, ShardedOptions{}); !errors.Is(err, ErrBadManifest) {
 		t.Fatalf("tampered cell range opened (err = %v)", err)
 	}
 }

@@ -177,12 +177,12 @@ func TestSearchIntoEdgeCases(t *testing.T) {
 	}
 }
 
-// TestSearchIntoBTreeStore checks the pooled path against the disk-backed
-// posting store too (it allocates there, but results must be identical).
+// TestSearchIntoBTreeStore checks the pooled path against a one-shard
+// disk store too (it allocates there, but results must be identical).
 func TestSearchIntoBTreeStore(t *testing.T) {
 	v, vocab, objs := randomCorpus(t, 200, 23)
 	bounds := geo.Rect{MinX: 0, MinY: 0, MaxX: 1000, MaxY: 1000}
-	store, err := NewBTreeStore(filepath.Join(t.TempDir(), "postings.bt"))
+	store, err := CreateShardedStore(filepath.Join(t.TempDir(), "store"), ShardedOptions{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,9 +5,11 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 
+	"repro/internal/btree"
 	"repro/internal/geo"
 	"repro/internal/textindex"
 )
@@ -55,7 +57,7 @@ func TestShardedStoreRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Reopen: the manifest must reconstruct the same layout.
-	s2, err := OpenShardedStore(dir)
+	s2, err := OpenShardedStore(dir, ShardedOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,21 +95,6 @@ func TestCreateRefusesExistingStore(t *testing.T) {
 		s2.Close()
 		t.Fatal("CreateShardedStore over an existing store succeeded")
 	}
-	single := filepath.Join(base, "p.bt")
-	b, err := NewBTreeStore(single)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Append(CellKey{Cell: 1, Term: 1}, []Posting{{Obj: 1, Weight: 1}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if b2, err := NewBTreeStore(single); err == nil {
-		b2.Close()
-		t.Fatal("NewBTreeStore over an existing store succeeded")
-	}
 	if _, err := CreateShardedStore(dir, ShardedOptions{Shards: maxShards + 1}); err == nil {
 		t.Fatal("implausible shard count accepted at create time")
 	}
@@ -126,7 +113,7 @@ func TestShardedStoreDefaultShardCount(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := OpenShardedStore(dir)
+	s2, err := OpenShardedStore(dir, ShardedOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,13 +123,13 @@ func TestShardedStoreDefaultShardCount(t *testing.T) {
 	}
 }
 
-// TestBTreeStoreAppendConcurrent catches the historical lost-update race:
-// Append used to read the old list in one lock section and write the
-// merged list in another, so two concurrent Appends to the same key could
-// both read the old value and one would overwrite the other's postings.
-// Run with -race (CI does) to also catch any locking regression.
+// TestBTreeStoreAppendConcurrent catches the lost-update race on one
+// B+-tree (a one-shard store): Append must hold the shard lock across its
+// read-merge-write, or two concurrent Appends to the same key both read
+// the old value and one overwrites the other's postings. Run with -race
+// (CI does) to also catch any locking regression.
 func TestBTreeStoreAppendConcurrent(t *testing.T) {
-	store, err := NewBTreeStore(filepath.Join(t.TempDir(), "p.bt"))
+	store, err := CreateShardedStore(filepath.Join(t.TempDir(), "store"), ShardedOptions{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,17 +284,10 @@ func assertSameScores(t *testing.T, label string, got, want []ObjScore) {
 // TestConcurrentColdReadGolden is the acceptance test for the sharded
 // cold-read path: K goroutines issue overlapping queries against a
 // freshly reopened (cache-cold) sharded store, and every result must be
-// bit-identical to the serial answer computed on a single-tree store.
+// bit-identical to the serial answer computed on an in-memory index.
 func TestConcurrentColdReadGolden(t *testing.T) {
 	v, objs, bounds := shardCorpus(99, 600)
-
-	// Serial reference on the single-file store.
-	single, err := NewBTreeStore(filepath.Join(t.TempDir(), "single.bt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer single.Close()
-	refIdx, err := NewIndex(objs, bounds, 40, single)
+	refIdx, err := NewIndex(objs, bounds, 40, NewMemStore())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +305,7 @@ func TestConcurrentColdReadGolden(t *testing.T) {
 	if err := store.Close(); err != nil {
 		t.Fatal(err)
 	}
-	cold, err := OpenShardedStoreCached(dir, 8)
+	cold, err := OpenShardedStore(dir, ShardedOptions{CachePages: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,105 +366,66 @@ func TestConcurrentColdReadGolden(t *testing.T) {
 	wg.Wait()
 }
 
-func TestOpenStoreAutoDetect(t *testing.T) {
+// TestLegacySingleFileMove pins the documented upgrade of a pre-sharding
+// single-file store: move the tree to DIR/shard-0000.bt and write the
+// legacy three-line MANIFEST. The directory then opens as a one-shard
+// store that serves the same postings, scrubs clean and takes updates.
+func TestLegacySingleFileMove(t *testing.T) {
 	base := t.TempDir()
-	// Single-file layout.
-	singlePath := filepath.Join(base, "single.bt")
-	s, err := NewBTreeStore(singlePath)
+	legacy := filepath.Join(base, "p.bt")
+	tree, err := btree.Create(legacy, btree.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := CellKey{Cell: 5, Term: 6}
-	if err := s.Append(key, []Posting{{Obj: 11, Weight: 0.5}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Sharded layout.
-	shardDir := filepath.Join(base, "sharded")
-	sh, err := CreateShardedStore(shardDir, ShardedOptions{Shards: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sh.Append(key, []Posting{{Obj: 22, Weight: 0.5}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := sh.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		path string
-		obj  ObjectID
-	}{{singlePath, 11}, {shardDir, 22}} {
-		st, err := OpenStore(tc.path)
-		if err != nil {
-			t.Fatalf("OpenStore(%s): %v", tc.path, err)
-		}
-		ps, err := st.Postings(key)
-		if err != nil || len(ps) != 1 || ps[0].Obj != tc.obj {
-			t.Errorf("OpenStore(%s).Postings = %+v, %v; want object %d", tc.path, ps, err, tc.obj)
-		}
-		if err := st.Close(); err != nil {
-			t.Error(err)
-		}
-	}
-	if _, err := OpenStore(filepath.Join(base, "nope")); err == nil {
-		t.Error("OpenStore on a missing path succeeded")
-	}
-}
-
-func TestMigrateToSharded(t *testing.T) {
-	base := t.TempDir()
-	srcPath := filepath.Join(base, "single.bt")
-	src, err := NewBTreeStore(srcPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys := make([]CellKey, 0, 20)
+	want := map[CellKey][]Posting{}
 	for cell := uint32(0); cell < 10; cell++ {
 		for term := textindex.TermID(0); term < 2; term++ {
 			key := CellKey{Cell: cell, Term: term}
-			keys = append(keys, key)
-			ps := []Posting{
-				{Obj: ObjectID(cell*10 + uint32(term)), Weight: float64(cell) + 0.5},
-				{Obj: ObjectID(cell*10 + uint32(term) + 500), Weight: 0.125},
-			}
-			if err := src.Append(key, ps); err != nil {
+			want[key] = []Posting{{Obj: ObjectID(cell*10 + uint32(term)), Weight: float64(cell) + 0.5}}
+			if err := tree.Put(key.Uint64(), EncodePostings(want[key])); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	if err := src.Close(); err != nil {
+	if err := tree.Close(); err != nil {
 		t.Fatal(err)
 	}
-	dst, err := MigrateToSharded(srcPath, filepath.Join(base, "sharded"), ShardedOptions{Shards: 4})
+
+	dir := filepath.Join(base, "store")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(legacy, filepath.Join(dir, "shard-0000.bt")); err != nil {
+		t.Fatal(err)
+	}
+	manifest := "lcmsr-sharded-store v1\nshards 1\npartition cell-mod\n"
+	if err := writeFile(t, filepath.Join(dir, manifestName), manifest); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := OpenShardedStore(dir, ShardedOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer dst.Close()
-	reopened, err := OpenBTreeStore(srcPath)
-	if err != nil {
-		t.Fatal(err)
+	defer s.Close()
+	for key, ps := range want {
+		got, err := s.Postings(key)
+		if err != nil || !reflect.DeepEqual(got, ps) {
+			t.Fatalf("key %+v: postings %+v, %v; want %+v", key, got, err, ps)
+		}
 	}
-	defer reopened.Close()
-	for _, key := range keys {
-		want, err := reopened.Postings(key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := dst.Postings(key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("key %+v: %d postings after migration, want %d", key, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("key %+v posting %d: %+v != %+v", key, i, got[i], want[i])
-			}
-		}
+	if err := s.Scrub().Err(); err != nil {
+		t.Fatalf("moved store does not scrub clean: %v", err)
+	}
+	key := CellKey{Cell: 3, Term: 1}
+	u := Update{Kind: UpdateInsert, Obj: 500, Cell: key.Cell, Terms: []textindex.TermID{key.Term},
+		Weights: []float64{0.25}, TF: []int32{1}, Strs: []string{"t"}}
+	if err := s.ApplyUpdate(&u); err != nil {
+		t.Fatalf("moved store rejects an update: %v", err)
+	}
+	got, err := s.Postings(key)
+	if err != nil || !reflect.DeepEqual(got, append(want[key], Posting{Obj: 500, Weight: 0.25})) {
+		t.Fatalf("postings after update = %+v, %v", got, err)
 	}
 }
 
@@ -528,21 +469,6 @@ func TestRemoveStore(t *testing.T) {
 	}
 	if err := RemoveStore(filepath.Join(base, "missing")); err == nil {
 		t.Fatal("RemoveStore accepted a missing path")
-	}
-	// Removes a single-file store.
-	single := filepath.Join(base, "p.bt")
-	s, err := NewBTreeStore(single)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := RemoveStore(single); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(single); !os.IsNotExist(err) {
-		t.Fatal("single-file store not removed")
 	}
 	// Removes a sharded store's files but leaves foreign files alone.
 	dir := filepath.Join(base, "sharded")

@@ -3,8 +3,6 @@ package grid
 import (
 	"errors"
 	"fmt"
-	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -15,7 +13,6 @@ import (
 
 	"repro/internal/btree"
 	"repro/internal/iofault"
-	"repro/internal/textindex"
 )
 
 // ShardedStore is a disk-backed Store that partitions the CellKey space
@@ -188,32 +185,27 @@ func createShardedFS(fs storeFS, label string, opts ShardedOptions) (*ShardedSto
 
 // OpenShardedStore opens a store previously written by CreateShardedStore,
 // reconstructing the shard layout from the MANIFEST header and replaying
-// each shard's WAL into its memtable. The per-shard trees are opened
-// concurrently — each takes its own file lock.
-func OpenShardedStore(dir string) (*ShardedStore, error) {
-	return openSharded(dir, ShardedOptions{})
-}
-
-// OpenShardedStoreCached is OpenShardedStore with a per-shard page-cache
-// cap (0 = btree default).
-func OpenShardedStoreCached(dir string, cachePages int) (*ShardedStore, error) {
-	return openSharded(dir, ShardedOptions{CachePages: cachePages})
-}
-
-// OpenShardedStoreWith is OpenShardedStore with full options (Shards is
-// ignored; the MANIFEST records the real layout).
-func OpenShardedStoreWith(dir string, opts ShardedOptions) (*ShardedStore, error) {
-	return openSharded(dir, opts)
+// each shard's WAL into its memtable. opts.Shards is ignored: the MANIFEST
+// records the real layout. The per-shard trees are opened concurrently —
+// each takes its own file lock.
+//
+// A regular file at dir is a single-file store from before stores were
+// directories. It is refused, untouched, with an error naming the move
+// that turns it into a one-shard store: the tree becomes shard 0 and a
+// three-line pre-checksum MANIFEST describes it (the open then upgrades
+// the header and creates the WAL).
+func OpenShardedStore(dir string, opts ShardedOptions) (*ShardedStore, error) {
+	if fi, err := os.Stat(dir); err == nil && !fi.IsDir() {
+		return nil, fmt.Errorf("grid: %s is a single-file posting store; to open it, move it to DIR/%s, write DIR/%s holding the lines %q, %q and %q, and open DIR",
+			dir, shardFileName(0), manifestName, manifestMagic, "shards 1", "partition "+partitionName)
+	}
+	return openShardedFS(osFS{dir: dir}, dir, opts)
 }
 
 // OpenShardedStoreOn opens a board-backed store written by
 // CreateShardedStoreOn — the crash suites' recovery path.
 func OpenShardedStoreOn(sb *iofault.Switchboard, opts ShardedOptions) (*ShardedStore, error) {
 	return openShardedFS(memFS{sb: sb}, "(mem)", opts)
-}
-
-func openSharded(dir string, opts ShardedOptions) (*ShardedStore, error) {
-	return openShardedFS(osFS{dir: dir}, dir, opts)
 }
 
 func openShardedFS(fs storeFS, label string, opts ShardedOptions) (*ShardedStore, error) {
@@ -463,8 +455,8 @@ func (s *ShardedStore) Postings(key CellKey) ([]Posting, error) {
 }
 
 // CacheStats aggregates the page-cache counters of every shard. On a
-// closed store it returns zeros (the single-tree store tolerates the
-// same late call, e.g. an end-of-run stats print).
+// closed store it returns zeros, so a late call (an end-of-run stats
+// print) is harmless.
 func (s *ShardedStore) CacheStats() btree.CacheStats {
 	var agg btree.CacheStats
 	for i := range s.shards {
@@ -507,9 +499,9 @@ func (s *ShardedStore) Close() error {
 	return errors.Join(errs...)
 }
 
-// appendLocked is the read-merge-write shared by BTreeStore and
-// ShardedStore; the caller must hold the lock of the tree. Postings are
-// fixed-width records, so merging is raw-byte concatenation — no decode.
+// appendLocked is ShardedStore.Append's read-merge-write; the caller must
+// hold the shard's lock. Postings are fixed-width records, so merging is
+// raw-byte concatenation — no decode.
 func appendLocked(t *btree.Tree, key CellKey, ps []Posting) error {
 	raw, err := t.Get(key.Uint64())
 	if err == btree.ErrNotFound {
@@ -520,57 +512,17 @@ func appendLocked(t *btree.Tree, key CellKey, ps []Posting) error {
 	return t.Put(key.Uint64(), append(raw, EncodePostings(ps)...))
 }
 
-// PostingStore is a disk-backed, closable, scrubbable Store: both layouts
-// (single B+-tree file, sharded directory) implement it.
-type PostingStore interface {
-	Store
-	Close() error
-	Scrub() ScrubReport
-}
-
-// OpenStore opens a posting store of either on-disk layout: a directory
-// is a sharded store, a plain file the single-tree layout — the
-// compatibility path for stores written before sharding existed.
-func OpenStore(path string) (PostingStore, error) {
-	fi, err := os.Stat(path)
-	if err != nil {
-		return nil, fmt.Errorf("grid: open store: %w", err)
-	}
-	if fi.IsDir() {
-		return OpenShardedStore(path)
-	}
-	return OpenBTreeStore(path)
-}
-
-// RemoveStore deletes a closed posting store of either layout: the store
-// file, or — for a sharded directory — the MANIFEST, shard, WAL and meta
-// files only (the directory itself and any foreign files in it are left
-// alone). It refuses paths that do not hold a store, so a caller cleaning
-// up after a failed build cannot delete unrelated data.
-func RemoveStore(path string) error {
-	fi, err := os.Stat(path)
-	if err != nil {
-		return fmt.Errorf("grid: remove store: %w", err)
-	}
-	if !fi.IsDir() {
-		var magicBuf [8]byte
-		f, err := os.Open(path)
-		if err != nil {
-			return fmt.Errorf("grid: remove store: %w", err)
-		}
-		_, rerr := io.ReadFull(f, magicBuf[:])
-		_ = f.Close()
-		if rerr != nil || !btree.ValidMagic(magicBuf[:]) {
-			return fmt.Errorf("grid: %s is not a posting store; refusing to remove it", path)
-		}
-		return os.Remove(path)
-	}
-	raw, err := os.ReadFile(filepath.Join(path, manifestName))
+// RemoveStore deletes a closed sharded store: the MANIFEST, shard, WAL
+// and meta files only (the directory itself and any foreign files in it
+// are left alone). It refuses paths that do not hold a store, so a caller
+// cleaning up after a failed build cannot delete unrelated data.
+func RemoveStore(dir string) error {
+	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if err != nil || !strings.HasPrefix(string(raw), manifestMagic) {
-		return fmt.Errorf("grid: %s is not a sharded store; refusing to remove it", path)
+		return fmt.Errorf("grid: %s is not a sharded store; refusing to remove it", dir)
 	}
 	for _, pattern := range []string{"shard-*.bt", "wal-*.log", "META.*"} {
-		files, err := filepath.Glob(filepath.Join(path, pattern))
+		files, err := filepath.Glob(filepath.Join(dir, pattern))
 		if err != nil {
 			return err
 		}
@@ -580,38 +532,5 @@ func RemoveStore(path string) error {
 			}
 		}
 	}
-	return os.Remove(filepath.Join(path, manifestName))
-}
-
-// MigrateToSharded rewrites a single-file store into a fresh sharded
-// store at dstDir and returns it open. Every key keeps its exact posting
-// bytes; only the partitioning changes.
-func MigrateToSharded(src, dstDir string, opts ShardedOptions) (*ShardedStore, error) {
-	t, err := btree.Open(src, btree.Options{})
-	if err != nil {
-		return nil, err
-	}
-	defer func() { _ = t.Close() }()
-	dst, err := CreateShardedStore(dstDir, opts)
-	if err != nil {
-		return nil, err
-	}
-	var putErr error
-	err = t.Scan(0, math.MaxUint64, func(k uint64, v []byte) bool {
-		key := CellKey{Cell: uint32(k >> 32), Term: textindex.TermID(uint32(k))}
-		sh := &dst.shards[dst.ShardOf(key)] // private store: no locking needed yet
-		if err := sh.tree.Put(k, v); err != nil {
-			putErr = err
-			return false
-		}
-		return true
-	})
-	if err == nil {
-		err = putErr
-	}
-	if err != nil {
-		_ = dst.Close()
-		return nil, fmt.Errorf("grid: migrate %s: %w", src, err)
-	}
-	return dst, nil
+	return os.Remove(filepath.Join(dir, manifestName))
 }

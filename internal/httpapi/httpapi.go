@@ -169,19 +169,11 @@ type Stats struct {
 	Tombstones int `json:"tombstones"`
 	// ScoreCache carries the hot-query score cache counters when the
 	// backing database has one enabled; omitted otherwise.
-	ScoreCache *ScoreCacheStats `json:"score_cache,omitempty"`
+	ScoreCache *grid.ScoreCacheStats `json:"score_cache,omitempty"`
 	// Cluster carries the coordinator's routing and per-node counters when
 	// the backend serves a multi-node cluster; omitted for single-process
 	// serving.
 	Cluster *ClusterStats `json:"cluster,omitempty"`
-}
-
-// ScoreCacheStats is the /stats fragment for the hot-query score cache.
-type ScoreCacheStats struct {
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
-	Evictions uint64 `json:"evictions"`
-	Entries   int    `json:"entries"`
 }
 
 // ClusterStats is the /stats fragment aggregating the whole cluster:

@@ -3,7 +3,8 @@
 // deadline-aware admission, load shedding, graceful shutdown and
 // per-request latency percentiles. Package repro's Database.Serve,
 // RunBatch and Cluster all run on it; Solve and SolveTopK are the one
-// method dispatch every request path shares.
+// method dispatch every request path shares, and Method (with
+// ParseMethod) is the one method enum, which package repro re-exports.
 //
 // Each worker owns one dataset.Planner — a pooled extractor, instance,
 // query/search scratch, and buffers — so steady-state query execution
@@ -12,10 +13,10 @@
 //
 // # Concurrency model and pooling ownership
 //
-// The Dataset (graph, vocabulary, grid index) is immutable at query time
-// and shared read-only by all workers; the grid's MemStore is safe for
-// concurrent reads, BTreeStore serializes tree access behind one mutex,
-// and ShardedStore stripes cells across independently locked shards so
+// The Dataset (graph, vocabulary, grid index) is shared by all workers;
+// searches take the index's read lock, so live updates never interleave
+// with one. The grid's MemStore is safe for concurrent reads, and
+// ShardedStore stripes cells across independently locked shards so
 // workers' cold posting fetches only contend when they hit the same shard.
 // All mutable per-query state lives in the worker-local Planner, which
 // only its owning goroutine touches; the QueryInstance handed to
@@ -28,6 +29,7 @@ package queryengine
 import (
 	"context"
 	"fmt"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -38,12 +40,20 @@ import (
 type Method int
 
 const (
-	// MethodTGEN is the tuple-generation heuristic (§5), the default.
+	// MethodTGEN is the tuple-generation heuristic (§5) — the best
+	// accuracy and efficiency in the paper's study, and the default.
 	MethodTGEN Method = iota
 	// MethodAPP is the (5+ε)-approximation algorithm (§4).
 	MethodAPP
-	// MethodGreedy is the fast greedy expansion (§6.1).
+	// MethodGreedy is the fast, lower-accuracy greedy expansion (§6.1).
 	MethodGreedy
+	// MethodAuto defers the choice to the cost planner (package plan): per
+	// request, the planner estimates each solver's cost from the grid's
+	// term directories and the instance size, picks the most expensive
+	// method affordable within the request's budget, and degrades one
+	// rung under queue pressure instead of shedding. It is not a solver:
+	// Solve and SolveTopK reject it, so it must be resolved first.
+	MethodAuto
 )
 
 // String implements fmt.Stringer.
@@ -55,8 +65,29 @@ func (m Method) String() string {
 		return "APP"
 	case MethodGreedy:
 		return "Greedy"
+	case MethodAuto:
+		return "Auto"
 	default:
 		return fmt.Sprintf("Method(%d)", int(m))
+	}
+}
+
+// ParseMethod parses a method name, case-insensitively, round-tripping
+// Method.String: ParseMethod(m.String()) == m for every defined method.
+// It is the one place method names are spelled out — the CLI flag parser
+// and the HTTP front end both use it.
+func ParseMethod(s string) (Method, error) {
+	switch strings.ToLower(s) {
+	case "tgen":
+		return MethodTGEN, nil
+	case "app":
+		return MethodAPP, nil
+	case "greedy":
+		return MethodGreedy, nil
+	case "auto":
+		return MethodAuto, nil
+	default:
+		return 0, fmt.Errorf("unknown method %q (want TGEN, APP, Greedy, or Auto)", s)
 	}
 }
 

@@ -213,14 +213,14 @@ func TestPercentile(t *testing.T) {
 		want time.Duration
 	}{{50, 50}, {95, 95}, {99, 99}, {100, 100}, {0, 1}}
 	for _, c := range cases {
-		if got := percentile(sorted, c.p); got != c.want {
-			t.Errorf("percentile(1..100, %v) = %v, want %v", c.p, got, c.want)
+		if got := Percentile(sorted, c.p); got != c.want {
+			t.Errorf("Percentile(1..100, %v) = %v, want %v", c.p, got, c.want)
 		}
 	}
-	if got := percentile([]time.Duration{7}, 99); got != 7 {
+	if got := Percentile([]time.Duration{7}, 99); got != 7 {
 		t.Errorf("single sample p99 = %v, want 7", got)
 	}
-	if got := percentile(nil, 50); got != 0 {
+	if got := Percentile(nil, 50); got != 0 {
 		t.Errorf("empty sample = %v, want 0", got)
 	}
 }

@@ -14,7 +14,8 @@ type ServerStats struct {
 	// Served counts requests a worker processed, including errored ones;
 	// shed requests are not served and are counted separately.
 	Served int64
-	// Matched counts default-path requests that produced a region.
+	// Matched counts requests that produced a region. The engine sees only
+	// its default solve path; package repro's Server counts its own.
 	Matched int64
 	// Errors counts requests answered with an error: admission rejections
 	// (context already done), per-query validation or solver failures, and
@@ -62,15 +63,17 @@ func (s *Server) Stats() ServerStats {
 		return st
 	}
 	slices.Sort(all)
-	st.P50 = percentile(all, 50)
-	st.P95 = percentile(all, 95)
-	st.P99 = percentile(all, 99)
+	st.P50 = Percentile(all, 50)
+	st.P95 = Percentile(all, 95)
+	st.P99 = Percentile(all, 99)
 	st.Max = all[len(all)-1]
 	return st
 }
 
-// percentile returns the nearest-rank p-th percentile of a sorted sample.
-func percentile(sorted []time.Duration, p float64) time.Duration {
+// Percentile returns the nearest-rank p-th percentile (p in percent) of a
+// sorted sample: the smallest sample with at least p% of the sample at or
+// below it, so p95 of 13 samples is the 13th. Zero for an empty sample.
+func Percentile(sorted []time.Duration, p float64) time.Duration {
 	if len(sorted) == 0 {
 		return 0
 	}

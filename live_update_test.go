@@ -9,8 +9,8 @@ package repro
 // batch constructor (fresh vocabulary, fresh grid index, fresh posting
 // lists), so any drift in vocabulary statistics, cell directories,
 // postings, or tombstone accounting shows up as a response mismatch.
-// The harness runs over both store backends (in-memory and sharded
-// on-disk), covers all three algorithms, and finishes by closing and
+// The harness runs over both store backends (in-memory, and on disk with
+// four shards and with one), covers all three algorithms, and finishes by closing and
 // reopening the disk store to prove the persisted form serves the same
 // answers.
 
@@ -271,24 +271,28 @@ func TestLiveUpdateGolden(t *testing.T) {
 		}
 		runLiveUpdateGolden(t, db, nil)
 	})
-	t.Run("Sharded", func(t *testing.T) {
-		path := filepath.Join(t.TempDir(), "store")
-		sc := StoreConfig{Path: path, Shards: 4}
-		db, err := NYLikeWithStore(5, 0.05, sc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		runLiveUpdateGolden(t, db, func() *Database {
-			if err := db.Close(); err != nil {
-				t.Fatalf("close before reopen: %v", err)
-			}
-			re, err := NYLikeWithStore(5, 0.05, StoreConfig{Path: path, OpenExisting: true})
+	for _, tc := range []struct {
+		name   string
+		shards int
+	}{{"Sharded", 4}, {"OneShard", 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "store")
+			db, err := NYLikeWithStore(5, 0.05, StoreConfig{Path: path, Shards: tc.shards})
 			if err != nil {
-				t.Fatalf("reopen: %v", err)
+				t.Fatal(err)
 			}
-			return re
+			runLiveUpdateGolden(t, db, func() *Database {
+				if err := db.Close(); err != nil {
+					t.Fatalf("close before reopen: %v", err)
+				}
+				re, err := NYLikeWithStore(5, 0.05, StoreConfig{Path: path, OpenExisting: true})
+				if err != nil {
+					t.Fatalf("reopen: %v", err)
+				}
+				return re
+			})
 		})
-	})
+	}
 }
 
 // TestReopenPreservesUncompacted proves the WAL carries updates across a

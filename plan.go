@@ -7,7 +7,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/geo"
 	"repro/internal/plan"
-	"repro/internal/queryengine"
 )
 
 // Plan is the EXPLAIN annotation of one answered request: which solver
@@ -91,33 +90,6 @@ func (p *Plan) CellsSkipped() int64 {
 	return p.CellsSkippedEmpty + p.CellsSkippedNoTerm + p.CellsSkippedCache
 }
 
-// fromEngineMethod maps the engine's resolved method back to the public
-// enum.
-func fromEngineMethod(m queryengine.Method) Method {
-	switch m {
-	case queryengine.MethodAPP:
-		return MethodAPP
-	case queryengine.MethodGreedy:
-		return MethodGreedy
-	default:
-		return MethodTGEN
-	}
-}
-
-// toEngineMethod maps a concrete public method onto the engine's enum.
-// MethodAuto has no engine counterpart and maps to TGEN, the placeholder
-// until planQuery resolves it.
-func toEngineMethod(m Method) queryengine.Method {
-	switch m {
-	case MethodAPP:
-		return queryengine.MethodAPP
-	case MethodGreedy:
-		return queryengine.MethodGreedy
-	default:
-		return queryengine.MethodTGEN
-	}
-}
-
 // resolveBudget picks the planning budget: an explicit SearchOptions
 // .Budget wins, else the context deadline's remaining time, else zero
 // (plan.Choose substitutes its generous default).
@@ -162,7 +134,7 @@ func (db *Database) planQuery(ctx context.Context, qi *dataset.QueryInstance, la
 	}
 	if auto {
 		choice := plan.Choose(est, budget, pressure)
-		search.Method = fromEngineMethod(choice.Method)
+		search.Method = choice.Method
 		if pl != nil {
 			pl.Method = search.Method
 			pl.Reason = choice.Reason
@@ -172,7 +144,7 @@ func (db *Database) planQuery(ctx context.Context, qi *dataset.QueryInstance, la
 	} else if pl != nil {
 		pl.Method = search.Method
 		pl.Reason = "method requested by client"
-		pl.EstimatedCost = est.Of(toEngineMethod(search.Method))
+		pl.EstimatedCost = est.Of(search.Method)
 	}
 	return search, pl
 }

@@ -40,14 +40,11 @@
 package repro
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"os"
-	"strings"
 	"sync"
 
-	"repro/internal/btree"
 	"repro/internal/dataset"
 	"repro/internal/geo"
 	"repro/internal/grid"
@@ -181,18 +178,17 @@ func USANWLike(seed int64, scale float64) (*Database, error) {
 // StoreConfig selects the posting-list store backing the grid index.
 // The zero value keeps posting lists in memory.
 type StoreConfig struct {
-	// Path is where the postings live on disk: a single B+-tree file when
-	// Shards <= 1, a directory of per-shard trees when Shards > 1. Empty
-	// keeps the postings in memory (combined with Shards > 1 it is an
-	// error — shards need somewhere to live). The store is built fresh at
-	// Path; building over an existing store is refused rather than
-	// silently overwriting it.
+	// Path is the directory the postings live in on disk: a MANIFEST and
+	// one B+-tree file per shard. Empty keeps the postings in memory
+	// (combined with Shards > 1 it is an error — shards need somewhere to
+	// live). The store is built fresh at Path; building over an existing
+	// store is refused rather than silently overwriting it.
 	Path string
-	// Shards > 1 partitions the cell space across that many independent
+	// Shards partitions the cell space across that many independent
 	// B+-trees (one file, page cache and lock each), so concurrent cold
-	// reads scale with cores instead of serializing on one tree. The
-	// count is recorded in the store's manifest header. 1 uses the
-	// single-tree layout; 0 with a non-empty Path also means 1.
+	// reads scale with cores instead of serializing on one tree. The count
+	// is recorded in the store's manifest header. Shards <= 1 means one
+	// shard.
 	Shards int
 	// CachePages caps each tree's page cache (0 = default, 256 pages).
 	CachePages int
@@ -203,16 +199,17 @@ type StoreConfig struct {
 	// loss.
 	NoSync bool
 	// OpenExisting opens the store already at Path instead of creating a
-	// fresh one. For a sharded store this restores the database exactly as
-	// it was: committed metadata plus WAL replay recover every live update
-	// applied before the last close, including updates that never reached
-	// a compaction. (A single-file store carries no metadata; reopening
-	// one is only correct if no live updates were ever applied to it.)
+	// fresh one, restoring the database exactly as it was: committed
+	// metadata plus WAL replay recover every live update applied before
+	// the last close, including updates that never reached a compaction.
 	// Shards is ignored — the shard count comes from the store manifest.
+	// A single-file store written before stores were directories is
+	// refused with an error naming the move that upgrades it.
 	OpenExisting bool
 }
 
-func (sc StoreConfig) open() (grid.Store, error) {
+// open returns the configured disk store, or nil for in-memory postings.
+func (sc StoreConfig) open() (*grid.ShardedStore, error) {
 	if sc.Path == "" {
 		if sc.Shards > 1 {
 			return nil, fmt.Errorf("repro: a sharded store needs a directory path")
@@ -222,125 +219,76 @@ func (sc StoreConfig) open() (grid.Store, error) {
 		}
 		return nil, nil // in-memory
 	}
+	opts := grid.ShardedOptions{Shards: max(sc.Shards, 1), CachePages: sc.CachePages, NoSync: sc.NoSync}
 	if sc.OpenExisting {
-		fi, err := os.Stat(sc.Path)
-		if err != nil {
-			return nil, fmt.Errorf("repro: open store: %w", err)
-		}
-		if fi.IsDir() {
-			return grid.OpenShardedStoreWith(sc.Path, grid.ShardedOptions{CachePages: sc.CachePages, NoSync: sc.NoSync})
-		}
-		return grid.OpenBTreeStore(sc.Path)
+		return grid.OpenShardedStore(sc.Path, opts)
 	}
-	if sc.Shards > 1 {
-		return grid.CreateShardedStore(sc.Path, grid.ShardedOptions{Shards: sc.Shards, CachePages: sc.CachePages, NoSync: sc.NoSync})
-	}
-	return grid.NewBTreeStoreWith(sc.Path, btree.Options{CachePages: sc.CachePages, NoSync: sc.NoSync})
+	return grid.CreateShardedStore(sc.Path, opts)
 }
+
+// ScrubReport is the outcome of ScrubStore: one entry per shard. Err joins
+// every shard failure (nil when the whole store verified clean); String
+// renders one line per shard.
+type ScrubReport = grid.ScrubReport
 
 // ShardHealth is one shard's scrub outcome: Err is nil for a verified-
 // consistent shard, a btree.ErrCorrupt-wrapping error for a damaged one.
-// Pages/Keys summarize what the verifier walked.
-type ShardHealth struct {
-	Shard int
-	Pages int
-	Keys  uint64
-	Err   error
-}
+// Stats summarizes what the verifier walked.
+type ShardHealth = grid.ShardScrub
 
-// ScrubReport is the outcome of ScrubStore: one entry per shard (a
-// single-tree store reports as shard 0).
-type ScrubReport struct {
-	Shards []ShardHealth
-}
-
-// Err returns every shard failure joined, or nil when the whole store
-// verified clean.
-func (r ScrubReport) Err() error {
-	var errs []error
-	for _, sh := range r.Shards {
-		if sh.Err != nil {
-			errs = append(errs, fmt.Errorf("shard %d: %w", sh.Shard, sh.Err))
-		}
-	}
-	return errors.Join(errs...)
-}
-
-// String renders one line per shard.
-func (r ScrubReport) String() string {
-	var b strings.Builder
-	for _, sh := range r.Shards {
-		if sh.Err != nil {
-			fmt.Fprintf(&b, "shard %04d: CORRUPT: %v\n", sh.Shard, sh.Err)
-		} else {
-			fmt.Fprintf(&b, "shard %04d: ok: %d pages, %d keys\n", sh.Shard, sh.Pages, sh.Keys)
-		}
-	}
-	return b.String()
-}
-
-// ScrubStore opens the posting store at path (either layout), verifies
-// every page of every shard — checksums, page linkage, key order, counts —
-// and reports per shard. A clean report means the store is readable end to
-// end; a corrupt shard is reported (typed btree.ErrCorrupt) without
-// touching the others. The store is opened read-only in effect (scrubbing
-// writes nothing) and closed again before returning.
+// ScrubStore opens the posting store at path, verifies every page of every
+// shard — checksums, page linkage, key order, counts — and reports per
+// shard. A clean report means the store is readable end to end; a corrupt
+// shard is reported (typed btree.ErrCorrupt) without touching the others.
+// Scrubbing writes nothing, and the store is closed again before
+// returning.
 func ScrubStore(path string) (ScrubReport, error) {
-	st, err := grid.OpenStore(path)
+	st, err := grid.OpenShardedStore(path, grid.ShardedOptions{})
 	if err != nil {
 		return ScrubReport{}, fmt.Errorf("repro: scrub %s: %w", path, err)
 	}
 	defer st.Close()
-	rep := st.Scrub()
-	out := ScrubReport{Shards: make([]ShardHealth, len(rep.Shards))}
-	for i, sh := range rep.Shards {
-		out.Shards[i] = ShardHealth{Shard: sh.Shard, Pages: sh.Stats.Pages, Keys: sh.Stats.Keys, Err: sh.Err}
-	}
-	return out, nil
+	return st.Scrub(), nil
 }
 
 // NYLikeWithStore is NYLike with an explicit posting-store configuration;
 // close the Database to flush and release a disk-backed store.
 func NYLikeWithStore(seed int64, scale float64, sc StoreConfig) (*Database, error) {
-	store, err := sc.open()
-	if err != nil {
-		return nil, err
-	}
-	ds, err := dataset.NYLike(dataset.Config{Seed: seed, Scale: scale, Store: store, Reopen: sc.OpenExisting})
-	if err != nil {
-		discardStore(store, sc.Path, sc.OpenExisting)
-		return nil, err
-	}
-	return &Database{ds: ds}, nil
+	return buildWithStore(dataset.NYLike, seed, scale, sc)
 }
 
 // USANWLikeWithStore is USANWLike with an explicit posting-store
 // configuration.
 func USANWLikeWithStore(seed int64, scale float64, sc StoreConfig) (*Database, error) {
+	return buildWithStore(dataset.USANWLike, seed, scale, sc)
+}
+
+// buildWithStore builds a synthetic dataset over the configured store. A
+// store this call created is removed again when the build fails: it holds
+// partial postings, and leaving it would make the (create-fresh) retry
+// fail on "already holds a store". Removal only touches the store's own
+// files. A preexisting store (OpenExisting) is closed but never removed —
+// it wasn't ours to create.
+func buildWithStore(build func(dataset.Config) (*dataset.Dataset, error), seed int64, scale float64, sc StoreConfig) (*Database, error) {
 	store, err := sc.open()
 	if err != nil {
 		return nil, err
 	}
-	ds, err := dataset.USANWLike(dataset.Config{Seed: seed, Scale: scale, Store: store, Reopen: sc.OpenExisting})
+	cfg := dataset.Config{Seed: seed, Scale: scale, Reopen: sc.OpenExisting}
+	if store != nil { // a nil *ShardedStore in cfg.Store would not read as nil
+		cfg.Store = store
+	}
+	ds, err := build(cfg)
 	if err != nil {
-		discardStore(store, sc.Path, sc.OpenExisting)
+		if store != nil {
+			store.Close()
+			if !sc.OpenExisting {
+				grid.RemoveStore(sc.Path)
+			}
+		}
 		return nil, err
 	}
 	return &Database{ds: ds}, nil
-}
-
-// discardStore disposes of a store whose dataset build failed: the store
-// was created by this call and holds partial postings, so leaving it
-// would make the (create-fresh) retry fail on "already holds a store".
-// Removal only touches the store's own files. A preexisting store
-// (OpenExisting) is closed but never removed — it wasn't ours to create.
-func discardStore(store grid.Store, path string, preexisting bool) {
-	if c, ok := store.(interface{ Close() error }); ok {
-		c.Close()
-		if !preexisting {
-			grid.RemoveStore(path)
-		}
-	}
 }
 
 // Close flushes and releases the posting store backing the Database when
@@ -351,8 +299,7 @@ func (db *Database) Close() error { return db.ds.Close() }
 // StoreStats reports the layout and page-cache counters of a disk-backed
 // posting store.
 type StoreStats struct {
-	// Shards is the number of B+-tree shards (1 for the single-tree
-	// layout).
+	// Shards is the number of B+-tree shards.
 	Shards int
 	// CacheHits/CacheMisses/CacheEvictions aggregate page-cache traffic
 	// across all shards since the store was opened.
@@ -372,37 +319,26 @@ type StoreStats struct {
 // ScoreCacheStats are the hot-query score cache counters: hits and misses
 // of per-(cell, query) cached score replays, entries evicted by the
 // bounded clock, and the current live entry count.
-type ScoreCacheStats struct {
-	Hits, Misses, Evictions uint64
-	Entries                 int
-}
+type ScoreCacheStats = grid.ScoreCacheStats
 
 // StoreStats returns posting-store statistics, or ok == false when the
 // Database uses the in-memory store and no score cache is enabled.
 func (db *Database) StoreStats() (st StoreStats, ok bool) {
 	st.Tombstones = db.ds.Index.TombstoneCount()
 	if cs, cacheOK := db.ds.Index.ScoreCacheStats(); cacheOK {
-		st.ScoreCache = &ScoreCacheStats{
-			Hits:      cs.Hits,
-			Misses:    cs.Misses,
-			Evictions: cs.Evictions,
-			Entries:   cs.Entries,
-		}
+		st.ScoreCache = &cs
 		ok = true
 	}
-	s, hasStats := db.ds.Index.Store().(interface{ CacheStats() btree.CacheStats })
-	if !hasStats {
+	s, disk := db.ds.Index.Store().(*grid.ShardedStore)
+	if !disk {
 		return st, ok
 	}
 	cs := s.CacheStats()
-	st.Shards = 1
+	st.Shards = s.NumShards()
 	st.CacheHits = cs.Hits
 	st.CacheMisses = cs.Misses
 	st.CacheEvictions = cs.Evictions
 	st.CachedPages = cs.Resident
-	if n, ok := s.(interface{ NumShards() int }); ok {
-		st.Shards = n.NumShards()
-	}
 	return st, true
 }
 

@@ -108,7 +108,7 @@ func (db *Database) answer(ctx context.Context, srv *Server, req Request, search
 			pressure = float64(t.Wait) / float64(srv.maxQueueAge)
 		}
 		resolved, p := db.planQuery(ctx, qi, dq.Lambda, search, pressure, req.Explain)
-		opts.Method = toEngineMethod(resolved.Method)
+		opts.Method = resolved.Method
 		var err error
 		results, err = db.solve(ctx, qi, dq.Delta, req.K, opts)
 		// The trace aliases the planner; finish copies it out.
@@ -175,15 +175,15 @@ func (db *Database) solve(ctx context.Context, qi *dataset.QueryInstance, delta 
 }
 
 // toEngineOptions maps the public SearchOptions onto the engine's Options,
-// rejecting unknown methods. MethodAuto maps to TGEN until planQuery
-// resolves it per request; a zero TGEN α is auto-sized by the engine
+// rejecting unknown methods. MethodAuto stays unresolved until planQuery
+// picks a solver per request; a zero TGEN α is auto-sized by the engine
 // (σ̂max ≈ 9 over the query region).
 func toEngineOptions(opts SearchOptions) (queryengine.Options, error) {
 	if opts.Method < MethodTGEN || opts.Method > MethodAuto {
 		return queryengine.Options{}, fmt.Errorf("repro: unknown method %v", opts.Method)
 	}
 	out := queryengine.Options{
-		Method: toEngineMethod(opts.Method),
+		Method: opts.Method,
 		APP:    core.APPOptions{Alpha: opts.Alpha, Beta: opts.Beta},
 		TGEN:   core.TGENOptions{Alpha: opts.Alpha},
 		Greedy: core.GreedyOptions{Mu: opts.Mu, MuSet: opts.MuSet},

@@ -1,26 +1,25 @@
 package repro
 
 import (
-	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/queryengine"
 	"repro/internal/roadnet"
 )
 
 // Method selects the query-answering algorithm.
-type Method int
+type Method = queryengine.Method
 
 const (
 	// MethodTGEN is the tuple-generation heuristic (§5) — the best
 	// accuracy and efficiency in the paper's study, and the default.
-	MethodTGEN Method = iota
+	MethodTGEN = queryengine.MethodTGEN
 	// MethodAPP is the (5+ε)-approximation algorithm (§4).
-	MethodAPP
+	MethodAPP = queryengine.MethodAPP
 	// MethodGreedy is the fast, lower-accuracy greedy expansion (§6.1).
-	MethodGreedy
+	MethodGreedy = queryengine.MethodGreedy
 	// MethodAuto defers the choice to the server-side cost planner: per
 	// request, the planner estimates each solver's cost from the grid's
 	// term directories and the instance size, picks the most expensive
@@ -28,43 +27,12 @@ const (
 	// else the context deadline), and degrades one rung under queue
 	// pressure instead of shedding. Set Request.Explain to see the
 	// decision in Response.Plan.
-	MethodAuto
+	MethodAuto = queryengine.MethodAuto
 )
 
-// String implements fmt.Stringer.
-func (m Method) String() string {
-	switch m {
-	case MethodTGEN:
-		return "TGEN"
-	case MethodAPP:
-		return "APP"
-	case MethodGreedy:
-		return "Greedy"
-	case MethodAuto:
-		return "Auto"
-	default:
-		return fmt.Sprintf("Method(%d)", int(m))
-	}
-}
-
-// ParseMethod parses a method name, case-insensitively, round-tripping
-// Method.String: ParseMethod(m.String()) == m for every defined method.
-// It is the one place method names are spelled out — the CLI flag parser
-// and the HTTP front end both use it.
-func ParseMethod(s string) (Method, error) {
-	switch strings.ToLower(s) {
-	case "tgen":
-		return MethodTGEN, nil
-	case "app":
-		return MethodAPP, nil
-	case "greedy":
-		return MethodGreedy, nil
-	case "auto":
-		return MethodAuto, nil
-	default:
-		return 0, fmt.Errorf("repro: unknown method %q (want TGEN, APP, Greedy, or Auto)", s)
-	}
-}
+// ParseMethod parses a method name ("tgen", "APP", ...), case-insensitively,
+// round-tripping Method.String.
+func ParseMethod(s string) (Method, error) { return queryengine.ParseMethod(s) }
 
 // SearchOptions tunes the selected Method. The zero value selects the
 // paper's recommended defaults for every knob.

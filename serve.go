@@ -2,7 +2,6 @@ package repro
 
 import (
 	"context"
-	"fmt"
 	"sync/atomic"
 	"time"
 
@@ -44,35 +43,10 @@ type ServeOptions struct {
 	DeadlineOrdered bool
 }
 
-// ServeStats summarizes a server's traffic so far. Latency percentiles are
-// measured from submission to answer, so queueing delay under load is
-// included.
-type ServeStats struct {
-	// Served counts requests a worker processed (errored ones included);
-	// Matched counts those that produced at least one region.
-	Served, Matched int64
-	// Errors counts requests answered with an error: rejected admissions
-	// (context already done), validation and solver failures, and
-	// mid-solve cancellations. Shed requests are counted separately.
-	Errors int64
-	// Shed counts requests rejected with ErrOverloaded by the queue-age
-	// load-shedding policy.
-	Shed int64
-	// Panics counts requests whose solve panicked. Each failed only its
-	// own client (queryengine.ErrQueryPanic); the worker recovered with a
-	// fresh planner and kept serving.
-	Panics int64
-	// Window is the number of samples behind the percentiles.
-	Window int
-	// P50, P95, P99, Max are request latencies over the window.
-	P50, P95, P99, Max time.Duration
-}
-
-// String formats the stats as one readable line.
-func (st ServeStats) String() string {
-	return fmt.Sprintf("served=%d matched=%d errors=%d shed=%d panics=%d p50=%v p95=%v p99=%v max=%v (window %d)",
-		st.Served, st.Matched, st.Errors, st.Shed, st.Panics, st.P50, st.P95, st.P99, st.Max, st.Window)
-}
+// ServeStats summarizes a server's traffic so far: counters over the
+// server's lifetime and request latencies (submission to answer, so
+// queueing delay under load is included) over the retained window.
+type ServeStats = queryengine.ServerStats
 
 // Server is a long-lived streaming query service over one Database. Any
 // number of goroutines may call Do concurrently; answers are
@@ -128,19 +102,11 @@ func (s *Server) Close() {
 	s.inner.Close()
 }
 
-// Stats snapshots the server's counters and latency percentiles.
+// Stats snapshots the server's counters and latency percentiles. Matched
+// is counted here: requests run through Task.Visit, which the engine's
+// own matched counter does not see.
 func (s *Server) Stats() ServeStats {
 	st := s.inner.Stats()
-	return ServeStats{
-		Served:  st.Served,
-		Matched: s.matched.Load(),
-		Errors:  st.Errors,
-		Shed:    st.Shed,
-		Panics:  st.Panics,
-		Window:  st.Window,
-		P50:     st.P50,
-		P95:     st.P95,
-		P99:     st.P99,
-		Max:     st.Max,
-	}
+	st.Matched = s.matched.Load()
+	return st
 }

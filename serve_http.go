@@ -149,16 +149,9 @@ func (b httpBackend) Stats() httpapi.Stats {
 		P99Ms:   httpapi.MillisOf(st.P99),
 		MaxMs:   httpapi.MillisOf(st.Max),
 	}
-	ss, ok := b.s.db.StoreStats()
+	ss, _ := b.s.db.StoreStats()
 	out.Tombstones = ss.Tombstones
-	if ok && ss.ScoreCache != nil {
-		out.ScoreCache = &httpapi.ScoreCacheStats{
-			Hits:      ss.ScoreCache.Hits,
-			Misses:    ss.ScoreCache.Misses,
-			Evictions: ss.ScoreCache.Evictions,
-			Entries:   ss.ScoreCache.Entries,
-		}
-	}
+	out.ScoreCache = ss.ScoreCache
 	return out
 }
 

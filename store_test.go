@@ -1,9 +1,12 @@
 package repro
 
 import (
+	"bytes"
 	"context"
 	"math/rand"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -67,9 +70,9 @@ func TestShardedStoreGolden(t *testing.T) {
 	}
 }
 
-// TestStoreConfigSingleTree covers the single-file compatibility layout.
+// TestStoreConfigSingleTree covers Shards: 1, a store of one B+-tree.
 func TestStoreConfigSingleTree(t *testing.T) {
-	db, err := NYLikeWithStore(5, 0.1, StoreConfig{Path: filepath.Join(t.TempDir(), "p.bt"), Shards: 1})
+	db, err := NYLikeWithStore(5, 0.1, StoreConfig{Path: filepath.Join(t.TempDir(), "store"), Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,5 +91,24 @@ func TestStoreConfigSingleTree(t *testing.T) {
 func TestStoreConfigValidation(t *testing.T) {
 	if _, err := NYLikeWithStore(1, 0.1, StoreConfig{Shards: 4}); err == nil {
 		t.Fatal("sharded store without a path accepted")
+	}
+
+	// A regular file is a single-file store from before stores were
+	// directories: opening or scrubbing it names the move that upgrades
+	// it and leaves its bytes alone.
+	file := filepath.Join(t.TempDir(), "p.bt")
+	content := []byte("legacy single-file store")
+	if err := os.WriteFile(file, content, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, openErr := NYLikeWithStore(1, 0.1, StoreConfig{Path: file, OpenExisting: true})
+	_, scrubErr := ScrubStore(file)
+	for _, err := range []error{openErr, scrubErr} {
+		if err == nil || !strings.Contains(err.Error(), "shard-0000.bt") || !strings.Contains(err.Error(), "partition cell-mod") {
+			t.Errorf("single-file store: error %v does not name the move to a one-shard directory", err)
+		}
+	}
+	if got, err := os.ReadFile(file); err != nil || !bytes.Equal(got, content) {
+		t.Errorf("single-file store changed: %q, %v", got, err)
 	}
 }
