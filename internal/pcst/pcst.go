@@ -13,6 +13,17 @@
 // Σπ − Σc. The classic guarantee is a 2-approximation for the PCST
 // objective min c(T) + π(V \ T).
 //
+// # Edges between inactive clusters
+//
+// An edge whose two sides are both inactive produces no event; it waits in
+// a dormancy list on each endpoint cluster, stamped with an episode number.
+// A cluster turns active only by a merge, so a merge that leaves an active
+// cluster can wake only the edges waiting on that cluster: it walks that one
+// list, in stamp order, instead of re-testing every waiting edge in the
+// graph. One GW run costs O((m + dormancy episodes) · log m) rather than
+// O(merges × waiting edges), and the forest and duals are bit-identical to
+// the global rescan's.
+//
 // # Pooling ownership
 //
 // Solver runs the algorithm from reusable state with zero steady-state
@@ -86,6 +97,55 @@ const (
 
 type event struct {
 	time float64
+	id   int32 // edge index, or cluster representative node
 	kind eventKind
-	id   int // edge index, or cluster representative node
+}
+
+// eventQueue is the GW event queue: a binary min-heap on event time whose
+// sift-up and sift-down are container.Heap's line for line with the
+// comparison inlined, so it pops tied events in exactly the order that
+// container.Heap would.
+type eventQueue []event
+
+func (q *eventQueue) push(ev event) {
+	*q = append(*q, ev)
+	h := *q
+	for i := len(h) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !(h[i].time < h[parent].time) {
+			break
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
+	}
+}
+
+// pop removes and returns the earliest event; ok is false when q is empty.
+func (q *eventQueue) pop() (ev event, ok bool) {
+	h := *q
+	n := len(h)
+	if n == 0 {
+		return event{}, false
+	}
+	top := h[0]
+	h[0] = h[n-1]
+	h = h[:n-1]
+	*q = h
+	n--
+	for i := 0; ; {
+		l, r := 2*i+1, 2*i+2
+		smallest := i
+		if l < n && h[l].time < h[smallest].time {
+			smallest = l
+		}
+		if r < n && h[r].time < h[smallest].time {
+			smallest = r
+		}
+		if smallest == i {
+			break
+		}
+		h[i], h[smallest] = h[smallest], h[i]
+		i = smallest
+	}
+	return top, true
 }

@@ -397,6 +397,25 @@ func TestDormantEdgeReactivation(t *testing.T) {
 	if len(best.Nodes) != 1 || best.Nodes[0] != 0 {
 		t.Errorf("pruned tree = %v, want just node 0", best.Nodes)
 	}
+
+	// Two dormant edges of one cluster waking at the same instant:
+	// a(20) -2- d(0.2), and d -1- e(0), d -1- f(0). d dies at 0.2, so at
+	// t = 1 both of d's spokes go dormant on d's cluster. a reaches d at
+	// 1.8; the merge wakes both spokes with the same slack, so both fire at
+	// 2.6 and the tie is broken by the order the dormant edges were pushed.
+	g2 := &Graph{
+		N:      4,
+		Prizes: []float64{20, 0.2, 0, 0},
+		Edges:  []Edge{{0, 1, 2}, {1, 2, 1}, {1, 3, 1}},
+	}
+	s.growForest(g2)
+	if len(s.forest) != 3 {
+		t.Fatalf("forest edges = %v, want all 3 (a tied dormant edge was lost)", s.forest)
+	}
+	if s.dual[2] != s.dual[3] {
+		t.Errorf("duals of e and f = %v, %v; want equal (they join at the same instant)", s.dual[2], s.dual[3])
+	}
+	checkMatchesRescan(t, s, NewSolver(), g2)
 }
 
 func TestSinglePrizeIsland(t *testing.T) {

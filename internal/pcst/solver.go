@@ -29,10 +29,15 @@ type Solver struct {
 	clusters   []solverCluster
 	memberNext []int32 // intrusive singly-linked cluster member lists
 	dual       []float64
-	pq         container.Heap[event]
-	pqReady    bool
-	dormant    []int
+	pq         eventQueue
 	forest     []int
+
+	// Dormancy index (growForest). An edge whose sides are both inactive
+	// waits, stamped dormSeq[e] = its episode number (0: not waiting), in
+	// the entry lists of both endpoint clusters.
+	dormSeq  []uint32
+	dormEnts []dormEntry
+	episodes uint32
 
 	// Component grouping (groupComponents).
 	ufc          container.UnionFind
@@ -66,12 +71,23 @@ type Solver struct {
 
 // solverCluster is one moat: its members form an intrusive linked list
 // (head/tail into Solver.memberNext), so cluster merges are O(1)
-// concatenations.
+// concatenations. The dormancy entries of the edges waiting on it form a
+// second list (dHead/dTail into Solver.dormEnts, -1 when empty).
 type solverCluster struct {
-	active     bool
-	potential  float64 // remaining prize budget at time lastT
-	lastT      float64
-	head, tail int32
+	active       bool
+	potential    float64 // remaining prize budget at time lastT
+	lastT        float64
+	head, tail   int32
+	dHead, dTail int32
+}
+
+// dormEntry records that edge began dormancy episode seq while one of its
+// endpoints was in the cluster whose list holds the entry. An entry whose
+// seq no longer matches Solver.dormSeq[edge] is stale.
+type dormEntry struct {
+	edge int32
+	seq  uint32
+	next int32
 }
 
 type pruneFrame struct {
@@ -145,19 +161,17 @@ func (s *Solver) growForest(g *Graph) {
 	s.clusters = container.GrowTo(s.clusters, n)
 	s.memberNext = container.GrowTo(s.memberNext, n)
 	s.dual = container.GrowTo(s.dual, n)
-	if !s.pqReady {
-		s.pq.Init(func(a, b event) bool { return a.time < b.time })
-		s.pqReady = true
-	} else {
-		s.pq.Reset()
-	}
-	s.dormant = s.dormant[:0]
+	s.pq = s.pq[:0]
 	s.forest = s.forest[:0]
+	s.dormSeq = container.GrowTo(s.dormSeq, len(g.Edges))
+	clear(s.dormSeq)
+	s.dormEnts = s.dormEnts[:0]
+	s.episodes = 0
 
 	activeCount := 0
 	for v := 0; v < n; v++ {
 		active := g.Prizes[v] > eps
-		s.clusters[v] = solverCluster{active: active, potential: g.Prizes[v], head: int32(v), tail: int32(v)}
+		s.clusters[v] = solverCluster{active: active, potential: g.Prizes[v], head: int32(v), tail: int32(v), dHead: -1, dTail: -1}
 		s.memberNext[v] = -1
 		s.dual[v] = 0
 		if active {
@@ -166,20 +180,19 @@ func (s *Solver) growForest(g *Graph) {
 	}
 	for v := 0; v < n; v++ {
 		if s.clusters[v].active {
-			s.pq.Push(event{time: s.clusters[v].potential, kind: evDeath, id: v})
+			s.pq.push(event{time: s.clusters[v].potential, kind: evDeath, id: int32(v)})
 		}
 	}
-	// Edges whose last event computation found both sides inactive go
-	// dormant. They re-enter the queue whenever a merge creates a new active
-	// cluster, because that is the only way a dead side can start growing
-	// again.
+	// Edges whose last event computation found both sides inactive enter
+	// dormancy (sleep). They re-enter the queue when a merge creates an
+	// active cluster containing one of their endpoints (wakeMerged).
 	for i := range g.Edges {
 		if t, ok := s.edgeEventTime(g, i, 0); ok {
-			s.pq.Push(event{time: t, kind: evEdge, id: i})
+			s.pq.push(event{time: t, kind: evEdge, id: int32(i)})
 		} else {
 			ru, rv := s.uf.Find(int(g.Edges[i].U)), s.uf.Find(int(g.Edges[i].V))
 			if ru != rv {
-				s.dormant = append(s.dormant, i)
+				s.sleep(i, ru, rv)
 			}
 		}
 	}
@@ -188,38 +201,39 @@ func (s *Solver) growForest(g *Graph) {
 		if s.chk.Tick() {
 			return // partial forest; Solve bails before pruning
 		}
-		ev, ok := s.pq.Pop()
+		ev, ok := s.pq.pop()
 		if !ok {
 			break
 		}
+		id := int(ev.id)
 		switch ev.kind {
 		case evDeath:
-			root := s.uf.Find(ev.id)
+			root := s.uf.Find(id)
 			c := &s.clusters[root]
 			if !c.active {
 				continue // stale
 			}
 			trueDeath := c.lastT + c.potential
 			if trueDeath > ev.time+eps {
-				s.pq.Push(event{time: trueDeath, kind: evDeath, id: root})
+				s.pq.push(event{time: trueDeath, kind: evDeath, id: int32(root)})
 				continue
 			}
 			s.flush(root, ev.time)
 			c.active = false
 			activeCount--
 		case evEdge:
-			e := g.Edges[ev.id]
+			e := g.Edges[id]
 			ru, rv := s.uf.Find(int(e.U)), s.uf.Find(int(e.V))
 			if ru == rv {
 				continue // became internal
 			}
-			t, ok := s.edgeEventTime(g, ev.id, ev.time)
+			t, ok := s.edgeEventTime(g, id, ev.time)
 			if !ok {
-				s.dormant = append(s.dormant, ev.id)
+				s.sleep(id, ru, rv)
 				continue
 			}
 			if t > ev.time+eps {
-				s.pq.Push(event{time: t, kind: evEdge, id: ev.id})
+				s.pq.push(event{time: t, kind: evEdge, id: ev.id})
 				continue
 			}
 			// Fire: flush both clusters to now and merge.
@@ -235,10 +249,18 @@ func (s *Solver) growForest(g *Graph) {
 				lastT:     ev.time,
 				head:      cu.head,
 				tail:      cv.tail,
+				dHead:     cu.dHead,
+				dTail:     cu.dTail,
 			}
 			s.memberNext[cu.tail] = cv.head // O(1) list concatenation
+			// An edge fires only with an active side, and an active cluster
+			// holds no dormancy entries (wakeMerged), so at most one side
+			// brings a list.
+			if cu.dHead < 0 {
+				merged.dHead, merged.dTail = cv.dHead, cv.dTail
+			}
 			s.clusters[root] = merged
-			s.forest = append(s.forest, ev.id)
+			s.forest = append(s.forest, id)
 			switch {
 			case wasActiveU && wasActiveV:
 				activeCount--
@@ -249,22 +271,57 @@ func (s *Solver) growForest(g *Graph) {
 				s.clusters[root].active = false
 				activeCount--
 			} else {
-				s.pq.Push(event{time: ev.time + merged.potential, kind: evDeath, id: root})
-				// A new active cluster exists: dormant edges may fire again.
-				if len(s.dormant) > 0 {
-					still := s.dormant[:0]
-					for _, ei := range s.dormant {
-						if t2, ok := s.edgeEventTime(g, ei, ev.time); ok {
-							s.pq.Push(event{time: t2, kind: evEdge, id: ei})
-						} else if s.uf.Find(int(g.Edges[ei].U)) != s.uf.Find(int(g.Edges[ei].V)) {
-							still = append(still, ei)
-						}
-					}
-					s.dormant = still
-				}
+				s.pq.push(event{time: ev.time + merged.potential, kind: evDeath, id: int32(root)})
+				s.wakeMerged(g, root, ev.time)
 			}
 		}
 	}
+}
+
+// sleep starts a dormancy episode for edge ei, whose endpoint clusters ru
+// and rv are both inactive: it stamps the edge and files one entry in each
+// cluster's list.
+func (s *Solver) sleep(ei, ru, rv int) {
+	s.episodes++
+	s.dormSeq[ei] = s.episodes
+	s.fileEntry(ru, ei)
+	s.fileEntry(rv, ei)
+}
+
+func (s *Solver) fileEntry(root, ei int) {
+	k := int32(len(s.dormEnts))
+	s.dormEnts = append(s.dormEnts, dormEntry{edge: int32(ei), seq: s.episodes, next: -1})
+	c := &s.clusters[root]
+	if c.dTail < 0 {
+		c.dHead = k
+	} else {
+		s.dormEnts[c.dTail].next = k
+	}
+	c.dTail = k
+}
+
+// wakeMerged re-queues the waiting edges of the active cluster a merge just
+// formed at root. Only these can wake: a waiting edge has both sides
+// inactive, and a cluster turns active only by such a merge, so an edge with
+// no endpoint in this cluster still has both sides inactive. Each live entry
+// either wakes or is now internal, so the list empties, and an active
+// cluster never holds entries: sleep files only into inactive clusters.
+// Entries are appended in episode order and a merge never interleaves two
+// lists, so the woken edges are pushed in ascending episode stamp — the
+// order a single global list of waiting edges would hold them in.
+func (s *Solver) wakeMerged(g *Graph, root int, now float64) {
+	c := &s.clusters[root]
+	for k := c.dHead; k >= 0; k = s.dormEnts[k].next {
+		d := s.dormEnts[k]
+		if s.dormSeq[d.edge] != d.seq {
+			continue // stale: woken, or waiting again in a later episode
+		}
+		s.dormSeq[d.edge] = 0
+		if t, ok := s.edgeEventTime(g, int(d.edge), now); ok {
+			s.pq.push(event{time: t, kind: evEdge, id: d.edge})
+		}
+	}
+	c.dHead, c.dTail = -1, -1
 }
 
 // flush advances the cluster rooted at root to time now, crediting the
