@@ -37,25 +37,38 @@ func allocWorkload(t *testing.T, querySeed int64) (*dataset.Dataset, []dataset.Q
 // TestServedSearchPathZeroAlloc pins PR 2's claim: a planner-driven served
 // query — request channel round trip, query preparation, grid search,
 // subgraph extraction, instance build, latency record — performs zero
-// steady-state allocations. TestServedQueryZeroAlloc below extends the
+// steady-state allocations. The hot-cached case replays 8 queries over
+// the hot-query score cache, so after warm-up every repeat's fully-inside
+// cells come from cache hits. TestServedQueryZeroAlloc below extends the
 // claim through the solve phase.
 func TestServedSearchPathZeroAlloc(t *testing.T) {
-	d, qs := allocWorkload(t, 5)
-	srv := queryengine.NewServer(d, queryengine.ServerOptions{Workers: 1})
-	defer srv.Close()
-	task := queryengine.Task{Visit: func(*dataset.QueryInstance) error { return nil }}
-	replay := func() {
-		for _, q := range qs {
-			task.Query = q
-			if err := srv.Do(&task); err != nil {
-				t.Fatal(err)
+	for _, name := range []string{"uncached", "hot-cached"} {
+		t.Run(name, func(t *testing.T) {
+			d, qs := allocWorkload(t, 5)
+			if name == "hot-cached" {
+				qs = qs[:8]
+				d.Index.SetScoreCache(4096)
 			}
-		}
-	}
-	replay() // warm every pooled buffer across the whole workload
-	replay()
-	if allocs := testing.AllocsPerRun(3, replay); allocs != 0 {
-		t.Fatalf("served search path allocated %.1f times per %d-query replay, want 0", allocs, len(qs))
+			srv := queryengine.NewServer(d, queryengine.ServerOptions{Workers: 1})
+			defer srv.Close()
+			task := queryengine.Task{Visit: func(*dataset.QueryInstance) error { return nil }}
+			replay := func() {
+				for _, q := range qs {
+					task.Query = q
+					if err := srv.Do(&task); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			replay() // warm every pooled buffer (and the cache) across the whole workload
+			replay()
+			if allocs := testing.AllocsPerRun(3, replay); allocs != 0 {
+				t.Fatalf("served search path allocated %.1f times per %d-query replay, want 0", allocs, len(qs))
+			}
+			if st, ok := d.Index.ScoreCacheStats(); name == "hot-cached" && (!ok || st.Hits == 0) {
+				t.Fatalf("score cache saw no hits: %+v", st)
+			}
+		})
 	}
 }
 
@@ -153,6 +166,30 @@ func TestServedQueryZeroAllocAfterUpdates(t *testing.T) {
 	if allocs := testing.AllocsPerRun(3, replay); allocs != 0 {
 		t.Fatalf("served path allocated %.1f times per %d-query replay after live updates, want 0",
 			allocs, len(qs))
+	}
+}
+
+// TestLiveUpdateAllocBound bounds each live-update leg's allocations per
+// update on BenchmarkLiveUpdate's store, averaged over one compaction
+// period as the benchmark leg does: WAL record encode, memtable entries
+// and vocabulary growth, plus one compaction, must not silently regress.
+func TestLiveUpdateAllocBound(t *testing.T) {
+	for leg, l := range liveUpdateLegs {
+		t.Run(l.name, func(t *testing.T) {
+			db, update := liveUpdater(t, leg)
+			defer db.Close()
+			i := 0
+			allocs := testing.AllocsPerRun(l.period, func() {
+				if err := update(i); err != nil {
+					t.Fatal(err)
+				}
+				i++
+			})
+			if allocs > l.maxAllocs {
+				t.Fatalf("%s allocated %.1f times per update over a %d-update compaction period, budget %.0f",
+					l.name, allocs, l.period, l.maxAllocs)
+			}
+		})
 	}
 }
 

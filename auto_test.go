@@ -184,7 +184,7 @@ func TestAutoGoldenCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	addrs, _ := startClusterNodes(t, nodeDB, 1)
+	addrs, _ := startClusterNodes(t, 1, nodeDB, nodeDB)
 	cl, err := coordDB.OpenCluster(ClusterOptions{Nodes: addrs, Serve: ServeOptions{Workers: 2}})
 	if err != nil {
 		t.Fatal(err)

@@ -13,6 +13,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/dataset"
@@ -159,9 +160,12 @@ func throughputWorkload(b *testing.B) (*dataset.Dataset, []dataset.Query) {
 	return tputDS, tputQS
 }
 
-// BenchmarkQueryThroughput answers a fixed 64-query TGEN workload through
-// RunBatch end-to-end (server round trip → grid lookup → CSR extraction →
-// solver → materialize) and reports queries/s per worker count.
+// BenchmarkQueryThroughput answers a fixed 64-query TGEN workload end to
+// end (server round trip → grid lookup → CSR extraction → solver →
+// materialize) through a fresh Server per iteration, with as many
+// concurrent Server.Do clients as workers, and reports queries/s per
+// worker count. scripts/bench-gates.sh requires workers=4 at -cpu=4 to be
+// at least 2x faster than workers=1 at -cpu=1.
 func BenchmarkQueryThroughput(b *testing.B) {
 	d, dqs := throughputWorkload(b)
 	db := &Database{ds: d}
@@ -177,13 +181,78 @@ func BenchmarkQueryThroughput(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, _, err := db.RunBatch(context.Background(), qs, SearchOptions{}, w)
-				if err != nil {
-					b.Fatal(err)
+				serveAll(b, db, qs, SearchOptions{}, w)
+			}
+			b.ReportMetric(float64(len(qs))*float64(b.N)/b.Elapsed().Seconds(), "queries/s")
+		})
+	}
+}
+
+// BenchmarkClusterColdRead answers a 96-query Greedy set through a
+// coordinator over in-process node listeners on loopback TCP (the
+// topology of bench/'s cluster_scatter workload): one node owning every
+// grid cell (nodes=1), or two nodes splitting the cell space in half
+// (nodes=2). Each node is its own Database over its own fresh 4-shard
+// disk store with a page cache of 16 pages per shard, as search_cold_disk
+// uses. At scale 2 that is far smaller than the working set (about one
+// page fetch in eight misses), so reads stay cold across iterations; at
+// smaller scales the whole store fits in the 8-page-per-shard cache
+// floor. Greedy keeps the coordinator's solve from hiding the reads. One
+// iteration is the whole set, sent by 8 concurrent Cluster.Do clients to
+// a 4-worker coordinator. scripts/bench-gates.sh requires nodes=2 to be
+// at least 1.05x faster than nodes=1 at 4 CPUs.
+func BenchmarkClusterColdRead(b *testing.B) {
+	const (
+		seed       = 1
+		scale      = 2
+		clients    = 8
+		cachePages = 16
+	)
+	coordDB, err := NYLike(seed, scale)
+	if err != nil {
+		b.Fatal(err)
+	}
+	qs, err := coordDB.GenQueries(rand.New(rand.NewSource(seed+100)), 96, 3, 100e6, 10000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	newNode := func() *Database {
+		db, err := NYLikeWithStore(seed, scale, StoreConfig{
+			Path: b.TempDir() + "/store", Shards: 4, CachePages: cachePages, NoSync: true,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { db.Close() })
+		return db
+	}
+	for _, nodeDBs := range [][]*Database{{newNode()}, {newNode(), newNode()}} {
+		b.Run(fmt.Sprintf("nodes=%d", len(nodeDBs)), func(b *testing.B) {
+			addrs, _ := startClusterNodes(b, 1, nodeDBs...)
+			cl, err := coordDB.OpenCluster(ClusterOptions{
+				Nodes: addrs, Serve: ServeOptions{Workers: 4, Search: SearchOptions{Method: MethodGreedy}},
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer cl.Close()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var next atomic.Int64
+				var wg sync.WaitGroup
+				for c := 0; c < clients; c++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						for j := int(next.Add(1)) - 1; j < len(qs); j = int(next.Add(1)) - 1 {
+							if resp := cl.Do(context.Background(), Request{Query: qs[j]}); resp.Err != nil {
+								b.Error(resp.Err)
+								return
+							}
+						}
+					}()
 				}
-				if len(res) != len(qs) {
-					b.Fatal("missing results")
-				}
+				wg.Wait()
 			}
 			b.ReportMetric(float64(len(qs))*float64(b.N)/b.Elapsed().Seconds(), "queries/s")
 		})
@@ -199,14 +268,13 @@ func BenchmarkQueryThroughput(b *testing.B) {
 //   - tgen-e2e / app-e2e / greedy-e2e measure the full served path per
 //     solver method — search, pooled solve, and result mapping, i.e. what
 //     a real client sees.
-//   - hot-cached replays a Zipfian hot-spot workload (8 distinct queries)
-//     on a fresh dataset with the hot-query score cache enabled: after
-//     warm-up, every repeat's fully-inside cells come from the cache.
+//   - hot-cached replays 8 distinct queries round-robin on a fresh
+//     dataset with the hot-query score cache enabled: after warm-up,
+//     every repeat's fully-inside cells come from the cache.
 //
 // Every sub-benchmark must report 0 B/op, 0 allocs/op steady-state
-// (asserted by TestServedSearchPathZeroAlloc, TestServedQueryZeroAlloc
-// and TestScoreCacheHitZeroAlloc, and gated numerically by
-// scripts/bench-json.sh).
+// (asserted by TestServedSearchPathZeroAlloc and
+// TestServedQueryZeroAlloc, hot-cached included).
 func BenchmarkServeQuery(b *testing.B) {
 	d, qs := throughputWorkload(b)
 	b.Run("searchpath", func(b *testing.B) {
@@ -262,11 +330,7 @@ func BenchmarkServeQuery(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		rng := rand.New(rand.NewSource(5))
-		qs, err := d.GenHotspotQueries(rng, 64, 8, 3, 25e6, 5000, 1.2)
-		if err != nil {
-			b.Fatal(err)
-		}
+		qs := qs[:8]
 		d.Index.SetScoreCache(4096)
 		srv := queryengine.NewServer(d, queryengine.ServerOptions{Workers: 1})
 		defer srv.Close()
@@ -307,103 +371,104 @@ func BenchmarkInstantiate(b *testing.B) {
 	}
 }
 
-// BenchmarkLiveUpdate measures the live mutation path over the sharded
-// on-disk store and re-measures the served query path on a mutated
-// dataset.
-//
-//   - insert / reweight / delete report updates/s against a 4-shard
-//     store with the fsync discipline enabled — each iteration is one
-//     durable WAL append plus memtable apply, with automatic compaction
-//     folding the memtable into the B+-trees every 512 updates.
-//   - serve-after-updates replays the ServeQuery workload on an
-//     in-memory dataset that absorbed a mixed update batch and a
-//     compaction; it must stay 0 B/op, 0 allocs/op (gated numerically by
-//     scripts/bench-json.sh against scripts/bench-baseline.json — the
-//     memtable-empty fast path costs nothing).
-func BenchmarkLiveUpdate(b *testing.B) {
-	mkDisk := func(b *testing.B) *Database {
-		db, err := NYLikeWithStore(3, 0.05, StoreConfig{
-			Path: b.TempDir() + "/store", Shards: 4,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return db
-	}
-	perSecond := func(b *testing.B) {
-		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "updates/s")
-	}
-	b.Run("insert", func(b *testing.B) {
-		db := mkDisk(b)
-		defer db.Close()
+// liveUpdateLegs are BenchmarkLiveUpdate's mutation legs. start returns
+// the function applying update i; the leg compacts after every period-th
+// update, and maxAllocs bounds its allocations per update averaged over
+// one such period (TestLiveUpdateAllocBound).
+var liveUpdateLegs = []struct {
+	name      string
+	period    int
+	maxAllocs float64
+	start     func(db *Database) func(i int) error
+}{
+	{"insert", 512, 80, func(db *Database) func(int) error {
 		r := db.Bounds()
 		rng := rand.New(rand.NewSource(1))
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
+		return func(int) error {
 			_, err := db.Insert(ObjectSpec{
 				X:    r.MinX + rng.Float64()*(r.MaxX-r.MinX),
 				Y:    r.MinY + rng.Float64()*(r.MaxY-r.MinY),
 				Text: "cafe museum park",
 			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if (i+1)%512 == 0 {
-				if err := db.Compact(); err != nil {
-					b.Fatal(err)
-				}
-			}
+			return err
 		}
-		perSecond(b)
-	})
-	b.Run("reweight", func(b *testing.B) {
-		db := mkDisk(b)
-		defer db.Close()
+	}},
+	{"reweight", 512, 64, func(db *Database) func(int) error {
 		n := db.NumObjects()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			// Alternate ×1.25, ×0.8 so weights stay bounded over any b.N.
+		return func(i int) error {
+			// Alternate ×1.25, ×0.8 so weights stay bounded over any count.
 			f := 1.25
 			if i%2 == 1 {
 				f = 0.8
 			}
-			if err := db.Reweight(i%n, f); err != nil {
-				b.Fatal(err)
-			}
-			if (i+1)%512 == 0 {
-				if err := db.Compact(); err != nil {
-					b.Fatal(err)
-				}
-			}
+			return db.Reweight(i%n, f)
 		}
-		perSecond(b)
-	})
-	b.Run("delete", func(b *testing.B) {
-		db := mkDisk(b)
-		defer db.Close()
+	}},
+	{"delete", 256, 48, func(db *Database) func(int) error {
 		r := db.Bounds()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
+		return func(int) error {
 			// Insert+delete pairs keep a stable live set; the delete half
 			// is what's being measured alongside its WAL append.
 			id, err := db.Insert(ObjectSpec{X: (r.MinX + r.MaxX) / 2, Y: (r.MinY + r.MaxY) / 2, Text: "bar"})
 			if err != nil {
-				b.Fatal(err)
+				return err
 			}
-			if err := db.Delete(id); err != nil {
-				b.Fatal(err)
-			}
-			if (i+1)%256 == 0 {
-				if err := db.Compact(); err != nil {
+			return db.Delete(id)
+		}
+	}},
+}
+
+// liveUpdater opens the store every live-update leg runs on — the NY-like
+// dataset at scale 0.05 over a fresh 4-shard disk store, fsync on — and
+// returns it with the function applying leg's update i, compacting after
+// every period-th update.
+func liveUpdater(tb testing.TB, leg int) (*Database, func(i int) error) {
+	tb.Helper()
+	db, err := NYLikeWithStore(3, 0.05, StoreConfig{Path: tb.TempDir() + "/store", Shards: 4})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	l := liveUpdateLegs[leg]
+	apply := l.start(db)
+	return db, func(i int) error {
+		if err := apply(i); err != nil {
+			return err
+		}
+		if (i+1)%l.period == 0 {
+			return db.Compact()
+		}
+		return nil
+	}
+}
+
+// BenchmarkLiveUpdate measures the live mutation path over the sharded
+// on-disk store and re-measures the served query path on a mutated
+// dataset.
+//
+//   - insert / reweight / delete (liveUpdateLegs) report updates/s
+//     against a 4-shard store with the fsync discipline enabled — each
+//     iteration is one durable WAL append plus memtable apply, with
+//     compaction folding the memtable into the B+-trees every period.
+//   - serve-after-updates replays the ServeQuery workload on an
+//     in-memory dataset that absorbed a mixed update batch and a
+//     compaction; it must stay 0 B/op, 0 allocs/op (asserted by
+//     TestServedQueryZeroAllocAfterUpdates — the memtable-empty fast path
+//     costs nothing).
+func BenchmarkLiveUpdate(b *testing.B) {
+	for leg := range liveUpdateLegs {
+		b.Run(liveUpdateLegs[leg].name, func(b *testing.B) {
+			db, update := liveUpdater(b, leg)
+			defer db.Close()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := update(i); err != nil {
 					b.Fatal(err)
 				}
 			}
-		}
-		perSecond(b)
-	})
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "updates/s")
+		})
+	}
 	b.Run("serve-after-updates", func(b *testing.B) {
 		d, err := dataset.NYLike(dataset.Config{Seed: 3, Scale: 0.2})
 		if err != nil {

@@ -14,43 +14,44 @@ import (
 	"testing"
 )
 
-// startClusterNodes serves nodeDB's index as a 2-way cell split with
-// `replicas` interchangeable listeners per half, returning the node
-// addresses in coordinator order and the handles for shutdown.
-func startClusterNodes(t *testing.T, nodeDB *Database, replicas int) ([]string, []*ClusterNode) {
-	t.Helper()
-	num := uint32(nodeDB.ds.Index.NumCells())
-	mid := num / 2
-	if mid == 0 || mid >= num {
-		t.Fatalf("degenerate cell split: mid=%d of %d", mid, num)
+// startClusterNodes splits the cell space evenly into one range per
+// database and serves range i from nodeDBs[i] with `replicas`
+// interchangeable loopback listeners, returning the node addresses in
+// coordinator order and the handles for shutdown.
+func startClusterNodes(tb testing.TB, replicas int, nodeDBs ...*Database) ([]string, []*ClusterNode) {
+	tb.Helper()
+	num := uint32(nodeDBs[0].ds.Index.NumCells())
+	if num < uint32(len(nodeDBs)) {
+		tb.Fatalf("degenerate cell split: %d cells over %d nodes", num, len(nodeDBs))
 	}
 	var addrs []string
 	var nodes []*ClusterNode
-	for _, rg := range [][2]uint32{{0, mid}, {mid, num}} {
-		for i := 0; i < replicas; i++ {
+	tb.Cleanup(func() {
+		for _, cn := range nodes {
+			cn.Close()
+		}
+	})
+	for i, db := range nodeDBs {
+		lo, hi := num*uint32(i)/uint32(len(nodeDBs)), num*uint32(i+1)/uint32(len(nodeDBs))
+		for r := 0; r < replicas; r++ {
 			ln, err := net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
-				t.Fatal(err)
+				tb.Fatal(err)
 			}
-			cn, err := nodeDB.ServeClusterNode(ln, rg[0], rg[1])
+			cn, err := db.ServeClusterNode(ln, lo, hi)
 			if err != nil {
-				t.Fatal(err)
+				tb.Fatal(err)
 			}
 			nodes = append(nodes, cn)
 			addrs = append(addrs, cn.Addr().String())
 		}
 	}
-	t.Cleanup(func() {
-		for _, cn := range nodes {
-			cn.Close()
-		}
-	})
 	return addrs, nodes
 }
 
 // TestClusterServeGolden is the acceptance guarantee for distributed
 // serving: a coordinator over a 2-node cell split (each half replicated
-// twice) answers a concurrent workload bit-identically to RunBatch on a
+// twice) answers a concurrent workload bit-identically to a Server on a
 // single process holding all the data — for every method, and still after
 // one replica of each half is killed mid-test (the coordinator retries on
 // the survivor).
@@ -64,7 +65,7 @@ func TestClusterServeGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	addrs, nodes := startClusterNodes(t, nodeDB, 2)
+	addrs, nodes := startClusterNodes(t, 2, nodeDB, nodeDB)
 	cl, err := coordDB.OpenCluster(ClusterOptions{Nodes: addrs, Serve: ServeOptions{Workers: 2}})
 	if err != nil {
 		t.Fatal(err)
@@ -93,13 +94,9 @@ func TestClusterServeGolden(t *testing.T) {
 	want := make(map[Method][]*Result)
 	for _, method := range []Method{MethodTGEN, MethodAPP, MethodGreedy} {
 		opts := SearchOptions{Method: method}
-		w, _, err := ref.RunBatch(context.Background(), qs, opts, 2)
-		if err != nil {
-			t.Fatalf("%v batch: %v", method, err)
-		}
-		want[method] = w
-		if got := run(opts); !reflect.DeepEqual(got, w) {
-			t.Fatalf("%v: cluster answers differ from single-process RunBatch", method)
+		want[method], _ = serveAll(t, ref, qs, opts, 2)
+		if got := run(opts); !reflect.DeepEqual(got, want[method]) {
+			t.Fatalf("%v: cluster answers differ from single-process serving", method)
 		}
 	}
 
@@ -150,7 +147,7 @@ func TestClusterQuotaAndTypedErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	addrs, nodes := startClusterNodes(t, nodeDB, 1)
+	addrs, nodes := startClusterNodes(t, 1, nodeDB, nodeDB)
 	cl, err := coordDB.OpenCluster(ClusterOptions{
 		Nodes: addrs,
 		Serve: ServeOptions{Workers: 1},

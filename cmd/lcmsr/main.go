@@ -1,46 +1,29 @@
 // Command lcmsr answers LCMSR queries interactively against a built-in
-// synthetic dataset.
+// synthetic dataset, and serves them over HTTP or as a cluster.
 //
 // Usage:
 //
 //	lcmsr -dataset ny -keywords "t0001,t0002" -delta 10000 -area 100 -method tgen
-//	lcmsr -dataset usanw -auto -k 3          # generate a query, top-3 regions
-//	lcmsr -auto -queries 200 -parallel 8     # workload mode: throughput run
-//	lcmsr -auto -queries 2000 -hotspots 8 -cache 4096  # Zipfian hot-spot replay, score cache on
-//	lcmsr -serve -queries 500 -rate 100      # serve mode: replay at 100 q/s
-//	lcmsr -serve -http :8080 -timeout 500ms  # HTTP mode: POST /query, GET /stats
-//	lcmsr -shards 4 -queries 200 -parallel 4 # disk store, 4 B+-tree shards
+//	lcmsr -dataset usanw -k 3 -explain       # generate a query, top-3 regions, EXPLAIN plan
+//	lcmsr -http :8080 -timeout 500ms -cache 4096  # HTTP mode: POST /query, GET /stats
 //	lcmsr -shards 4 -postings /data/store -updates 500   # mutate, compact, persist
-//	lcmsr -open -postings /data/store -queries 50        # reopen the same store
+//	lcmsr -open -postings /data/store        # reopen the same store
 //	lcmsr -scrub /data/store                 # verify a posting store offline
 //	lcmsr -node -cells 0:800 -listen :7070   # cluster node: serve cells [0, 800)
 //	lcmsr -coord -nodes :7070,:7071 -http :8080          # coordinator over the nodes
 //
 // -area is the Q.Λ area in km²; -delta the length budget in metres. With
-// -auto the keywords and region are drawn by the workload generator.
+// an empty -keywords the query's keywords and region are drawn by the
+// workload generator. -cpuprofile and -memprofile write pprof profiles of
+// the query phase. To drive load, use the bench/ harness or Server.Do.
 //
-// With -queries > 1 the command switches to workload mode: it generates
-// (or replicates) that many queries and answers them through the parallel
-// query engine with -parallel workers, reporting throughput instead of
-// per-region detail. -cpuprofile and -memprofile write pprof profiles of
-// the query phase for performance work.
-//
-// With -hotspots N the generated workload is Zipfian instead of uniform:
-// N distinct hot queries are replayed -queries times with Zipf(-zipf)
-// popularity, the shape of real map traffic. Combine with -cache M to
-// serve the repeats from the hot-query score cache (M cached (cell,
-// query) entries, invalidated wholesale by every live update); cache
-// hit/miss/eviction counters are printed at exit and exposed on /stats.
-//
-// With -serve the command starts the streaming query server instead and
-// replays the workload against it at -rate queries/s (0 = as fast as the
-// server admits, closed loop), then prints throughput and p50/p95/p99
-// request latencies. -timeout bounds each request with a context deadline
-// and -max-queue-age sheds requests that out-wait the queue.
-//
-// With -serve -http ADDR the command exposes the server over HTTP as JSON
-// (POST /query, GET /stats) until SIGINT/SIGTERM, honoring client
-// disconnects and per-request timeouts end to end.
+// With -http ADDR the command exposes the streaming query server over HTTP
+// as JSON (POST /query, GET /stats) until SIGINT/SIGTERM, honoring client
+// disconnects and per-request timeouts end to end. -timeout bounds each
+// request with a context deadline and -max-queue-age sheds requests that
+// out-wait the queue. -cache M enables the hot-query score cache (M cached
+// (cell, query) entries, invalidated wholesale by every live update); its
+// counters are printed at exit and exposed on /stats.
 //
 // With -shards N the posting lists live on disk instead of in memory: a
 // directory of N independent B+-tree shards (cells striped cell mod N;
@@ -70,12 +53,11 @@
 // With -node the command serves this process's cells of the grid over a
 // narrow TCP protocol for a coordinator: -cells A:B assigns the half-open
 // cell range (recorded in a disk store's MANIFEST so a reopen can omit
-// it), -listen picks the address. With -coord -nodes a,b,... the command
-// fronts those nodes instead of searching locally: the node cell ranges
-// must tile the grid (replicas share a range), answers are bit-identical
-// to single-process serving, and -quota-rate/-quota-burst enable
-// per-client admission control. Combine -coord with -http for the JSON
-// API; without it the workload is replayed through the cluster.
+// it), -listen picks the address. With -coord -nodes a,b,... -http ADDR
+// the command fronts those nodes with the JSON API instead of searching
+// locally: the node cell ranges must tile the grid (replicas share a
+// range), answers are bit-identical to single-process serving, and
+// -quota-rate/-quota-burst enable per-client admission control.
 package main
 
 import (
@@ -92,8 +74,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -112,25 +92,19 @@ func main() {
 		method     = flag.String("method", "tgen", "tgen, app, greedy, or auto (cost-based per-query choice)")
 		k          = flag.Int("k", 1, "number of regions (top-k)")
 		explain    = flag.Bool("explain", false, "single-query mode: print the EXPLAIN plan (method choice, estimated vs actual cost, cells scanned vs skipped)")
-		auto       = flag.Bool("auto", false, "generate keywords and region automatically")
 		shards     = flag.Int("shards", 0, "disk-backed posting store: this many cell-striped B+-tree shards (cell mod N); 0 keeps postings in memory")
 		postings   = flag.String("postings", "", "posting store directory; default: a temporary directory removed on exit")
 		open       = flag.Bool("open", false, "reopen the persisted posting store at -postings (committed meta + WAL replay) instead of rebuilding it; -seed/-scale must match the run that created it")
 		updates    = flag.Int("updates", 0, "apply this many random live updates (insert/delete/reweight mix) before the query phase, then compact")
-		queries    = flag.Int("queries", 1, "number of queries (>1 switches to workload mode)")
-		hotspots   = flag.Int("hotspots", 0, "Zipfian hot-spot workload: this many distinct hot queries replayed -queries times (0 = uniform workload)")
-		zipfS      = flag.Float64("zipf", 1.2, "Zipf exponent for -hotspots popularity (> 1)")
 		cacheSize  = flag.Int("cache", 0, "enable the hot-query score cache with this many (cell, query) entries (0 = off)")
-		parallel   = flag.Int("parallel", 0, "workload workers; 0 = GOMAXPROCS")
-		serve      = flag.Bool("serve", false, "replay the workload through the streaming server and report latency percentiles")
-		rate       = flag.Float64("rate", 0, "serve mode: target request rate in queries/s (0 = closed loop)")
-		httpAddr   = flag.String("http", "", "listen on this address (e.g. :8080) and answer POST /query, GET /stats as JSON (implies -serve; no workload replay)")
-		timeout    = flag.Duration("timeout", 0, "serve mode: per-request timeout (0 = unbounded)")
-		queueAge   = flag.Duration("max-queue-age", 0, "serve mode: shed requests queued longer than this (0 = no shedding)")
+		parallel   = flag.Int("parallel", 0, "server workers (-http, -coord)")
+		httpAddr   = flag.String("http", "", "listen on this address (e.g. :8080) and answer POST /query, GET /stats as JSON")
+		timeout    = flag.Duration("timeout", 0, "-http/-coord: per-request timeout (0 = unbounded)")
+		queueAge   = flag.Duration("max-queue-age", 0, "-http/-coord: shed requests queued longer than this (0 = no shedding)")
 		node       = flag.Bool("node", false, "cluster node mode: serve this database's cells over TCP for a coordinator (see -cells, -listen)")
 		cells      = flag.String("cells", "", "node mode: owned cell range as A:B (half-open); empty adopts the range recorded in the store's MANIFEST")
 		listen     = flag.String("listen", ":7070", "node mode: TCP listen address")
-		coord      = flag.Bool("coord", false, "coordinator mode: answer queries by scattering to the cluster nodes at -nodes")
+		coord      = flag.Bool("coord", false, "coordinator mode: serve -http by scattering queries to the cluster nodes at -nodes")
 		nodesFlag  = flag.String("nodes", "", "coordinator mode: comma-separated node addresses (host:port); their cell ranges must tile the grid")
 		quotaRate  = flag.Float64("quota-rate", 0, "coordinator mode: per-client sustained request rate (token bucket); 0 disables quotas")
 		quotaBurst = flag.Float64("quota-burst", 0, "coordinator mode: per-client burst capacity; 0 = max(1, quota-rate)")
@@ -140,15 +114,20 @@ func main() {
 	)
 	flag.Parse()
 
+	m, err := repro.ParseMethod(*method)
+	if err != nil {
+		usage(err.Error())
+	}
+	opts := repro.SearchOptions{Method: m}
+	if *coord && (*nodesFlag == "" || *httpAddr == "") {
+		usage("-coord needs -nodes host:port,... and -http ADDR")
+	}
 	if *scrub != "" {
 		runScrub(*scrub)
 		return
 	}
 
-	var (
-		db  *repro.Database
-		err error
-	)
+	var db *repro.Database
 	if *load != "" {
 		if *shards > 0 || *postings != "" {
 			usage("-shards/-postings apply to the built-in datasets, not -load")
@@ -221,40 +200,6 @@ func main() {
 		}
 	}
 
-	if *node {
-		runNode(db, *cells, *listen)
-		return
-	}
-
-	var q repro.Query
-	if *auto || *keywords == "" {
-		rng := rand.New(rand.NewSource(*seed + 100))
-		qs, err := db.GenQueries(rng, 1, 3, *areaKm2*1e6, *delta)
-		if err != nil {
-			fatal(err)
-		}
-		q = qs[0]
-	} else {
-		bounds := db.Bounds()
-		cx := (bounds.MinX + bounds.MaxX) / 2
-		cy := (bounds.MinY + bounds.MaxY) / 2
-		half := 0.5 * math.Sqrt(*areaKm2*1e6)
-		q = repro.Query{
-			Keywords: strings.Split(*keywords, ","),
-			Delta:    *delta,
-			Region:   repro.Rect{MinX: cx - half, MinY: cy - half, MaxX: cx + half, MaxY: cy + half},
-		}
-	}
-	opts := repro.SearchOptions{}
-	m, err := repro.ParseMethod(*method)
-	if err != nil {
-		usage(err.Error())
-	}
-	opts.Method = m
-
-	fmt.Printf("query: keywords=%v ∆=%.0fm Λ=%.0fkm² method=%v\n",
-		q.Keywords, q.Delta, (q.Region.MaxX-q.Region.MinX)*(q.Region.MaxY-q.Region.MinY)/1e6, opts.Method)
-
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
@@ -268,17 +213,14 @@ func main() {
 	}
 
 	switch {
+	case *node:
+		runNode(db, *cells, *listen)
 	case *coord:
-		runCoord(db, q, opts, *nodesFlag, *httpAddr, *queries, *parallel, *timeout, *queueAge,
-			*seed, *areaKm2, *delta, *auto || *keywords == "", *hotspots, *zipfS, *quotaRate, *quotaBurst)
-	case *httpAddr != "": // -http implies serve mode
+		runCoord(db, opts, *nodesFlag, *httpAddr, *parallel, *timeout, *queueAge, *quotaRate, *quotaBurst)
+	case *httpAddr != "":
 		runHTTP(db, opts, *httpAddr, *parallel, *timeout, *queueAge)
-	case *serve:
-		runServe(db, q, opts, *queries, *parallel, *rate, *timeout, *queueAge, *seed, *areaKm2, *delta, *auto || *keywords == "", *hotspots, *zipfS)
-	case *queries > 1:
-		runWorkload(db, q, opts, *queries, *parallel, *seed, *areaKm2, *delta, *auto || *keywords == "", *hotspots, *zipfS)
 	default:
-		runSingle(db, q, opts, *k, *explain)
+		runSingle(db, oneQuery(db, *keywords, *areaKm2, *delta, *seed), opts, *k, *explain)
 	}
 
 	if *memprofile != "" {
@@ -355,9 +297,33 @@ func runScrub(path string) {
 	fmt.Printf("scrub %s: ok (%d shard(s))\n", path, len(rep.Shards))
 }
 
+// oneQuery builds the single query: an explicit -keywords list over a
+// centred square of the given area, or one drawn by the workload generator
+// when the list is empty.
+func oneQuery(db *repro.Database, keywords string, areaKm2, delta float64, seed int64) repro.Query {
+	if keywords == "" {
+		qs, err := db.GenQueries(rand.New(rand.NewSource(seed+100)), 1, 3, areaKm2*1e6, delta)
+		if err != nil {
+			fatal(err)
+		}
+		return qs[0]
+	}
+	bounds := db.Bounds()
+	cx := (bounds.MinX + bounds.MaxX) / 2
+	cy := (bounds.MinY + bounds.MaxY) / 2
+	half := 0.5 * math.Sqrt(areaKm2*1e6)
+	return repro.Query{
+		Keywords: strings.Split(keywords, ","),
+		Delta:    delta,
+		Region:   repro.Rect{MinX: cx - half, MinY: cy - half, MaxX: cx + half, MaxY: cy + half},
+	}
+}
+
 // runSingle answers one query and prints its regions in full detail,
 // plus the EXPLAIN plan when asked.
 func runSingle(db *repro.Database, q repro.Query, opts repro.SearchOptions, k int, explain bool) {
+	fmt.Printf("query: keywords=%v ∆=%.0fm Λ=%.0fkm² method=%v\n",
+		q.Keywords, q.Delta, (q.Region.MaxX-q.Region.MinX)*(q.Region.MaxY-q.Region.MinY)/1e6, opts.Method)
 	resp := db.Do(context.Background(), repro.Request{Query: q, Search: opts, K: k, Explain: explain})
 	if resp.Err != nil {
 		fatal(resp.Err)
@@ -401,167 +367,6 @@ func printPlan(p *repro.Plan) {
 	}
 }
 
-// runWorkload answers a many-query workload through the parallel engine
-// and reports throughput. Generated workloads draw fresh queries from the
-// dataset distribution; an explicit -keywords query is replicated n times.
-func runWorkload(db *repro.Database, q repro.Query, opts repro.SearchOptions, n, workers int, seed int64, areaKm2, delta float64, generated bool, hotspots int, zipfS float64) {
-	qs := workloadQueries(db, q, n, seed, areaKm2, delta, generated, hotspots, zipfS)
-	results, stats, err := db.RunBatch(context.Background(), qs, opts, workers)
-	if err != nil {
-		fatal(err)
-	}
-	var totalWeight float64
-	for _, r := range results {
-		if r != nil {
-			totalWeight += r.Score
-		}
-	}
-	fmt.Printf("workload: %d queries, %d workers: %.3fs total, %.1f queries/s, %d matched, Σweight=%.4f\n",
-		len(qs), stats.Workers, stats.Elapsed.Seconds(), stats.QueriesPerSecond(len(qs)), stats.Matched, totalWeight)
-}
-
-// workloadQueries generates n queries from the dataset distribution —
-// uniform, or a Zipfian replay of `hotspots` hot queries — or replicates
-// an explicit -keywords query n times.
-func workloadQueries(db *repro.Database, q repro.Query, n int, seed int64, areaKm2, delta float64, generated bool, hotspots int, zipfS float64) []repro.Query {
-	if generated {
-		rng := rand.New(rand.NewSource(seed + 100))
-		var qs []repro.Query
-		var err error
-		if hotspots > 0 {
-			qs, err = db.GenHotspotQueries(rng, n, hotspots, 3, areaKm2*1e6, delta, zipfS)
-		} else {
-			qs, err = db.GenQueries(rng, n, 3, areaKm2*1e6, delta)
-		}
-		if err != nil {
-			fatal(err)
-		}
-		return qs
-	}
-	qs := make([]repro.Query, n)
-	for i := range qs {
-		qs[i] = q
-	}
-	return qs
-}
-
-// runServe replays the workload against the streaming server and prints
-// the latency percentiles the server measured.
-//
-// With rate > 0 it is an open-loop generator: each request is dispatched
-// on its own schedule regardless of earlier answers, so if the server
-// falls behind the target rate, queueing delay accumulates into the
-// latencies — by design. With rate <= 0 it is a closed loop: a bounded
-// set of clients submit sequentially, each waiting for its answer before
-// sending the next, which measures per-request service time at full
-// server utilization.
-func runServe(db *repro.Database, q repro.Query, opts repro.SearchOptions, n, workers int, rate float64, timeout, queueAge time.Duration, seed int64, areaKm2, delta float64, generated bool, hotspots int, zipfS float64) {
-	qs := workloadQueries(db, q, n, seed, areaKm2, delta, generated, hotspots, zipfS)
-	srv, err := db.Serve(repro.ServeOptions{Workers: workers, Search: opts, MaxQueueAge: queueAge})
-	if err != nil {
-		fatal(err)
-	}
-	submit := func(q repro.Query) error {
-		ctx := context.Background()
-		if timeout > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, timeout)
-			defer cancel()
-		}
-		return srv.Do(ctx, repro.Request{Query: q}).Err
-	}
-	var (
-		wg         sync.WaitGroup
-		failed     atomic.Int64 // real failures, not policy rejections
-		policy     atomic.Int64 // deadline misses + queue-age sheds
-		errOnce    sync.Once
-		firstErr   error
-		policyOnce sync.Once
-		firstPol   error
-	)
-	record := func(err error) {
-		// A deadline miss or a queue-age shed is the configured policy
-		// doing its job under overload; anything else is a real failure.
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, repro.ErrOverloaded) {
-			policy.Add(1)
-			policyOnce.Do(func() { firstPol = err })
-			return
-		}
-		failed.Add(1)
-		errOnce.Do(func() { firstErr = err })
-	}
-	var shed atomic.Int64
-	start := time.Now()
-	if rate > 0 {
-		// Cap in-flight submissions so a generator far outpacing the server
-		// cannot pile up one blocked goroutine per request. Over-cap
-		// requests are shed (counted, not sent), which keeps the open-loop
-		// schedule honest instead of silently degrading to a closed loop.
-		const maxInFlight = 16384
-		sem := make(chan struct{}, maxInFlight)
-		for i := range qs {
-			time.Sleep(time.Until(start.Add(time.Duration(float64(i) / rate * float64(time.Second)))))
-			select {
-			case sem <- struct{}{}:
-			default:
-				shed.Add(1)
-				continue
-			}
-			wg.Add(1)
-			go func(q repro.Query) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				if err := submit(q); err != nil {
-					record(err)
-				}
-			}(qs[i])
-		}
-	} else {
-		clients := 2 * workers
-		if clients <= 0 {
-			clients = 2 * runtime.GOMAXPROCS(0)
-		}
-		var next atomic.Int64
-		for c := 0; c < clients; c++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(qs) {
-						return
-					}
-					if err := submit(qs[i]); err != nil {
-						record(err)
-					}
-				}
-			}()
-		}
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	srv.Close()
-	st := srv.Stats()
-	served := int64(n) - shed.Load()
-	fmt.Printf("serve: %d queries, rate target %.0f q/s: %.3fs total, %.1f queries/s, %d matched, %d failed",
-		n, rate, elapsed.Seconds(), float64(served)/elapsed.Seconds(), st.Matched, failed.Load())
-	if ns := shed.Load(); ns > 0 {
-		fmt.Printf(", %d shed (in-flight cap)", ns)
-	}
-	if st.Shed > 0 {
-		fmt.Printf(", %d shed (queue age)", st.Shed)
-	}
-	fmt.Println()
-	fmt.Printf("latency: p50=%v p95=%v p99=%v max=%v (window %d)\n",
-		st.P50, st.P95, st.P99, st.Max, st.Window)
-	if np := policy.Load(); np > 0 {
-		fmt.Printf("policy rejections: %d (first: %v)\n", np, firstPol)
-	}
-	if nf := failed.Load(); nf > 0 {
-		fatal(fmt.Errorf("%d/%d serve requests failed; first error: %w", nf, n, firstErr))
-	}
-}
-
 // runNode serves the database's cells as one cluster node until SIGINT
 // or SIGTERM. The cell range comes from -cells A:B, or — on a reopened
 // disk store — from the assignment recorded in the MANIFEST; an explicit
@@ -574,7 +379,10 @@ func runNode(db *repro.Database, cells, listen string) {
 		}
 		// Persist the assignment when the store can hold it, so a reopen
 		// serves the same cells without -cells; in-memory stores just skip.
-		if err := db.RecordCellRange(lo, hi); err == nil {
+		if st, ok := db.StoreStats(); ok && st.Shards > 0 {
+			if err := db.RecordCellRange(lo, hi); err != nil {
+				fatal(err)
+			}
 			fmt.Printf("node: cell assignment [%d, %d) recorded in MANIFEST\n", lo, hi)
 		}
 	}
@@ -598,17 +406,10 @@ func runNode(db *repro.Database, cells, listen string) {
 	}
 }
 
-// runCoord fronts the cluster at -nodes: with -http it serves the HTTP
-// API until SIGINT/SIGTERM, otherwise it replays the workload through
-// the coordinator closed-loop and prints throughput, latency, and the
-// cluster routing counters.
-func runCoord(db *repro.Database, q repro.Query, opts repro.SearchOptions, nodes, httpAddr string,
-	n, workers int, timeout, queueAge time.Duration,
-	seed int64, areaKm2, delta float64, generated bool, hotspots int, zipfS float64,
-	quotaRate, quotaBurst float64) {
-	if nodes == "" {
-		usage("-coord needs -nodes host:port,...")
-	}
+// runCoord fronts the cluster at -nodes with the HTTP API until SIGINT or
+// SIGTERM, then prints the cluster routing counters.
+func runCoord(db *repro.Database, opts repro.SearchOptions, nodes, httpAddr string,
+	workers int, timeout, queueAge time.Duration, quotaRate, quotaBurst float64) {
 	var quota *repro.ClusterQuota
 	if quotaRate > 0 {
 		quota = &repro.ClusterQuota{RatePerSec: quotaRate, Burst: quotaBurst}
@@ -621,7 +422,10 @@ func runCoord(db *repro.Database, q repro.Query, opts repro.SearchOptions, nodes
 	if err != nil {
 		fatal(err)
 	}
-	printCluster := func() {
+	serveHTTP("coord", httpAddr, cl.HTTPHandler(repro.HTTPOptions{Timeout: timeout}), func(addr net.Addr) {
+		fmt.Printf("coord: %d node(s), serving POST /query and GET /stats on %s (method=%v timeout=%v)\n",
+			len(cl.Stats().Nodes), addr, opts.Method, timeout)
+	}, func() {
 		st := cl.Stats()
 		fmt.Printf("cluster: %d searches, %d skipped (rect), %d skipped (term), %d retries, %d no-replica, %d quota-denied over %d group(s)\n",
 			st.Searches, st.SkippedRect, st.SkippedTerm, st.Retries, st.NoReplica, st.QuotaDenied, st.Groups)
@@ -629,82 +433,8 @@ func runCoord(db *repro.Database, q repro.Query, opts repro.SearchOptions, nodes
 			fmt.Printf("  node %s cells [%d, %d): %d sent, %d errors, p50=%v p95=%v p99=%v (%d samples)\n",
 				ns.Addr, ns.CellLo, ns.CellHi, ns.Sent, ns.Errors, ns.P50, ns.P95, ns.P99, ns.Samples)
 		}
-	}
-	if httpAddr != "" {
-		hs := &http.Server{Addr: httpAddr, Handler: cl.HTTPHandler(repro.HTTPOptions{Timeout: timeout})}
-		ln, err := net.Listen("tcp", httpAddr)
-		if err != nil {
-			cl.Close()
-			fatal(err)
-		}
-		fmt.Printf("coord: %d node(s), serving POST /query and GET /stats on %s (method=%v timeout=%v)\n",
-			len(cl.Stats().Nodes), ln.Addr(), opts.Method, timeout)
-		done := make(chan error, 1)
-		go func() { done <- hs.Serve(ln) }()
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		select {
-		case err := <-done:
-			cl.Close()
-			fatal(err)
-		case s := <-sig:
-			fmt.Printf("coord: %v, shutting down\n", s)
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel()
-			if err := hs.Shutdown(ctx); err != nil {
-				fmt.Fprintln(os.Stderr, "lcmsr: shutdown:", err)
-			}
-			printCluster()
-			cl.Close()
-		}
-		return
-	}
-	qs := workloadQueries(db, q, n, seed, areaKm2, delta, generated, hotspots, zipfS)
-	var (
-		wg       sync.WaitGroup
-		failed   atomic.Int64
-		next     atomic.Int64
-		errOnce  sync.Once
-		firstErr error
-	)
-	clients := 2 * workers
-	if clients <= 0 {
-		clients = 2 * runtime.GOMAXPROCS(0)
-	}
-	start := time.Now()
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(qs) {
-					return
-				}
-				ctx := context.Background()
-				if timeout > 0 {
-					var cancel context.CancelFunc
-					ctx, cancel = context.WithTimeout(ctx, timeout)
-					defer cancel()
-				}
-				if resp := cl.Do(ctx, repro.Request{Query: qs[i]}); resp.Err != nil {
-					failed.Add(1)
-					errOnce.Do(func() { firstErr = resp.Err })
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	st := cl.ServeStats()
-	fmt.Printf("coord: %d queries over the cluster: %.3fs total, %.1f queries/s, %d matched, %d failed\n",
-		len(qs), elapsed.Seconds(), float64(len(qs))/elapsed.Seconds(), st.Matched, failed.Load())
-	fmt.Printf("latency: p50=%v p95=%v p99=%v max=%v (window %d)\n", st.P50, st.P95, st.P99, st.Max, st.Window)
-	printCluster()
-	cl.Close()
-	if nf := failed.Load(); nf > 0 {
-		fatal(fmt.Errorf("%d/%d cluster requests failed; first error: %w", nf, len(qs), firstErr))
-	}
+		cl.Close()
+	}, func() { cl.Close() })
 }
 
 // runHTTP serves the streaming query service over HTTP until SIGINT or
@@ -716,33 +446,43 @@ func runHTTP(db *repro.Database, opts repro.SearchOptions, addr string, workers 
 	if err != nil {
 		fatal(err)
 	}
-	hs := &http.Server{
-		Addr:    addr,
-		Handler: srv.HTTPHandler(repro.HTTPOptions{Timeout: timeout}),
-	}
+	serveHTTP("http", addr, srv.HTTPHandler(repro.HTTPOptions{Timeout: timeout}), func(addr net.Addr) {
+		fmt.Printf("http: serving POST /query and GET /stats on %s (method=%v timeout=%v max-queue-age=%v)\n",
+			addr, opts.Method, timeout, queueAge)
+	}, func() {
+		srv.Close()
+		fmt.Println("http:", srv.Stats())
+	}, srv.Close)
+}
+
+// serveHTTP listens on addr and serves h until SIGINT or SIGTERM, then
+// shuts the HTTP server down gracefully and runs report. started prints
+// the banner once the listener is bound; stop releases the server behind
+// h when the listener fails.
+func serveHTTP(name, addr string, h http.Handler, started func(net.Addr), report, stop func()) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
+		stop()
 		fatal(err)
 	}
-	fmt.Printf("http: serving POST /query and GET /stats on %s (method=%v timeout=%v max-queue-age=%v)\n",
-		ln.Addr(), opts.Method, timeout, queueAge)
+	started(ln.Addr())
+	hs := &http.Server{Addr: addr, Handler: h}
 	done := make(chan error, 1)
 	go func() { done <- hs.Serve(ln) }()
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	select {
 	case err := <-done:
-		srv.Close()
+		stop()
 		fatal(err)
 	case s := <-sig:
-		fmt.Printf("http: %v, shutting down\n", s)
+		fmt.Printf("%s: %v, shutting down\n", name, s)
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		if err := hs.Shutdown(ctx); err != nil {
 			fmt.Fprintln(os.Stderr, "lcmsr: shutdown:", err)
 		}
-		srv.Close()
-		fmt.Println("http:", srv.Stats())
+		report()
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"repro/internal/core"
-	"repro/internal/gen"
 	"repro/internal/geo"
 	"repro/internal/grid"
 	"repro/internal/roadnet"
@@ -86,31 +85,6 @@ func (d *Dataset) GenQueries(rng *rand.Rand, count, numKeywords int, areaM2, del
 	}
 	if len(out) < count {
 		return nil, fmt.Errorf("dataset: could only generate %d of %d queries (regions too sparse)", len(out), count)
-	}
-	return out, nil
-}
-
-// GenHotspotQueries generates a Zipfian hot-spot workload: `hotspots`
-// distinct base queries (built exactly as GenQueries builds them) replayed
-// `count` times with Zipf(zipfS) popularity — the first base query is the
-// hottest. This is the shape of real map traffic (everyone queries
-// downtown), and the workload where per-(cell, query) score caching pays:
-// a handful of (rectangle, keywords) pairs account for most of the stream.
-func (d *Dataset) GenHotspotQueries(rng *rand.Rand, count, hotspots, numKeywords int, areaM2, delta, zipfS float64) ([]Query, error) {
-	if hotspots < 1 {
-		return nil, fmt.Errorf("dataset: need at least one hot spot, got %d", hotspots)
-	}
-	base, err := d.GenQueries(rng, hotspots, numKeywords, areaM2, delta)
-	if err != nil {
-		return nil, err
-	}
-	mix, err := gen.ZipfQueryMix(rng, zipfS, len(base), count)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Query, len(mix))
-	for i, p := range mix {
-		out[i] = base[p]
 	}
 	return out, nil
 }

@@ -200,7 +200,6 @@ func (e *Env) Named(id string) (Table, bool, error) {
 		"ablation-kmst":      e.AblationKMST,
 		"ablation-order":     e.AblationOrder,
 		"ablation-weighting": e.AblationWeighting,
-		"throughput":         e.Throughput,
 	}
 	fn, ok := m[id]
 	if !ok {
@@ -218,6 +217,5 @@ func ExperimentIDs() []string {
 		"fig16kw", "fig16delta", "fig16lambda",
 		"examples", "maxrs", "fig21", "fig22",
 		"ablation-kmst", "ablation-order", "ablation-weighting",
-		"throughput",
 	}
 }

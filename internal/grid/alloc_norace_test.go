@@ -15,7 +15,7 @@ import (
 // query through SearchInto performs zero allocations — the cached
 // contributions copy into the pooled scratch, nothing else moves. The
 // rectangle spans the whole index so every cell is fully inside and
-// cacheable; scripts/bench-json.sh enforces the same property
+// cacheable; scripts/bench-gates.sh enforces the same property
 // numerically on the disk-backed BenchmarkHotQueryCache/cached leg.
 // (The race detector instruments allocations, hence !race.)
 func TestScoreCacheHitZeroAlloc(t *testing.T) {

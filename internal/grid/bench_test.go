@@ -64,7 +64,7 @@ func BenchmarkSearchInto(b *testing.B) {
 // one-shard store ("single") serializes all of that work behind one mutex
 // and one cache; eight shards give every shard its own, so throughput
 // scales with -cpu. CI runs this with -cpu=1,4 and gates on the sharded
-// ratio (scripts/bench-scaling.sh).
+// ratio (scripts/bench-gates.sh).
 func BenchmarkColdRead(b *testing.B) {
 	v, vocab, objs, bounds := benchCorpus(b)
 	rng := rand.New(rand.NewSource(17))
@@ -116,7 +116,7 @@ func BenchmarkColdRead(b *testing.B) {
 }
 
 // BenchmarkHotQueryCache replays a small hot query set — the workload
-// shape cmd/lcmsr -hotspots generates — against a disk-backed sharded
+// shape of Zipfian map traffic — against a disk-backed sharded
 // store whose page cache is far smaller than the working set.
 //
 //   - cold answers every repeat by fetching and decoding postings from
@@ -124,7 +124,7 @@ func BenchmarkColdRead(b *testing.B) {
 //   - cached serves every repeat wholly from the (cell, query) score
 //     cache: the steady state plans zero posting fetches.
 //
-// scripts/bench-json.sh runs both and gates cached at >= 3x faster than
+// scripts/bench-gates.sh runs both and gates cached at >= 3x faster than
 // cold, with 0 allocs/op on the cached leg (the hits replay into pooled
 // scratch; TestScoreCacheHitZeroAlloc pins the same property).
 func BenchmarkHotQueryCache(b *testing.B) {

@@ -1,8 +1,8 @@
 // Package queryengine answers LCMSR queries on a pool of workers: Server is
 // a long-lived service fed through a bounded request channel, with
 // deadline-aware admission, load shedding, graceful shutdown and
-// per-request latency percentiles. Package repro's Database.Serve,
-// RunBatch and Cluster all run on it; Solve and SolveTopK are the one
+// per-request latency percentiles. Package repro's Database.Serve and
+// Cluster both run on it; Solve and SolveTopK are the one
 // method dispatch every request path shares, and Method (with
 // ParseMethod) is the one method enum, which package repro re-exports.
 //

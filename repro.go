@@ -17,9 +17,9 @@
 // A Database is built either from caller-supplied nodes, edges and
 // objects (New) or from the built-in synthetic datasets mirroring the
 // paper's experimental setting (NYLike, USANWLike). Every query is a
-// Request answered through one path: Database.Do for one-shot queries,
-// RunBatch for a workload, a Server's Do for continuous traffic (and a
-// Cluster's Do across node processes). Each takes a context.Context whose
+// Request answered through one path: Database.Do for one-shot queries, a
+// Server's Do for continuous traffic or a workload sent from several
+// goroutines (and a Cluster's Do across node processes). Each takes a context.Context whose
 // cancellation or deadline is honored mid-solve, so a slow query can
 // always be bounded. Database.Serve starts a streaming server with
 // deadline-aware admission and load shedding; Server.HTTPHandler exposes
@@ -413,23 +413,6 @@ func (db *Database) Bounds() Rect { return fromGeo(db.ds.Graph.BBox()) }
 // the length budget.
 func (db *Database) GenQueries(rng *rand.Rand, count, numKeywords int, areaM2, delta float64) ([]Query, error) {
 	qs, err := db.ds.GenQueries(rng, count, numKeywords, areaM2, delta)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Query, len(qs))
-	for i, q := range qs {
-		out[i] = Query{Keywords: q.Keywords, Delta: q.Delta, Region: fromGeo(q.Lambda)}
-	}
-	return out, nil
-}
-
-// GenHotspotQueries generates a Zipfian hot-spot workload: `hotspots`
-// distinct base queries (generated exactly as GenQueries does) replayed
-// `count` times with Zipf(zipfS) popularity, the first base query being
-// the hottest. zipfS must be > 1; around 1.1–1.5 matches real map-search
-// skew. This is the workload SetScoreCache is built for.
-func (db *Database) GenHotspotQueries(rng *rand.Rand, count, hotspots, numKeywords int, areaM2, delta, zipfS float64) ([]Query, error) {
-	qs, err := db.ds.GenHotspotQueries(rng, count, hotspots, numKeywords, areaM2, delta, zipfS)
 	if err != nil {
 		return nil, err
 	}

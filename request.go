@@ -11,8 +11,8 @@ import (
 )
 
 // Request is the unified query request: every way into the system —
-// one-shot (Database.Do), batch (Database.RunBatch), streaming
-// (Server.Do), a cluster (Cluster.Do), and the HTTP front end — speaks
+// one-shot (Database.Do), streaming (Server.Do), a cluster
+// (Cluster.Do), and the HTTP front end — speaks
 // this shape and is answered by the same code path.
 type Request struct {
 	// Query is the LCMSR query ⟨ψ, ∆, Λ⟩.
@@ -68,15 +68,15 @@ func (r Response) Best() *Result {
 // cancellation checkpoints, so a cancelled or expired context makes Do
 // return ctx.Err() in Response.Err within a bounded number of solver
 // iterations, top-K requests included. Do runs in the caller's goroutine
-// on a planner borrowed from the database's pool; use RunBatch for
-// workloads and Serve for continuous traffic.
+// on a planner borrowed from the database's pool; use Serve for workloads
+// and continuous traffic.
 func (db *Database) Do(ctx context.Context, req Request) Response {
 	return db.answer(ctx, nil, req, req.Search)
 }
 
 // answer is the one request path — validate, instantiate, plan, solve,
-// finish — behind Database.Do, Server.Do (and so RunBatch and Cluster.Do)
-// and the HTTP front end. search is the tuning to answer with, already
+// finish — behind Database.Do, Server.Do (and so Cluster.Do) and the
+// HTTP front end. search is the tuning to answer with, already
 // resolved against any server default. With srv nil the request runs in
 // the caller's goroutine on a pooled planner; otherwise it queues on srv
 // and runs on a worker's planner, where its queue wait is the load signal

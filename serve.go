@@ -63,9 +63,9 @@ type Server struct {
 	matched     atomic.Int64
 }
 
-// Serve starts a streaming query server. Unlike RunBatch, which answers a
-// fixed workload and returns, the server accepts requests continuously
-// until Close, with per-request latency tracking (Stats).
+// Serve starts a streaming query server: it accepts requests from any
+// number of goroutines until Close, with per-request latency tracking
+// (Stats).
 func (db *Database) Serve(opts ServeOptions) (*Server, error) {
 	if _, err := toEngineOptions(opts.Search); err != nil {
 		return nil, err

@@ -29,7 +29,7 @@ type HTTPOptions struct {
 // Client disconnects cancel the solve mid-flight through the request
 // context, a missed deadline answers 504, and a request shed by the
 // server's queue-age policy answers 503 with Retry-After. The handler is
-// stateless: serve it with net/http (cmd/lcmsr -serve -http does) and
+// stateless: serve it with net/http (cmd/lcmsr -http does) and
 // Close the Server on shutdown.
 func (s *Server) HTTPHandler(opts HTTPOptions) http.Handler {
 	return httpapi.NewHandler(httpBackend{s}, httpapi.Options{Timeout: opts.Timeout})

@@ -32,53 +32,63 @@ func serveWorkload(t *testing.T) (*Database, []Query) {
 	return db, qs
 }
 
-// TestServeMatchesRunBatch is the acceptance guarantee for the streaming
-// service: for every method, sending a workload through a server —
-// concurrently, from several clients — returns exactly what RunBatch
-// returns for the same queries.
-func TestServeMatchesRunBatch(t *testing.T) {
-	db, qs := serveWorkload(t)
-	for _, method := range []Method{MethodTGEN, MethodAPP, MethodGreedy} {
-		opts := SearchOptions{Method: method}
-		want, _, err := db.RunBatch(context.Background(), qs, opts, 2)
-		if err != nil {
-			t.Fatalf("%v batch: %v", method, err)
-		}
-		srv, err := db.Serve(ServeOptions{Workers: 2, Search: opts})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := make([]*Result, len(qs))
-		var wg sync.WaitGroup
-		for i := range qs {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
+// serveAll answers qs through a fresh Server with `workers` workers and as
+// many concurrent clients calling Do, returning each query's best region
+// (nil when nothing matched) and the closed server's stats.
+func serveAll(t testing.TB, db *Database, qs []Query, opts SearchOptions, workers int) ([]*Result, ServeStats) {
+	t.Helper()
+	srv, err := db.Serve(ServeOptions{Workers: workers, Search: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]*Result, len(qs))
+	var wg sync.WaitGroup
+	for c := 0; c < workers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := c; i < len(qs); i += workers {
 				resp := srv.Do(context.Background(), Request{Query: qs[i]})
 				if resp.Err != nil {
-					t.Errorf("%v Do %d: %v", method, i, resp.Err)
+					t.Errorf("%v query %d: %v", opts.Method, i, resp.Err)
 					return
 				}
 				got[i] = resp.Best()
-			}(i)
-		}
-		wg.Wait()
-		srv.Close()
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%v: served results differ from RunBatch", method)
-		}
+			}
+		}(c)
+	}
+	wg.Wait()
+	srv.Close()
+	return got, srv.Stats()
+}
+
+// TestServeMatchesDo is the acceptance guarantee for the streaming
+// service: for every method — MethodAuto with an explicit Budget included
+// — a workload sent through a server from concurrent clients returns
+// exactly what serial Database.Do calls return, query by query, for any
+// worker count, and the server counts every request it answered.
+func TestServeMatchesDo(t *testing.T) {
+	db, qs := serveWorkload(t)
+	for _, opts := range []SearchOptions{
+		{Method: MethodTGEN}, {Method: MethodAPP}, {Method: MethodGreedy},
+		{Method: MethodAuto, Budget: 20 * time.Millisecond},
+	} {
+		want := make([]*Result, len(qs))
 		wantMatched := 0
-		for _, r := range want {
-			if r != nil {
+		for i, q := range qs {
+			if want[i] = best(t, db, q, opts); want[i] != nil {
 				wantMatched++
 			}
 		}
-		st := srv.Stats()
-		if st.Matched != int64(wantMatched) {
-			t.Fatalf("%v: Stats().Matched = %d, want %d", method, st.Matched, wantMatched)
-		}
-		if st.Served != int64(len(qs)) {
-			t.Fatalf("%v: Stats().Served = %d, want %d", method, st.Served, len(qs))
+		for _, workers := range []int{1, 2, 4} {
+			got, st := serveAll(t, db, qs, opts, workers)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%v: served results with %d workers differ from the serial Do loop", opts.Method, workers)
+			}
+			if st.Served != int64(len(qs)) || st.Matched != int64(wantMatched) {
+				t.Fatalf("%v workers=%d: Stats() served=%d matched=%d, want %d and %d",
+					opts.Method, workers, st.Served, st.Matched, len(qs), wantMatched)
+			}
 		}
 	}
 }

@@ -102,7 +102,7 @@ func TestClusterDoubleClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	goroutinesBefore := runtime.NumGoroutine()
-	addrs, _ := startClusterNodes(t, nodeDB, 1)
+	addrs, _ := startClusterNodes(t, 1, nodeDB, nodeDB)
 	cl, err := coordDB.OpenCluster(ClusterOptions{Nodes: addrs, Serve: ServeOptions{Workers: 1}})
 	if err != nil {
 		t.Fatal(err)

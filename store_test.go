@@ -2,7 +2,6 @@ package repro
 
 import (
 	"bytes"
-	"context"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -40,14 +39,8 @@ func TestShardedStoreGolden(t *testing.T) {
 	}
 	for _, method := range []Method{MethodTGEN, MethodGreedy} {
 		opts := SearchOptions{Method: method}
-		want, _, err := mem.RunBatch(context.Background(), qs, opts, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _, err := sharded.RunBatch(context.Background(), qs, opts, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want, _ := serveAll(t, mem, qs, opts, 1)
+		got, _ := serveAll(t, sharded, qs, opts, 4)
 		for i := range want {
 			switch {
 			case want[i] == nil && got[i] == nil:
