@@ -221,8 +221,9 @@ func TestPlannerInstantiateZeroAlloc(t *testing.T) {
 }
 
 // TestDatabaseDoPooledPlanner pins that Database.Do borrows a pooled
-// planner instead of building one per call: warm, it allocates per query
-// no more than Server.Do on the same queries, plus a little slack.
+// planner, solver scratch included, instead of building one per call:
+// warm, it allocates per query no more than Server.Do on the same queries,
+// plus a little slack, for every solver method.
 func TestDatabaseDoPooledPlanner(t *testing.T) {
 	db, err := NYLike(3, 0.15)
 	if err != nil {
@@ -237,19 +238,23 @@ func TestDatabaseDoPooledPlanner(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	perQuery := func(do func(context.Context, Request) Response) float64 {
-		replay := func() {
-			for _, q := range qs {
-				if resp := do(context.Background(), Request{Query: q, Search: SearchOptions{Method: MethodGreedy}}); resp.Err != nil {
-					t.Fatal(resp.Err)
+	for _, method := range []Method{MethodTGEN, MethodAPP, MethodGreedy} {
+		t.Run(method.String(), func(t *testing.T) {
+			perQuery := func(do func(context.Context, Request) Response) float64 {
+				replay := func() {
+					for _, q := range qs {
+						if resp := do(context.Background(), Request{Query: q, Search: SearchOptions{Method: method}}); resp.Err != nil {
+							t.Fatal(resp.Err)
+						}
+					}
 				}
+				replay() // warm every pooled buffer across the whole workload
+				return testing.AllocsPerRun(3, replay) / float64(len(qs))
 			}
-		}
-		replay() // warm every pooled buffer across the whole workload
-		return testing.AllocsPerRun(3, replay) / float64(len(qs))
-	}
-	served := perQuery(srv.Do)
-	if direct := perQuery(db.Do); direct > served+16 {
-		t.Fatalf("Database.Do allocated %.1f times per query, Server.Do %.1f: want at most %.1f", direct, served, served+16)
+			served := perQuery(srv.Do)
+			if direct := perQuery(db.Do); direct > served+16 {
+				t.Fatalf("Database.Do allocated %.1f times per query, Server.Do %.1f: want at most %.1f", direct, served, served+16)
+			}
+		})
 	}
 }

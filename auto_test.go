@@ -232,13 +232,13 @@ func TestAutoGoldenCluster(t *testing.T) {
 // The single worker is held deterministically by an engine task whose
 // Visit blocks on a channel the test releases, so the queued requests'
 // waits (and with them the pressure the planner sees) are controlled by
-// the test, not by solver speed.
+// the test, not by solver speed. The default queue (2×Workers) holds
+// phase 1's two waiting requests.
 func TestAutoDegradesBeforeShed(t *testing.T) {
 	db, qs := serveWorkload(t)
 	const maxAge = time.Second
 	srv, err := db.Serve(ServeOptions{
 		Workers:     1,
-		Queue:       4,
 		Search:      SearchOptions{Method: MethodAuto},
 		MaxQueueAge: maxAge,
 	})

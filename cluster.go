@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/geo"
@@ -103,11 +102,6 @@ type ClusterOptions struct {
 	Serve ServeOptions
 	// Quota, when non-nil, enables per-client admission control.
 	Quota *ClusterQuota
-	// DialTimeout bounds each node connection attempt; <= 0 means 5s.
-	DialTimeout time.Duration
-	// RPCTimeout bounds node RPCs for requests without their own
-	// deadline; <= 0 means 10s.
-	RPCTimeout time.Duration
 }
 
 // Cluster is a coordinator over a set of node processes, presenting the
@@ -132,12 +126,10 @@ func (db *Database) OpenCluster(opts ClusterOptions) (*Cluster, error) {
 		quota = &cluster.QuotaOptions{RatePerSec: opts.Quota.RatePerSec, Burst: opts.Quota.Burst}
 	}
 	coord, err := cluster.NewCoordinator(cluster.CoordinatorConfig{
-		Addrs:       opts.Nodes,
-		Index:       db.ds.Index,
-		Objects:     db.NumObjects(),
-		DialTimeout: opts.DialTimeout,
-		RPCTimeout:  opts.RPCTimeout,
-		Quota:       quota,
+		Addrs:   opts.Nodes,
+		Index:   db.ds.Index,
+		Objects: db.NumObjects(),
+		Quota:   quota,
 	})
 	if err != nil {
 		return nil, err
@@ -149,9 +141,7 @@ func (db *Database) OpenCluster(opts ClusterOptions) (*Cluster, error) {
 	db.ds.SetSearchFunc(func(ctx context.Context, q textindex.Query, r geo.Rect, s *grid.SearchScratch) ([]grid.ObjScore, error) {
 		return coord.SearchTrace(ctx, q, r, s.Trace)
 	})
-	serveOpts := opts.Serve
-	serveOpts.DeadlineOrdered = true
-	srv, err := db.Serve(serveOpts)
+	srv, err := db.serve(opts.Serve, true)
 	if err != nil {
 		db.ds.SetSearchFunc(nil)
 		_ = coord.Close()

@@ -64,8 +64,6 @@ type CoordinatorConfig struct {
 	RPCTimeout time.Duration
 	// Quota, when non-nil, enables per-client token-bucket admission.
 	Quota *QuotaOptions
-	// LatencyWindow is the per-node latency ring size; <= 0 means 1024.
-	LatencyWindow int
 }
 
 // replicaGroup is one owned cell range and the replicas serving it.
@@ -231,14 +229,11 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if cfg.RPCTimeout <= 0 {
 		cfg.RPCTimeout = 10 * time.Second
 	}
-	if cfg.LatencyWindow <= 0 {
-		cfg.LatencyWindow = 1024
-	}
 	numCells := cfg.Index.NumCells()
 	byRange := make(map[[2]uint32]*replicaGroup)
 	var groups []*replicaGroup
 	for _, addr := range cfg.Addrs {
-		nc := &nodeClient{addr: addr, latCap: cfg.LatencyWindow}
+		nc := &nodeClient{addr: addr, latCap: 1024} // per-node latency ring size
 		resp, err, _ := nc.rpc(&request{Op: opHello}, time.Now().Add(cfg.RPCTimeout), cfg.DialTimeout)
 		if err != nil {
 			closeGroups(groups)

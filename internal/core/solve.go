@@ -34,7 +34,7 @@ import (
 // an arbitrary lighter region. A nil region with nil error means no relevant
 // node exists.
 func SolveTGEN(ctx context.Context, s *SolveScratch, in *Instance, delta float64, opts TGENOptions) (*Region, error) {
-	opts = opts.withDefaults()
+	opts = opts.withDefaults(in.NumNodes)
 	if delta < 0 || math.IsNaN(delta) {
 		return nil, fmt.Errorf("core: invalid length constraint %v", delta)
 	}

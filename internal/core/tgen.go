@@ -21,15 +21,18 @@ const (
 type TGENOptions struct {
 	// Alpha is the scaling parameter. TGEN needs a much coarser scale
 	// than APP — the paper tunes α = 400 on NY and α = 300 on USANW so
-	// that tuples collide on few scaled-weight values. Zero selects 400.
+	// that tuples collide on few scaled-weight values. Zero sizes α to the
+	// instance, max(n/9, 1) for n nodes, so σ̂max ≈ 9: the regime the
+	// paper's fixed α inhabits at its data scale.
 	Alpha float64
 	// Order picks the edge processing order (default OrderBFS).
 	Order EdgeOrder
 }
 
-func (o TGENOptions) withDefaults() TGENOptions {
+// withDefaults resolves a zero α for an instance of n nodes.
+func (o TGENOptions) withDefaults(n int) TGENOptions {
 	if o.Alpha == 0 {
-		o.Alpha = 400
+		o.Alpha = max(float64(n)/9, 1)
 	}
 	return o
 }

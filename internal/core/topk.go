@@ -61,7 +61,7 @@ func SolveTopK[O APPOptions | TGENOptions | GreedyOptions](ctx context.Context, 
 			return SolveAPP(ctx, s, sub, delta, o)
 		})
 	case TGENOptions:
-		o = o.withDefaults()
+		o = o.withDefaults(in.NumNodes)
 		granularity := max(float64(in.NumNodes)/o.Alpha, 1) // σ̂max regime to hold
 		return s.topKByExclusion(in, k, func(sub *Instance) (*Region, error) {
 			o.Alpha = max(float64(sub.NumNodes)/granularity, 1)

@@ -29,7 +29,7 @@ import (
 //
 // A Dataset accepts live mutations (Insert, Delete, Reweight) concurrent
 // with queries: mutators take the internal write lock, the query paths
-// (Planner.Instantiate, GenQueries, and result materialization via
+// (Visit and Planner.Instantiate, GenQueries, and result materialization via
 // RLock/RUnlock) take the read side. The exported fields are owned by
 // the dataset once it is assembled — read them under RLock when updates
 // may be running.
@@ -52,6 +52,10 @@ type Dataset struct {
 	// (distributed serving routes the search through a coordinator).
 	// Guarded by mu like the other query-visible state.
 	searchFn SearchFunc
+	// free is the planner pool Visit borrows from, most recently returned
+	// last so a warm planner is reused first. Guarded by poolMu.
+	poolMu sync.Mutex
+	free   []*Planner
 }
 
 // RLock takes the dataset's read lock; callers reading Objects, Vocab,

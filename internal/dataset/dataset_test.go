@@ -141,7 +141,7 @@ func TestInstantiateEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, q := range qs {
-		qi, err := d.Instantiate(q)
+		qi, err := d.NewPlanner().Instantiate(q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -242,11 +242,11 @@ func TestDatasetRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, q := range qs {
-		a, err := d.Instantiate(q)
+		a, err := d.NewPlanner().Instantiate(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := d2.Instantiate(q)
+		b, err := d2.NewPlanner().Instantiate(q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -306,12 +306,12 @@ func TestWeightRatingMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, q := range qs {
-		rel, err := d.Instantiate(q)
+		rel, err := d.NewPlanner().Instantiate(q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		q.Mode = WeightRating
-		rat, err := d.Instantiate(q)
+		rat, err := d.NewPlanner().Instantiate(q)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -37,7 +37,7 @@ func TestDetachOutlivesPlanner(t *testing.T) {
 	// Every planner buffer now holds the last query; each detached copy
 	// must still match a fresh instantiation of its own query.
 	for i, q := range queries {
-		fresh, err := d.Instantiate(q)
+		fresh, err := d.NewPlanner().Instantiate(q)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,7 +10,7 @@ import (
 	"repro/internal/textindex"
 )
 
-// Planner materializes query working graphs with pooled per-worker scratch
+// Planner materializes query working graphs with pooled per-query scratch
 // state: a roadnet.Extractor for zero-allocation subgraph extraction, a
 // core.Instance whose CSR adjacency is rebuilt in place, reusable
 // weight/edge/object buffers, and a core.SolveScratch so the solve phase
@@ -20,9 +20,9 @@ import (
 // Instantiate call on the same planner; a region produced through the
 // planner's SolveScratch is valid only until the next solve on it.
 //
-// A Planner is not safe for concurrent use; pool one per worker (see
-// internal/queryengine). Dataset.Instantiate remains the convenience path
-// that allocates a fresh planner per call.
+// A Planner is not safe for concurrent use. Request paths borrow one per
+// query from the dataset's pool (Dataset.Visit); NewPlanner is for
+// single-goroutine drivers that instantiate in a loop.
 type Planner struct {
 	d  *Dataset
 	ex *roadnet.Extractor
@@ -43,20 +43,48 @@ func (d *Dataset) NewPlanner() *Planner {
 	return &Planner{d: d, ex: roadnet.NewExtractor(d.Graph)}
 }
 
+// Visit answers one query on a planner borrowed from d's pool: it
+// instantiates q (ctx carries the request deadline down to an installed
+// SearchFunc), runs fn on the instance, and gives the planner back. The
+// instance is valid only for the duration of fn. A planner a panic in fn
+// unwinds through is dropped, not returned, so no later query sees its
+// possibly inconsistent scratch. Visit is safe for concurrent use; the
+// pool keeps as many planners as queries were ever in flight at once,
+// each with its solver scratch at the size its largest query grew it to.
+func (d *Dataset) Visit(ctx context.Context, q Query, fn func(*QueryInstance) error) error {
+	d.poolMu.Lock()
+	var p *Planner
+	if n := len(d.free); n > 0 {
+		p, d.free = d.free[n-1], d.free[:n-1]
+	}
+	d.poolMu.Unlock()
+	if p == nil {
+		p = d.NewPlanner()
+	}
+	qi, err := p.instantiate(ctx, q)
+	if err == nil {
+		err = fn(qi)
+	}
+	// Not deferred: a panic must skip the return below.
+	d.poolMu.Lock()
+	d.free = append(d.free, p)
+	d.poolMu.Unlock()
+	return err
+}
+
 // Instantiate restricts the road network to Q.Λ, scores the objects inside
 // it against the keywords through the grid index (Equation 2), and
 // aggregates object scores onto their road nodes: a node's weight σv is
 // the summed relevance of the objects mapped to it, zero for junctions and
 // irrelevant objects. The result aliases the planner's pooled buffers.
 func (p *Planner) Instantiate(q Query) (*QueryInstance, error) {
-	return p.InstantiateCtx(context.Background(), q)
+	return p.instantiate(context.Background(), q)
 }
 
-// InstantiateCtx is Instantiate with a request context: when the dataset
-// has a SearchFunc installed (distributed serving), ctx carries the
-// request deadline down to the remote scatter. The local search path
-// ignores ctx.
-func (p *Planner) InstantiateCtx(ctx context.Context, q Query) (*QueryInstance, error) {
+// instantiate is Instantiate with a request context: when the dataset has
+// a SearchFunc installed (distributed serving), ctx carries the request
+// deadline down to the remote scatter. The local search path ignores ctx.
+func (p *Planner) instantiate(ctx context.Context, q Query) (*QueryInstance, error) {
 	d := p.d
 	// Reads of Vocab/Objects/ObjNode/Ratings race with live mutators;
 	// hold the dataset read lock for the whole materialization.

@@ -1,13 +1,15 @@
 package dataset
 
 import (
+	"context"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
 // TestPlannerMatchesInstantiate runs a workload twice — once through a
-// single pooled Planner and once through Dataset.Instantiate (fresh state
-// per query) — and demands identical working graphs.
+// single pooled Planner and once through a fresh Planner per query — and
+// demands identical working graphs.
 func TestPlannerMatchesInstantiate(t *testing.T) {
 	d, err := NYLike(Config{Seed: 9, Scale: 0.12})
 	if err != nil {
@@ -26,7 +28,7 @@ func TestPlannerMatchesInstantiate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh, err := d.Instantiate(q)
+		fresh, err := d.NewPlanner().Instantiate(q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,11 +81,11 @@ func TestInstantiateDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	for qi, q := range queries {
-		a, err := d.Instantiate(q)
+		a, err := d.NewPlanner().Instantiate(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := d.Instantiate(q)
+		b, err := d.NewPlanner().Instantiate(q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,4 +96,77 @@ func TestInstantiateDeterministic(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestVisitPlannerPool pins the pool's lifecycle: sequential Visits borrow
+// the same planner, a planner a panicking fn unwound through is dropped so
+// the next Visit gets a new one, and concurrent Visits each get their own
+// planner and answer what a fresh planner answers. An instance points into
+// its planner, so equal instance pointers mean the same *Planner.
+func TestVisitPlannerPool(t *testing.T) {
+	d, err := NYLike(Config{Seed: 9, Scale: 0.12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries, err := d.GenQueries(rand.New(rand.NewSource(21)), 6, 3, 25e6, 5000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	borrowed := func() *QueryInstance {
+		var got *QueryInstance
+		if err := d.Visit(ctx, queries[0], func(qi *QueryInstance) error { got = qi; return nil }); err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	first := borrowed()
+	if borrowed() != first {
+		t.Fatal("two sequential Visits borrowed different planners")
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the panic in fn did not reach the caller")
+			}
+		}()
+		_ = d.Visit(ctx, queries[0], func(*QueryInstance) error { panic("deliberate") })
+	}()
+	if borrowed() == first {
+		t.Fatal("the planner a panic unwound through went back to the pool")
+	}
+
+	want := make([]float64, len(queries))
+	for i, q := range queries {
+		qi, err := d.NewPlanner().Instantiate(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range qi.In.Weights {
+			want[i] += w
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, q := range queries {
+				err := d.Visit(ctx, q, func(qi *QueryInstance) error {
+					sum := 0.0
+					for _, w := range qi.In.Weights {
+						sum += w
+					}
+					if sum != want[i] {
+						t.Errorf("query %d: concurrent Visit weight sum %v, want %v", i, sum, want[i])
+					}
+					return nil
+				})
+				if err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

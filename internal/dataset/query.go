@@ -177,18 +177,6 @@ type QueryInstance struct {
 	SearchTrace *grid.SearchTrace
 }
 
-// Instantiate restricts the road network to Q.Λ, scores the objects inside
-// it against the keywords through the grid index (Equation 2), and
-// aggregates object scores onto their road nodes: a node's weight σv is
-// the summed relevance of the objects mapped to it, zero for junctions and
-// irrelevant objects.
-//
-// Each call allocates a fresh Planner, so the returned QueryInstance is
-// independent of later calls; query loops should pool a Planner instead.
-func (d *Dataset) Instantiate(q Query) (*QueryInstance, error) {
-	return d.NewPlanner().Instantiate(q)
-}
-
 // Detach returns a self-contained deep copy of qi: the subgraph is
 // compact-copied (roadnet.Subgraph.Compact — no parent-sized remap
 // arrays, no aliasing of extractor scratch), the instance, object lists,

@@ -35,7 +35,7 @@ func (e *Env) AblationKMST() (Table, error) {
 		var total time.Duration
 		var weight float64
 		for _, q := range qs {
-			qi, err := d.Instantiate(q)
+			qi, err := e.instantiate(d, q)
 			if err != nil {
 				return Table{}, err
 			}
@@ -90,7 +90,7 @@ func (e *Env) AblationOrder() (Table, error) {
 		var total time.Duration
 		var weight float64
 		for _, q := range qs {
-			qi, err := d.Instantiate(q)
+			qi, err := e.instantiate(d, q)
 			if err != nil {
 				return Table{}, err
 			}
@@ -149,7 +149,7 @@ func (e *Env) AblationWeighting() (Table, error) {
 		var total time.Duration
 		for _, q := range qs {
 			q.Mode = m.mode
-			qi, err := d.Instantiate(q)
+			qi, err := e.instantiate(d, q)
 			if err != nil {
 				return Table{}, err
 			}

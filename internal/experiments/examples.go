@@ -28,7 +28,7 @@ func (e *Env) Examples() (Table, error) {
 		return Table{}, err
 	}
 	q := qs[0]
-	qi, err := d.Instantiate(q)
+	qi, err := e.instantiate(d, q)
 	if err != nil {
 		return Table{}, err
 	}
@@ -95,7 +95,7 @@ func (e *Env) TopK(name string) (Table, error) {
 	if err != nil {
 		return Table{}, err
 	}
-	qis, err := instantiateAll(ds, qs)
+	qis, err := e.instantiateAll(ds, qs)
 	if err != nil {
 		return Table{}, err
 	}

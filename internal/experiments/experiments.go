@@ -73,15 +73,28 @@ var usanwParams = datasetParams{
 	APPAlpha: 0.3, APPBeta: 0.1, GreedyMu: 0.4, TGENSigma: 12,
 }
 
-// Env holds lazily built datasets and the one solver scratch every sweep
-// runs on, so pinning a workload's instances (instantiateAll) stays
+// Env holds lazily built datasets, one planner per dataset that every
+// instantiate goes through, and the one solver scratch every sweep runs
+// on, so pinning a workload's instances (instantiateAll) stays
 // O(Σ subgraph) instead of warming a scratch per instance. An Env serves
 // one goroutine.
 type Env struct {
-	cfg     Config
-	ny      *dataset.Dataset
-	usanw   *dataset.Dataset
-	scratch core.SolveScratch
+	cfg      Config
+	ny       *dataset.Dataset
+	usanw    *dataset.Dataset
+	planners map[*dataset.Dataset]*dataset.Planner
+	scratch  core.SolveScratch
+}
+
+// instantiate materializes q on the Env's planner for d. The instance is
+// valid until the next instantiate on d; Detach it to keep it longer.
+func (e *Env) instantiate(d *dataset.Dataset, q dataset.Query) (*dataset.QueryInstance, error) {
+	p := e.planners[d]
+	if p == nil {
+		p = d.NewPlanner()
+		e.planners[d] = p
+	}
+	return p.Instantiate(q)
 }
 
 // solveAPP, solveTGEN and solveGreedy answer on the Env's scratch: the
@@ -100,7 +113,9 @@ func (e *Env) solveGreedy(in *core.Instance, delta float64, opts core.GreedyOpti
 }
 
 // NewEnv prepares an environment (datasets build lazily on first use).
-func NewEnv(cfg Config) *Env { return &Env{cfg: cfg.withDefaults()} }
+func NewEnv(cfg Config) *Env {
+	return &Env{cfg: cfg.withDefaults(), planners: map[*dataset.Dataset]*dataset.Planner{}}
+}
 
 // NY returns the NY-like dataset, building it on first call.
 func (e *Env) NY() (*dataset.Dataset, error) {

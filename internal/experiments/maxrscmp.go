@@ -41,7 +41,7 @@ func (e *Env) MaxRSComparison() (Table, error) {
 	}
 	wins, valid := 0, 0
 	for i, q := range qs {
-		qi, err := d.Instantiate(q)
+		qi, err := e.instantiate(d, q)
 		if err != nil {
 			return Table{}, err
 		}

@@ -28,7 +28,7 @@ func (e *Env) Fig7And8() (Table, error) {
 		var total time.Duration
 		var weight float64
 		for _, q := range qs {
-			qi, err := d.Instantiate(q)
+			qi, err := e.instantiate(d, q)
 			if err != nil {
 				return Table{}, err
 			}
@@ -81,7 +81,7 @@ func (e *Env) Fig9And10() (Table, error) {
 		var total time.Duration
 		var weight float64
 		for _, q := range qs {
-			qi, err := d.Instantiate(q)
+			qi, err := e.instantiate(d, q)
 			if err != nil {
 				return Table{}, err
 			}
@@ -131,7 +131,7 @@ func (e *Env) Fig11And12() (Table, error) {
 		var total time.Duration
 		var weight float64
 		for _, q := range qs {
-			qi, err := d.Instantiate(q)
+			qi, err := e.instantiate(d, q)
 			if err != nil {
 				return Table{}, err
 			}
@@ -179,7 +179,7 @@ func (e *Env) Fig13And14() (Table, error) {
 		var total time.Duration
 		var weight float64
 		for _, q := range qs {
-			qi, err := d.Instantiate(q)
+			qi, err := e.instantiate(d, q)
 			if err != nil {
 				return Table{}, err
 			}
@@ -219,7 +219,7 @@ func (e *Env) Table1() (Table, error) {
 	if err != nil {
 		return Table{}, err
 	}
-	qi, err := d.Instantiate(qs[0])
+	qi, err := e.instantiate(d, qs[0])
 	if err != nil {
 		return Table{}, err
 	}
@@ -251,14 +251,13 @@ func (e *Env) Table1() (Table, error) {
 	return table, nil
 }
 
-// instantiateAll materializes instances for a query slice through one
-// pooled planner, detaching each instance so pinning the whole workload
-// costs O(Σ subgraph) — not one parent-sized planner per query.
-func instantiateAll(d *dataset.Dataset, qs []dataset.Query) ([]*dataset.QueryInstance, error) {
-	p := d.NewPlanner()
+// instantiateAll materializes instances for a query slice through the
+// Env's planner for d, detaching each instance so pinning the whole
+// workload costs O(Σ subgraph) — not one parent-sized planner per query.
+func (e *Env) instantiateAll(d *dataset.Dataset, qs []dataset.Query) ([]*dataset.QueryInstance, error) {
 	out := make([]*dataset.QueryInstance, len(qs))
 	for i, q := range qs {
-		qi, err := p.Instantiate(q)
+		qi, err := e.instantiate(d, q)
 		if err != nil {
 			return nil, err
 		}

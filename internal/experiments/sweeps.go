@@ -104,7 +104,7 @@ func (e *Env) querySweep(d *dataset.Dataset, kind SweepKind, figure string) (Tab
 		if err != nil {
 			return Table{}, err
 		}
-		qis, err := instantiateAll(d, qs)
+		qis, err := e.instantiateAll(d, qs)
 		if err != nil {
 			return Table{}, err
 		}

@@ -6,10 +6,12 @@
 // method dispatch every request path shares, and Method (with
 // ParseMethod) is the one method enum, which package repro re-exports.
 //
-// Each worker owns one dataset.Planner — a pooled extractor, instance,
-// query/search scratch, and buffers — so steady-state query execution
-// reuses memory instead of allocating per query, and throughput scales
-// with worker count while results stay bit-identical to a serial loop.
+// Each request borrows a dataset.Planner — a pooled extractor, instance,
+// query/search and solver scratch, and buffers — from the dataset's pool
+// (Dataset.Visit) and gives it back when answered, so steady-state query
+// execution reuses memory instead of allocating per query, and throughput
+// scales with worker count while results stay bit-identical to a serial
+// loop.
 //
 // # Concurrency model and pooling ownership
 //
@@ -18,10 +20,10 @@
 // with one. The grid's MemStore is safe for concurrent reads, and
 // ShardedStore stripes cells across independently locked shards so
 // workers' cold posting fetches only contend when they hit the same shard.
-// All mutable per-query state lives in the worker-local Planner, which
-// only its owning goroutine touches; the QueryInstance handed to
-// Task.Visit aliases that planner's buffers and is valid only for the
-// duration of the call. Extraction, scoring and the solvers are
+// All mutable per-query state lives in the borrowed Planner, which only
+// the borrowing request touches; the QueryInstance handed to Task.Visit
+// aliases that planner's buffers and is valid only for the duration of
+// the call. Extraction, scoring and the solvers are
 // deterministic and every request is answered from the same immutable
 // state, so scheduling cannot change an answer.
 package queryengine
@@ -91,17 +93,12 @@ func ParseMethod(s string) (Method, error) {
 	}
 }
 
-// Options selects the algorithm and its tuning for one solve.
+// Options selects the algorithm for one solve. Every method runs with
+// the paper's defaults (core.APPOptions, core.TGENOptions and
+// core.GreedyOptions at their zero values).
 type Options struct {
 	// Method picks the algorithm (default MethodTGEN).
 	Method Method
-	// APP tunes MethodAPP.
-	APP core.APPOptions
-	// TGEN tunes MethodTGEN; Alpha == 0 auto-sizes α per query region so
-	// σ̂max ≈ 9 (the regime the paper's fixed α inhabits at its scale).
-	TGEN core.TGENOptions
-	// Greedy tunes MethodGreedy.
-	Greedy core.GreedyOptions
 }
 
 // Result is the outcome of one query on the Server's default solve path,
@@ -129,11 +126,11 @@ type Result struct {
 func Solve(ctx context.Context, qi *dataset.QueryInstance, delta float64, opts Options) (*core.Region, error) {
 	switch opts.Method {
 	case MethodAPP:
-		return core.SolveAPP(ctx, qi.Scratch, qi.In, delta, opts.APP)
+		return core.SolveAPP(ctx, qi.Scratch, qi.In, delta, core.APPOptions{})
 	case MethodGreedy:
-		return core.SolveGreedy(ctx, qi.Scratch, qi.In, delta, opts.Greedy)
+		return core.SolveGreedy(ctx, qi.Scratch, qi.In, delta, core.GreedyOptions{})
 	case MethodTGEN:
-		return core.SolveTGEN(ctx, qi.Scratch, qi.In, delta, opts.tgen(qi))
+		return core.SolveTGEN(ctx, qi.Scratch, qi.In, delta, core.TGENOptions{})
 	default:
 		return nil, fmt.Errorf("unknown method %v", opts.Method)
 	}
@@ -145,22 +142,12 @@ func Solve(ctx context.Context, qi *dataset.QueryInstance, delta float64, opts O
 func SolveTopK(ctx context.Context, qi *dataset.QueryInstance, delta float64, k int, opts Options) ([]*core.Region, error) {
 	switch opts.Method {
 	case MethodAPP:
-		return core.SolveTopK(ctx, qi.Scratch, qi.In, delta, k, opts.APP)
+		return core.SolveTopK(ctx, qi.Scratch, qi.In, delta, k, core.APPOptions{})
 	case MethodGreedy:
-		return core.SolveTopK(ctx, qi.Scratch, qi.In, delta, k, opts.Greedy)
+		return core.SolveTopK(ctx, qi.Scratch, qi.In, delta, k, core.GreedyOptions{})
 	case MethodTGEN:
-		return core.SolveTopK(ctx, qi.Scratch, qi.In, delta, k, opts.tgen(qi))
+		return core.SolveTopK(ctx, qi.Scratch, qi.In, delta, k, core.TGENOptions{})
 	default:
 		return nil, fmt.Errorf("unknown method %v", opts.Method)
 	}
-}
-
-// tgen returns the TGEN options for one query, auto-sizing a zero α so
-// σ̂max ≈ 9 regardless of the region's node count.
-func (o Options) tgen(qi *dataset.QueryInstance) core.TGENOptions {
-	t := o.TGEN
-	if t.Alpha == 0 {
-		t.Alpha = max(float64(qi.In.NumNodes)/9, 1)
-	}
-	return t
 }

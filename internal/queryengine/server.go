@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/roadnet"
 )
@@ -25,18 +24,20 @@ var ErrOverloaded = errors.New("queryengine: server overloaded")
 
 // ErrQueryPanic is returned to the one client whose request made a worker
 // panic (a solver bug, not bad input). The blast radius stops there: the
-// worker recovers, discards its possibly-poisoned planner for a fresh one,
-// and keeps serving; other requests — past and future — are unaffected.
+// worker recovers, the dataset drops the possibly-poisoned planner the
+// panic unwound through (the next request borrows another), and the
+// worker keeps serving; other requests — past and future — are unaffected.
 // Panics are counted in ServerStats.Panics.
 var ErrQueryPanic = errors.New("queryengine: query panicked")
 
 // ServerOptions configures a streaming Server.
 type ServerOptions struct {
-	// Workers is the number of serving goroutines, each owning one pooled
-	// dataset.Planner; <= 0 means runtime.GOMAXPROCS(0).
+	// Workers is the number of serving goroutines; <= 0 means
+	// runtime.GOMAXPROCS(0). Each request borrows a dataset.Planner from
+	// the dataset's pool for the time it is served.
 	Workers int
-	// Options selects the algorithm and its tuning for the default solve
-	// path (tasks without a Visit).
+	// Options selects the algorithm for the default solve path (tasks
+	// without a Visit).
 	Options Options
 	// Queue is the request-channel capacity. A full queue makes Do block —
 	// that backpressure is the server's admission control. <= 0 means
@@ -81,7 +82,7 @@ type Task struct {
 	Ctx context.Context
 	// Visit, when non-nil, replaces the default solve: it runs on the
 	// worker goroutine with the materialized working graph, which aliases
-	// the worker's pooled planner buffers and is valid only for the
+	// the request's borrowed planner buffers and is valid only for the
 	// duration of the call. The caller typically runs Solve itself and
 	// consumes the region in place.
 	Visit func(qi *dataset.QueryInstance) error
@@ -112,8 +113,9 @@ func (t *Task) ctx() context.Context {
 }
 
 // Server answers a continuous stream of LCMSR queries. Requests enter
-// through a bounded channel and are picked up by a fixed pool of workers,
-// each owning one pooled dataset.Planner, so the steady-state search path
+// through a bounded channel and are picked up by a fixed pool of workers;
+// each request borrows a pooled dataset.Planner from the dataset for the
+// time it is served (Dataset.Visit), so the steady-state search path
 // (query preparation, grid search, subgraph extraction, instance build) is
 // allocation-free. Results are bit-identical to a serial Instantiate +
 // Solve loop on the same dataset: the shared state is immutable and all
@@ -292,12 +294,11 @@ func (s *Server) Close() {
 	s.wg.Wait()
 }
 
-// worker owns one planner and serves tasks until the queue closes. In
-// FIFO mode tasks come straight off the admission channel; in
-// deadline-ordered mode they come off the EDF heap the dispatcher feeds.
+// worker serves tasks until the queue closes. In FIFO mode tasks come
+// straight off the admission channel; in deadline-ordered mode they come
+// off the EDF heap the dispatcher feeds.
 func (s *Server) worker(ws *workerState) {
 	defer s.wg.Done()
-	p := s.d.NewPlanner()
 	for {
 		var t *Task
 		var ok bool
@@ -309,25 +310,18 @@ func (s *Server) worker(ws *workerState) {
 		if !ok {
 			return
 		}
-		err, panicked := s.serveSafe(p, ws, t)
-		if panicked {
-			// The panic may have left the planner's pooled scratch in an
-			// arbitrary state; replace it so later answers stay bit-identical
-			// to an unpoisoned server's. The panicking request already paid
-			// the error; the allocation is once per panic, not per request.
-			p = s.d.NewPlanner()
-		}
-		t.done <- err
+		t.done <- s.serveSafe(ws, t)
 	}
 }
 
 // serveSafe runs serve with a recover backstop: a panicking solver fails
 // only its own request (ErrQueryPanic) instead of crashing the process and
-// every in-flight query with it.
-func (s *Server) serveSafe(p *dataset.Planner, ws *workerState, t *Task) (err error, panicked bool) {
+// every in-flight query with it. The dataset drops the planner the panic
+// unwound through, so later answers stay bit-identical to an unpoisoned
+// server's.
+func (s *Server) serveSafe(ws *workerState, t *Task) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			panicked = true
 			err = fmt.Errorf("%w: %v", ErrQueryPanic, r)
 			ws.mu.Lock()
 			ws.served++
@@ -336,11 +330,12 @@ func (s *Server) serveSafe(p *dataset.Planner, ws *workerState, t *Task) (err er
 			ws.mu.Unlock()
 		}
 	}()
-	return s.serve(p, ws, t), false
+	return s.serve(ws, t)
 }
 
-// serve answers one task on the worker's planner and records its latency.
-func (s *Server) serve(p *dataset.Planner, ws *workerState, t *Task) error {
+// serve answers one task on a planner borrowed from the dataset and
+// records its latency.
+func (s *Server) serve(ws *workerState, t *Task) error {
 	t.Result = Result{} // a reused Task must never carry a stale answer
 	t.Wait = time.Since(t.start)
 	ctx := t.ctx()
@@ -356,24 +351,22 @@ func (s *Server) serve(p *dataset.Planner, ws *workerState, t *Task) error {
 		return ErrOverloaded
 	}
 	matched := false
-	qi, err := p.InstantiateCtx(ctx, t.Query)
-	if err == nil {
+	err := s.d.Visit(ctx, t.Query, func(qi *dataset.QueryInstance) error {
 		if t.Visit != nil {
-			err = t.Visit(qi)
-		} else {
-			var region *core.Region
-			region, err = Solve(ctx, qi, t.Query.Delta, s.opts)
-			if err == nil && region != nil {
-				matched = true
-				nodes := t.nodes[:0] // reuse the task's pooled backing array
-				for _, v := range region.Nodes {
-					nodes = append(nodes, qi.Sub.ToParent[v])
-				}
-				t.nodes = nodes
-				t.Result = Result{Matched: true, Score: region.Score, Length: region.Length, Nodes: nodes}
-			}
+			return t.Visit(qi)
 		}
-	}
+		region, err := Solve(ctx, qi, t.Query.Delta, s.opts)
+		if err == nil && region != nil {
+			matched = true
+			nodes := t.nodes[:0] // reuse the task's pooled backing array
+			for _, v := range region.Nodes {
+				nodes = append(nodes, qi.Sub.ToParent[v])
+			}
+			t.nodes = nodes
+			t.Result = Result{Matched: true, Score: region.Score, Length: region.Length, Nodes: nodes}
+		}
+		return err
+	})
 	ws.record(time.Since(t.start), matched, err != nil)
 	return err
 }

@@ -43,7 +43,6 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"sync"
 
 	"repro/internal/dataset"
 	"repro/internal/geo"
@@ -118,8 +117,6 @@ type ObjectSpec struct {
 // internal reader/writer lock and always observe a consistent state).
 type Database struct {
 	ds *dataset.Dataset
-	// planners pools the *dataset.Planner scratch Do borrows per request.
-	planners sync.Pool
 }
 
 // New builds a Database from explicit nodes, edges and objects. Objects

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/queryengine"
 )
@@ -68,8 +67,8 @@ func (r Response) Best() *Result {
 // cancellation checkpoints, so a cancelled or expired context makes Do
 // return ctx.Err() in Response.Err within a bounded number of solver
 // iterations, top-K requests included. Do runs in the caller's goroutine
-// on a planner borrowed from the database's pool; use Serve for workloads
-// and continuous traffic.
+// on a planner borrowed from the dataset's pool, the same pool a Server's
+// requests borrow from; use Serve for workloads and continuous traffic.
 func (db *Database) Do(ctx context.Context, req Request) Response {
 	return db.answer(ctx, nil, req, req.Search)
 }
@@ -77,10 +76,10 @@ func (db *Database) Do(ctx context.Context, req Request) Response {
 // answer is the one request path — validate, instantiate, plan, solve,
 // finish — behind Database.Do, Server.Do (and so Cluster.Do) and the
 // HTTP front end. search is the tuning to answer with, already
-// resolved against any server default. With srv nil the request runs in
-// the caller's goroutine on a pooled planner; otherwise it queues on srv
-// and runs on a worker's planner, where its queue wait is the load signal
-// the planner degrades MethodAuto on.
+// resolved against any server default. Either way the request runs on a
+// planner borrowed from the dataset's pool: with srv nil in the caller's
+// goroutine, otherwise queued on srv and run by a worker, where its queue
+// wait is the load signal the planner degrades MethodAuto on.
 func (db *Database) answer(ctx context.Context, srv *Server, req Request, search SearchOptions) Response {
 	dq, err := toDatasetQuery(req.Query)
 	if err != nil {
@@ -119,7 +118,7 @@ func (db *Database) answer(ctx context.Context, srv *Server, req Request, search
 	if srv != nil {
 		err = srv.inner.Do(&t)
 	} else {
-		err = db.visit(&t)
+		err = db.ds.Visit(ctx, dq, t.Visit)
 	}
 	if err != nil {
 		return Response{Err: err}
@@ -128,28 +127,6 @@ func (db *Database) answer(ctx context.Context, srv *Server, req Request, search
 		srv.matched.Add(1)
 	}
 	return Response{Results: results, Plan: pl}
-}
-
-// visit runs t the way a server worker does — instantiate, then Visit —
-// in the caller's goroutine on a planner borrowed from the database's
-// pool. A planner goes back to the pool only after a clean run; one a
-// panic unwound through is dropped with its scratch.
-func (db *Database) visit(t *queryengine.Task) error {
-	p, _ := db.planners.Get().(*dataset.Planner)
-	if p == nil {
-		p = db.ds.NewPlanner()
-	}
-	qi, err := p.InstantiateCtx(t.Ctx, t.Query)
-	if err == nil {
-		err = t.Visit(qi)
-		// The pool keeps the instantiate buffers, not the solver state:
-		// APP's λ-cache and GW arenas and TGEN's tuple arrays run to
-		// megabytes, and a pooled planner stays reachable until two
-		// garbage collections pass it by unused.
-		*qi.Scratch = core.SolveScratch{}
-	}
-	db.planners.Put(p)
-	return err
 }
 
 // solve answers a materialized query with a resolved method — the single
@@ -176,20 +153,10 @@ func (db *Database) solve(ctx context.Context, qi *dataset.QueryInstance, delta 
 
 // toEngineOptions maps the public SearchOptions onto the engine's Options,
 // rejecting unknown methods. MethodAuto stays unresolved until planQuery
-// picks a solver per request; a zero TGEN α is auto-sized by the engine
-// (σ̂max ≈ 9 over the query region).
+// picks a solver per request.
 func toEngineOptions(opts SearchOptions) (queryengine.Options, error) {
 	if opts.Method < MethodTGEN || opts.Method > MethodAuto {
 		return queryengine.Options{}, fmt.Errorf("repro: unknown method %v", opts.Method)
 	}
-	out := queryengine.Options{
-		Method: opts.Method,
-		APP:    core.APPOptions{Alpha: opts.Alpha, Beta: opts.Beta},
-		TGEN:   core.TGENOptions{Alpha: opts.Alpha},
-		Greedy: core.GreedyOptions{Mu: opts.Mu, MuSet: opts.MuSet},
-	}
-	if opts.UseSPTSolver {
-		out.APP.Solver = core.SolverSPT
-	}
-	return out, nil
+	return queryengine.Options{Method: opts.Method}, nil
 }

@@ -34,24 +34,14 @@ const (
 // round-tripping Method.String.
 func ParseMethod(s string) (Method, error) { return queryengine.ParseMethod(s) }
 
-// SearchOptions tunes the selected Method. The zero value selects the
-// paper's recommended defaults for every knob.
+// SearchOptions selects the Method and, for MethodAuto, its budget. Every
+// method runs with the paper's recommended knobs: APP α = 0.5 and
+// β = 0.1, Greedy µ = 0.2, and TGEN's α sized so σ̂max ≈ 9 over the
+// query region (the regime the paper's α = 400 inhabits at its data
+// scale).
 type SearchOptions struct {
 	// Method picks the algorithm (default MethodTGEN).
 	Method Method
-	// Alpha is the node-weight scaling parameter α. Defaults: 0.5 for
-	// APP; for TGEN it is auto-sized so σ̂max ≈ 9 over the query region
-	// (the regime the paper's α = 400 inhabits at its data scale).
-	Alpha float64
-	// Beta is APP's binary-search slack β (default 0.1).
-	Beta float64
-	// Mu is Greedy's length/weight balance µ ∈ [0,1] (default 0.2).
-	// Set MuSet to use an explicit 0.
-	Mu    float64
-	MuSet bool
-	// UseSPTSolver makes APP use the shortest-path-tree quota heuristic
-	// instead of the GW/Garg solver (ablation).
-	UseSPTSolver bool
 	// Budget, for MethodAuto, is the explicit solve budget the planner
 	// chooses against. Zero derives the budget from the request context's
 	// deadline, falling back to a generous default when there is none.

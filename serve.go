@@ -15,32 +15,24 @@ import (
 var ErrOverloaded = queryengine.ErrOverloaded
 
 // ServeOptions configures a streaming query server (Database.Serve).
+//
+// At most 2×Workers requests wait for a worker; a full queue makes Do
+// block (backpressure) until space frees or the request's context fires.
+// Latency percentiles cover each worker's 4096 most recent requests.
 type ServeOptions struct {
 	// Workers is the serving-goroutine count; <= 0 means GOMAXPROCS. Each
-	// worker owns one pooled planner, so memory grows with workers, not
-	// with traffic.
+	// request borrows a pooled planner for the time it is served, so
+	// memory grows with the number of requests served concurrently — at
+	// most Workers — not with traffic.
 	Workers int
 	// Search selects the algorithm and tuning, exactly as for Database.Do.
 	// A Request may override it per request (Request.Search).
 	Search SearchOptions
-	// Queue bounds the number of requests waiting for a worker; a full
-	// queue makes Do block (backpressure) until space frees or the
-	// request's context fires. <= 0 means 2×Workers.
-	Queue int
 	// MaxQueueAge, when positive, sheds requests that waited in the queue
 	// longer than this: they are answered with ErrOverloaded instead of
 	// being solved, bounding the work wasted on requests whose clients
 	// have likely given up. Zero disables shedding.
 	MaxQueueAge time.Duration
-	// LatencyWindow is how many recent per-worker latency samples the
-	// percentile report covers; <= 0 means 4096.
-	LatencyWindow int
-	// DeadlineOrdered makes idle workers pick up the queued request whose
-	// context deadline is earliest (EDF) instead of the oldest one (FIFO).
-	// Admission, backpressure, and shedding are unchanged. Useful when
-	// requests arrive with heterogeneous deadlines — e.g. a cluster
-	// coordinator fanning out with per-node budgets.
-	DeadlineOrdered bool
 }
 
 // ServeStats summarizes a server's traffic so far: counters over the
@@ -65,17 +57,23 @@ type Server struct {
 
 // Serve starts a streaming query server: it accepts requests from any
 // number of goroutines until Close, with per-request latency tracking
-// (Stats).
+// (Stats). Queued requests reach a worker oldest first.
 func (db *Database) Serve(opts ServeOptions) (*Server, error) {
+	return db.serve(opts, false)
+}
+
+// serve is Serve with the queue order chosen: deadlineOrdered makes idle
+// workers pick up the queued request whose context deadline is earliest
+// (EDF) instead of the oldest one, which cluster serving needs for its
+// per-node budgets.
+func (db *Database) serve(opts ServeOptions, deadlineOrdered bool) (*Server, error) {
 	if _, err := toEngineOptions(opts.Search); err != nil {
 		return nil, err
 	}
 	inner := queryengine.NewServer(db.ds, queryengine.ServerOptions{
 		Workers:         opts.Workers,
-		Queue:           opts.Queue,
 		MaxQueueAge:     opts.MaxQueueAge,
-		LatencyWindow:   opts.LatencyWindow,
-		DeadlineOrdered: opts.DeadlineOrdered,
+		DeadlineOrdered: deadlineOrdered,
 	})
 	return &Server{db: db, inner: inner, search: opts.Search, maxQueueAge: opts.MaxQueueAge}, nil
 }
