@@ -248,7 +248,7 @@ func TestCancelMidSolveAPP(t *testing.T) {
 
 func TestCancelMidSolveTGEN(t *testing.T) {
 	d, q := benchWorkload(t)
-	testCancelMidSolve(t, d, q, queryengine.MethodTGEN, 1, 10*time.Millisecond)
+	testCancelMidSolve(t, d, q, queryengine.MethodTGEN, 1, 0)
 }
 
 // TestCancelMidSolveTopK cancels a K = 3 TGEN request inside its first
@@ -257,7 +257,7 @@ func TestCancelMidSolveTGEN(t *testing.T) {
 // of after the rank completes.
 func TestCancelMidSolveTopK(t *testing.T) {
 	d, q := benchWorkload(t)
-	testCancelMidSolve(t, d, q, queryengine.MethodTGEN, 3, 10*time.Millisecond)
+	testCancelMidSolve(t, d, q, queryengine.MethodTGEN, 3, 0)
 }
 
 // TestCancelMidSolveTGENViewport cancels inside a viewport-sized TGEN solve:

@@ -23,10 +23,16 @@ import (
 // most the final record; replay stops at the first frame whose length or
 // checksum does not verify — by construction that frame was never
 // acknowledged, so stopping loses nothing that was promised durable.
+//
+// A WAL is not safe for concurrent use; its owner serializes Append,
+// Reset and Close.
 type WAL struct {
 	f      iofault.File
 	off    int64
 	noSync bool
+	// frame is the record buffer Append reuses, so an append allocates
+	// nothing once it has seen its largest record.
+	frame []byte
 }
 
 // maxWALRecord bounds a single record so a torn or garbage length field
@@ -94,10 +100,10 @@ func (w *WAL) Append(payload []byte) error {
 	if len(payload) > maxWALRecord {
 		return fmt.Errorf("btree: wal record of %d bytes exceeds the %d limit", len(payload), maxWALRecord)
 	}
-	frame := make([]byte, walHeaderLen+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:], Checksum(payload))
-	copy(frame[walHeaderLen:], payload)
+	frame := binary.LittleEndian.AppendUint32(w.frame[:0], uint32(len(payload)))
+	frame = binary.LittleEndian.AppendUint32(frame, Checksum(payload))
+	frame = append(frame, payload...)
+	w.frame = frame
 	if _, err := w.f.WriteAt(frame, w.off); err != nil {
 		return fmt.Errorf("btree: wal append: %w", err)
 	}

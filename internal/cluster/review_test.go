@@ -91,16 +91,16 @@ func TestNodeFreezesIndex(t *testing.T) {
 	const objects = 50
 	v, idx := buildCorpus(t, objects, 41, false)
 	doc := v.IndexDoc([]string{"cafe"})
-	if _, err := idx.Insert(geo.Point{X: 1, Y: 1}, doc, []string{"cafe"}); err != nil {
+	if _, err := idx.Insert(geo.Point{X: 1, Y: 1}, doc, []string{"cafe"}, nil); err != nil {
 		t.Fatalf("insert before NewNode: %v", err)
 	}
 	if _, err := NewNode(NodeConfig{Index: idx, CellLo: 0, CellHi: uint32(idx.NumCells()), Objects: objects + 1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := idx.Insert(geo.Point{X: 2, Y: 2}, doc, []string{"cafe"}); !errors.Is(err, grid.ErrFrozen) {
+	if _, err := idx.Insert(geo.Point{X: 2, Y: 2}, doc, []string{"cafe"}, nil); !errors.Is(err, grid.ErrFrozen) {
 		t.Fatalf("insert on a cluster node's index: err = %v, want grid.ErrFrozen", err)
 	}
-	if err := idx.Delete(0); !errors.Is(err, grid.ErrFrozen) {
+	if err := idx.Delete(0, nil); !errors.Is(err, grid.ErrFrozen) {
 		t.Fatalf("delete on a cluster node's index: err = %v, want grid.ErrFrozen", err)
 	}
 }

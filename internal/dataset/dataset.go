@@ -28,16 +28,18 @@ import (
 // Dataset bundles a road network with its indexed geo-textual objects.
 //
 // A Dataset accepts live mutations (Insert, Delete, Reweight) concurrent
-// with queries: mutators take the internal write lock, the query paths
-// (Visit and Planner.Instantiate, GenQueries, and result materialization via
-// RLock/RUnlock) take the read side. The exported fields are owned by
-// the dataset once it is assembled — read them under RLock when updates
-// may be running.
+// with queries: mutators publish under the internal write lock, the query
+// paths (Visit and Planner.Instantiate, GenQueries, and result
+// materialization via RLock/RUnlock) take the read side. The exported
+// fields are owned by the dataset once it is assembled — read them under
+// RLock when updates may be running.
 type Dataset struct {
-	// mu serializes live mutations against query-side reads of Vocab,
-	// Objects, ObjNode and Ratings. Lock ordering: Dataset.mu before
-	// grid.Index's internal lock (mutators call into the index while
-	// holding mu).
+	// wmu serializes writers: mutators, Compact and Close. Their disk
+	// work runs under wmu alone.
+	wmu sync.Mutex
+	// mu guards query-side reads of Vocab, Objects, ObjNode and Ratings;
+	// writers take its write side only to publish an update in memory.
+	// Lock ordering: wmu, then mu, then grid.Index's locks.
 	mu      sync.RWMutex
 	Name    string
 	Graph   *roadnet.Graph
@@ -215,8 +217,8 @@ func assemble(name string, g *roadnet.Graph, corpus *gen.Corpus, cfg Config) (*D
 // releases it when it is disk-backed (a no-op for the in-memory store).
 // The dataset must not be queried afterwards.
 func (d *Dataset) Close() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.wmu.Lock()
+	defer d.wmu.Unlock()
 	return d.Index.CloseStore()
 }
 

@@ -1,7 +1,6 @@
 package dataset
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
@@ -12,39 +11,40 @@ import (
 	"repro/internal/textindex"
 )
 
-// Live dataset mutations. Each mutator keeps the four coupled views
-// consistent in one critical section: the grid index (postings + cell
-// directory + object table), the vocabulary statistics (|D|, df, cf),
-// the object→road-node snapping table and the ratings. The invariant the
-// differential harness checks is that after any mutation sequence the
-// dataset answers every query bit-identically to a fresh build of the
-// same logical object set.
+// Live dataset mutations. The four coupled views — the grid index
+// (postings + cell directory + object table), the vocabulary statistics
+// (|D|, df, cf), the object→road-node snapping table and the ratings —
+// change together: a mutator, serialized with the others and with
+// Compact by wmu, prepares its update read-only, lets the index make it
+// durable under no lock a query takes, and publishes both layers in one
+// short critical section under mu. The invariant the differential
+// harness checks is that after any mutation sequence the dataset answers
+// every query bit-identically to a fresh build of the same logical
+// object set.
 
-// Insert tokenizes text, interns any new terms, and adds the object at p
-// to the index. It returns the new object's dense id. The text may be
-// empty (the object still counts as a document). On an update failure the
-// vocabulary mutation is rolled back; on ErrCompaction the insert IS
-// applied (the error reports a failed background fold, retryable via
-// Compact).
+// Insert tokenizes text and adds the object at p to the index, interning
+// any new terms. It returns the new object's dense id. The text may be
+// empty (the object still counts as a document). On an update failure
+// nothing changes; on ErrCompaction the insert IS applied (the error
+// reports a failed background fold, retryable via Compact).
 func (d *Dataset) Insert(p geo.Point, text string) (grid.ObjectID, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	doc := d.Vocab.IndexDoc(textindex.Tokenize(text))
-	strs := make([]string, len(doc.Terms))
-	for i, t := range doc.Terms {
-		strs[i] = d.Vocab.Term(t)
-	}
-	id, err := d.Index.Insert(p, doc, strs)
-	if err != nil && !errors.Is(err, grid.ErrCompaction) {
-		d.Vocab.UndoIndexDoc(doc)
-		return 0, err
-	}
-	d.Objects = d.Index.ObjectsRef()
-	d.ObjNode = append(d.ObjNode, d.Graph.NearestNode(p))
-	if d.Ratings != nil {
-		d.Ratings = append(d.Ratings, 1)
-	}
-	return id, err
+	d.wmu.Lock()
+	defer d.wmu.Unlock()
+	// Only writers change the vocabulary, so under wmu it can be read
+	// without mu, and the ids DocOf drafts for new terms are the ones
+	// interning assigns at publication.
+	doc, strs := d.Vocab.DocOf(textindex.Tokenize(text))
+	node := d.Graph.NearestNode(p)
+	return d.Index.Insert(p, doc, strs, d.publish(func() {
+		if err := addInsertStats(d.Vocab, doc.Terms, strs, doc.TF); err != nil {
+			panic(err) // writers are serialized: the drafted ids cannot move
+		}
+		d.Objects = d.Index.ObjectsRef()
+		d.ObjNode = append(d.ObjNode, node)
+		if d.Ratings != nil {
+			d.Ratings = append(d.Ratings, 1)
+		}
+	}))
 }
 
 // Delete tombstones an object: its postings disappear from every list
@@ -52,26 +52,21 @@ func (d *Dataset) Insert(p geo.Point, text string) (grid.ObjectID, error) {
 // and keeps counting as an empty document (so IDF ratios match a rebuild
 // that indexes a placeholder empty document in its slot).
 func (d *Dataset) Delete(id grid.ObjectID) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.wmu.Lock()
+	defer d.wmu.Unlock()
 	if int(id) < 0 || int(id) >= len(d.Objects) {
 		return fmt.Errorf("%w: id %d of %d", grid.ErrNoSuchObject, id, len(d.Objects))
 	}
 	doc := d.Objects[id].Doc
-	err := d.Index.Delete(id)
-	if err != nil && !errors.Is(err, grid.ErrCompaction) {
-		return err
-	}
-	d.Vocab.RemoveDocStats(doc)
-	return err
+	return d.Index.Delete(id, d.publish(func() { d.Vocab.RemoveDocStats(doc) }))
 }
 
 // Reweight scales an object's term weights by factor (the term set is
 // fixed; changing terms is a Delete plus an Insert). Corpus statistics
 // are untouched — only scores involving the object change.
 func (d *Dataset) Reweight(id grid.ObjectID, factor float64) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.wmu.Lock()
+	defer d.wmu.Unlock()
 	if math.IsNaN(factor) || math.IsInf(factor, 0) || factor <= 0 {
 		return fmt.Errorf("dataset: reweight factor %v out of range (want finite > 0)", factor)
 	}
@@ -83,15 +78,40 @@ func (d *Dataset) Reweight(id grid.ObjectID, factor float64) error {
 	for i := range old {
 		w[i] = old[i] * factor
 	}
-	return d.Index.Reweight(id, w)
+	return d.Index.Reweight(id, w, d.publish(func() {}))
+}
+
+// publish returns the index's publish hook for one mutation: the index's
+// in-memory apply and the dataset's own (apply) run together under mu.
+func (d *Dataset) publish(apply func()) func(func()) {
+	return func(applyIndex func()) {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		applyIndex()
+		apply()
+	}
+}
+
+// addInsertStats interns an inserted object's terms, checking each lands
+// on the id its record carries, and adds its statistics — the one
+// vocabulary apply of a live insert and of a replayed one.
+func addInsertStats(v *textindex.Vocabulary, terms []textindex.TermID, strs []string, tf []int32) error {
+	for i, s := range strs {
+		if err := v.EnsureTerm(s, terms[i]); err != nil {
+			return err
+		}
+	}
+	v.AddDocStats(textindex.Doc{Terms: terms, TF: tf})
+	return nil
 }
 
 // Compact folds pending live updates into the posting store and commits
 // a metadata snapshot (vocabulary included). A no-op for memory-backed
-// stores.
+// stores. Queries run on throughout: wmu alone keeps the vocabulary the
+// snapshot encodes still.
 func (d *Dataset) Compact() error {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
+	d.wmu.Lock()
+	defer d.wmu.Unlock()
 	return d.Index.Compact()
 }
 
@@ -136,12 +156,9 @@ func reassemble(name string, g *roadnet.Graph, corpus *gen.Corpus, bounds geo.Re
 		for _, u := range idx.Replayed() {
 			switch u.Kind {
 			case grid.UpdateInsert:
-				for i, s := range u.Strs {
-					if err := vocab.EnsureTerm(s, u.Terms[i]); err != nil {
-						return nil, fmt.Errorf("dataset: replayed insert %d: %w", u.Obj, err)
-					}
+				if err := addInsertStats(vocab, u.Terms, u.Strs, u.TF); err != nil {
+					return nil, fmt.Errorf("dataset: replayed insert %d: %w", u.Obj, err)
 				}
-				vocab.AddDocStats(textindex.Doc{Terms: u.Terms, TF: u.TF})
 			case grid.UpdateDelete:
 				if int(u.Obj) >= len(d.Objects) {
 					return nil, fmt.Errorf("dataset: replayed delete of unknown object %d", u.Obj)

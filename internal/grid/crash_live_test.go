@@ -121,11 +121,11 @@ func applyLiveOps(idx *Index, ops []liveOp, after func(i int)) (int, error) {
 		var err error
 		switch op.kind {
 		case 0:
-			_, err = idx.Insert(op.point, op.doc, op.strs)
+			_, err = idx.Insert(op.point, op.doc, op.strs, nil)
 		case 1:
-			err = idx.Delete(op.id)
+			err = idx.Delete(op.id, nil)
 		case 2:
-			err = idx.Reweight(op.id, op.weights)
+			err = idx.Reweight(op.id, op.weights, nil)
 		case 3:
 			err = idx.Compact()
 		}

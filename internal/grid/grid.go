@@ -184,9 +184,15 @@ type termEntry struct {
 
 // Index is a uniform grid over the object space.
 type Index struct {
-	// mu serializes live mutations (write side) against searches (read
-	// side). Lock ordering: Index.mu before any shard mutex — mutators
-	// hold mu while calling into the store.
+	// wmu serializes writers: mutators, Compact, Freeze and CloseStore.
+	// A writer does its disk work (WAL append, flush, meta commit, WAL
+	// reset) under wmu alone and takes mu only to publish the in-memory
+	// result. State only writers change (objects, tombstones, frozen,
+	// pending) can be read under wmu alone.
+	wmu sync.Mutex
+	// mu guards the query-visible state: searches take the read side,
+	// writers the write side, for microseconds and never across I/O.
+	// Lock ordering: wmu, then mu, then any shard mutex.
 	mu       sync.RWMutex
 	objects  []Object
 	bounds   geo.Rect
@@ -233,8 +239,9 @@ type Index struct {
 	// WAL updates applied on top of it (ascending Seq).
 	metaExtraBlob []byte
 	replayed      []Update
-	// pending counts updates since the last compaction; autoCompact is
-	// the threshold that triggers one from the update path (<= 0: never).
+	// pending counts updates since the last compaction (guarded by wmu);
+	// autoCompact is the threshold that triggers one from the update path
+	// (<= 0: never).
 	pending     int
 	autoCompact int
 }

@@ -10,14 +10,23 @@ import (
 )
 
 // Index live-update path. Insert, Delete and Reweight mutate the object
-// set while the index serves queries: each takes the write lock, appends
-// one WAL record through the store (sharded layout) or edits posting
-// lists in place (MemStore), and maintains the cell directory exactly —
-// a mutated index always has the directory a fresh build of the same
-// logical object set would have, which is what the differential harness
-// asserts. Deleted ids are never reused and keep scoring as if the
-// object were an empty document, so object ids, |D| and IDF ratios stay
-// identical between a live index and a rebuild.
+// set while the index serves queries. Each is "log, then apply": under
+// the writer mutex it validates the update and, on a sharded store,
+// appends it to the WAL (one write, one fsync) holding no lock a search
+// takes; only then does it publish the update under mu — memtable or
+// in-place posting edit, object table, cell directory, epoch. A search
+// thus sees an update once it is durable and never waits on the disk.
+// The cell directory stays exact: a mutated index always has the
+// directory a fresh build of the same logical object set would have,
+// which is what the differential harness asserts. Deleted ids are never
+// reused and keep scoring as if the object were an empty document, so
+// object ids, |D| and IDF ratios stay identical between a live index and
+// a rebuild.
+//
+// Each mutator takes a publish hook. nil publishes directly; otherwise
+// the hook is handed the publication and must call it exactly once —
+// the dataset layer holds its own reader lock around it, so its readers
+// see an update in both layers or in neither.
 
 // ErrNoSuchObject marks an update addressing an id that does not exist
 // or is already deleted.
@@ -34,9 +43,9 @@ var ErrFrozen = errors.New("grid: index is frozen (read-only)")
 // cells afterwards would make skip routing silently drop results. There
 // is no Unfreeze; restart the process to mutate again.
 func (idx *Index) Freeze() {
-	idx.mu.Lock()
+	idx.wmu.Lock()
 	idx.frozen = true
-	idx.mu.Unlock()
+	idx.wmu.Unlock()
 }
 
 // ErrCompaction marks an automatic compaction failure surfaced from a
@@ -51,9 +60,9 @@ var ErrCompaction = errors.New("grid: automatic compaction failed (update applie
 // and strs must hold the term strings parallel to doc.Terms — the WAL
 // record carries them so a recovery can rebuild vocabulary statistics
 // without the original text.
-func (idx *Index) Insert(p geo.Point, doc textindex.Doc, strs []string) (ObjectID, error) {
-	idx.mu.Lock()
-	defer idx.mu.Unlock()
+func (idx *Index) Insert(p geo.Point, doc textindex.Doc, strs []string, publish func(apply func())) (ObjectID, error) {
+	idx.wmu.Lock()
+	defer idx.wmu.Unlock()
 	if idx.frozen {
 		return 0, ErrFrozen
 	}
@@ -78,22 +87,22 @@ func (idx *Index) Insert(p geo.Point, doc textindex.Doc, strs []string) (ObjectI
 	id := ObjectID(len(idx.objects))
 	u := Update{Kind: UpdateInsert, Obj: id, Cell: cell, Point: p,
 		Terms: doc.Terms, Weights: doc.Weights, TF: doc.TF, Strs: strs}
-	if err := idx.applyToStoreLocked(&u); err != nil {
+	err := idx.commit(&u, publish, func() {
+		idx.objects = append(idx.objects, Object{Point: p, Doc: doc})
+		idx.bumpCellDir(cell, doc.Terms, +1)
+	})
+	if err != nil {
 		return 0, err
 	}
-	idx.objects = append(idx.objects, Object{Point: p, Doc: doc})
-	idx.bumpCellDir(cell, doc.Terms, +1)
-	idx.epoch++
-	idx.pending++
 	return id, idx.maybeCompactLocked()
 }
 
 // Delete removes an object: its postings disappear from every list, but
 // the id stays allocated (tombstoned) and the object keeps counting as
 // an empty document in corpus statistics.
-func (idx *Index) Delete(id ObjectID) error {
-	idx.mu.Lock()
-	defer idx.mu.Unlock()
+func (idx *Index) Delete(id ObjectID, publish func(apply func())) error {
+	idx.wmu.Lock()
+	defer idx.wmu.Unlock()
 	if idx.frozen {
 		return ErrFrozen
 	}
@@ -106,23 +115,23 @@ func (idx *Index) Delete(id ObjectID) error {
 		return fmt.Errorf("grid: delete %d: stored point %v outside bounds", id, obj.Point)
 	}
 	u := Update{Kind: UpdateDelete, Obj: id, Cell: cell, Point: obj.Point, Terms: obj.Doc.Terms}
-	if err := idx.applyToStoreLocked(&u); err != nil {
+	err := idx.commit(&u, publish, func() {
+		idx.tombstones[id] = struct{}{}
+		delete(idx.reweighted, id) // a deleted object needs no weight patch
+		idx.bumpCellDir(cell, obj.Doc.Terms, -1)
+	})
+	if err != nil {
 		return err
 	}
-	idx.tombstones[id] = struct{}{}
-	delete(idx.reweighted, id) // a deleted object needs no weight patch
-	idx.bumpCellDir(cell, obj.Doc.Terms, -1)
-	idx.epoch++
-	idx.pending++
 	return idx.maybeCompactLocked()
 }
 
 // Reweight replaces an object's normalized term weights (parallel to its
 // existing terms; the term set itself is fixed — changing terms is a
 // Delete plus an Insert). Corpus statistics are untouched.
-func (idx *Index) Reweight(id ObjectID, weights []float64) error {
-	idx.mu.Lock()
-	defer idx.mu.Unlock()
+func (idx *Index) Reweight(id ObjectID, weights []float64, publish func(apply func())) error {
+	idx.wmu.Lock()
+	defer idx.wmu.Unlock()
 	if idx.frozen {
 		return ErrFrozen
 	}
@@ -139,18 +148,20 @@ func (idx *Index) Reweight(id ObjectID, weights []float64) error {
 	}
 	w := append([]float64(nil), weights...)
 	u := Update{Kind: UpdateReweight, Obj: id, Cell: cell, Point: obj.Point, Terms: obj.Doc.Terms, Weights: w}
-	if err := idx.applyToStoreLocked(&u); err != nil {
+	err := idx.commit(&u, publish, func() {
+		obj.Doc.Weights = w
+		if int(id) < idx.baseObjects {
+			idx.reweighted[id] = struct{}{}
+		}
+	})
+	if err != nil {
 		return err
 	}
-	obj.Doc.Weights = w
-	if int(id) < idx.baseObjects {
-		idx.reweighted[id] = struct{}{}
-	}
-	idx.epoch++
-	idx.pending++
 	return idx.maybeCompactLocked()
 }
 
+// checkLiveLocked validates id under wmu: only writers change the object
+// table and the tombstones.
 func (idx *Index) checkLiveLocked(id ObjectID) error {
 	if id < 0 || int(id) >= len(idx.objects) {
 		return fmt.Errorf("%w: id %d of %d", ErrNoSuchObject, id, len(idx.objects))
@@ -161,11 +172,32 @@ func (idx *Index) checkLiveLocked(id ObjectID) error {
 	return nil
 }
 
-func (idx *Index) applyToStoreLocked(u *Update) error {
+// commit logs u, then publishes it through publish (see the file
+// comment): the store apply, the mutator's own in-memory effects (apply)
+// and the epoch bump run together under mu. The caller holds wmu.
+func (idx *Index) commit(u *Update, publish func(apply func()), apply func()) error {
 	if idx.live != nil {
-		return idx.live.ApplyUpdate(u)
+		if err := idx.live.logUpdate(u); err != nil {
+			return err
+		}
 	}
-	idx.memStore.applyUpdate(u)
+	publishIndex := func() {
+		idx.mu.Lock()
+		defer idx.mu.Unlock()
+		if idx.live != nil {
+			idx.live.applyLogged(u)
+		} else {
+			idx.memStore.applyUpdate(u)
+		}
+		apply()
+		idx.epoch++
+	}
+	if publish == nil {
+		publishIndex()
+	} else {
+		publish(publishIndex)
+	}
+	idx.pending++
 	return nil
 }
 
@@ -225,6 +257,8 @@ func (idx *Index) setCellDirEntry(key CellKey, n int32) {
 	}
 }
 
+// maybeCompactLocked runs an automatic compaction once enough updates
+// are pending. The caller holds wmu.
 func (idx *Index) maybeCompactLocked() error {
 	if idx.live == nil || idx.autoCompact <= 0 || idx.pending < idx.autoCompact {
 		return nil
@@ -241,13 +275,16 @@ func (idx *Index) maybeCompactLocked() error {
 // counter (in-place edits have nothing to fold). Any error leaves the
 // store recoverable: flush and meta-commit failures keep the WAL, and a
 // failed truncation merely replays covered (idempotent) records on the
-// next open.
+// next open. Searches run on throughout.
 func (idx *Index) Compact() error {
-	idx.mu.Lock()
-	defer idx.mu.Unlock()
+	idx.wmu.Lock()
+	defer idx.wmu.Unlock()
 	return idx.compactLocked()
 }
 
+// compactLocked is Compact for a caller holding wmu. The flush locks one
+// shard at a time, the meta body is encoded under mu's read side, and
+// the meta commit and WAL resets run under no lock a search takes.
 func (idx *Index) compactLocked() error {
 	if idx.live == nil {
 		idx.pending = 0
@@ -256,14 +293,19 @@ func (idx *Index) compactLocked() error {
 	if err := idx.live.Flush(); err != nil {
 		return err
 	}
-	if err := idx.live.CommitMeta(idx.encodeMetaLocked()); err != nil {
+	idx.mu.RLock()
+	body := idx.encodeMetaLocked()
+	idx.mu.RUnlock()
+	if err := idx.live.CommitMeta(body); err != nil {
 		return err
 	}
 	if err := idx.live.TruncateWALs(); err != nil {
 		return err
 	}
 	idx.pending = 0
+	idx.mu.Lock()
 	idx.epoch++
+	idx.mu.Unlock()
 	return nil
 }
 
@@ -271,8 +313,8 @@ func (idx *Index) compactLocked() error {
 // truncation) and closes the posting store. Compaction errors do not
 // skip the close; all failures are joined.
 func (idx *Index) CloseStore() error {
-	idx.mu.Lock()
-	defer idx.mu.Unlock()
+	idx.wmu.Lock()
+	defer idx.wmu.Unlock()
 	var errs []error
 	if idx.live != nil {
 		if err := idx.compactLocked(); err != nil {

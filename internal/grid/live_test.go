@@ -2,11 +2,15 @@ package grid
 
 import (
 	"errors"
+	"math"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/geo"
+	"repro/internal/iofault"
 	"repro/internal/textindex"
 )
 
@@ -62,14 +66,14 @@ func TestLiveSnapshotReopenGolden(t *testing.T) {
 	// new updates live only in the WAL.
 	id, err := idx2.Insert(geo.Point{X: 500, Y: 500},
 		textindex.Doc{Terms: []textindex.TermID{0}, Weights: []float64{0.7}, TF: []int32{2}},
-		[]string{vocab[0]})
+		[]string{vocab[0]}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := idx2.Delete(id - 1); err != nil {
+	if err := idx2.Delete(id-1, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := idx2.Reweight(id, []float64{0.9}); err != nil {
+	if err := idx2.Reweight(id, []float64{0.9}, nil); err != nil {
 		t.Fatal(err)
 	}
 	want2, err := fingerprintLive(idx2, nTerms)
@@ -172,38 +176,39 @@ func TestLiveValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	okDoc := textindex.Doc{Terms: []textindex.TermID{1}, Weights: []float64{0.5}, TF: []int32{1}}
-	if _, err := idx.Insert(geo.Point{X: -5000, Y: 0}, okDoc, []string{"a"}); err == nil {
+	if _, err := idx.Insert(geo.Point{X: -5000, Y: 0}, okDoc, []string{"a"}, nil); err == nil {
 		t.Error("insert outside bounds accepted")
 	}
 	bad := textindex.Doc{Terms: []textindex.TermID{3, 2}, Weights: []float64{1, 1}, TF: []int32{1, 1}}
-	if _, err := idx.Insert(geo.Point{X: 1, Y: 1}, bad, []string{"a", "b"}); err == nil {
+	if _, err := idx.Insert(geo.Point{X: 1, Y: 1}, bad, []string{"a", "b"}, nil); err == nil {
 		t.Error("descending terms accepted")
 	}
-	if _, err := idx.Insert(geo.Point{X: 1, Y: 1}, okDoc, nil); err == nil {
+	if _, err := idx.Insert(geo.Point{X: 1, Y: 1}, okDoc, nil, nil); err == nil {
 		t.Error("missing term strings accepted")
 	}
-	if err := idx.Delete(999); !errors.Is(err, ErrNoSuchObject) {
+	if err := idx.Delete(999, nil); !errors.Is(err, ErrNoSuchObject) {
 		t.Errorf("delete unknown id: %v, want ErrNoSuchObject", err)
 	}
-	if err := idx.Delete(3); err != nil {
+	if err := idx.Delete(3, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := idx.Delete(3); !errors.Is(err, ErrNoSuchObject) {
+	if err := idx.Delete(3, nil); !errors.Is(err, ErrNoSuchObject) {
 		t.Errorf("double delete: %v, want ErrNoSuchObject", err)
 	}
-	if err := idx.Reweight(3, []float64{1}); !errors.Is(err, ErrNoSuchObject) {
+	if err := idx.Reweight(3, []float64{1}, nil); !errors.Is(err, ErrNoSuchObject) {
 		t.Errorf("reweight deleted id: %v, want ErrNoSuchObject", err)
 	}
 	alive := ObjectID(5)
-	if err := idx.Reweight(alive, make([]float64, len(objs[alive].Doc.Terms)+1)); err == nil {
+	if err := idx.Reweight(alive, make([]float64, len(objs[alive].Doc.Terms)+1), nil); err == nil {
 		t.Error("reweight with wrong arity accepted")
 	}
 }
 
 // TestLiveConcurrentSearchUpdate hammers SearchInto from reader
-// goroutines while the main goroutine mutates — under -race this proves
-// the Index/shard lock discipline; functionally every search must see a
-// consistent index (no errors, scores finite).
+// goroutines while the main goroutine mutates and another compacts —
+// under -race this proves the writer/Index/shard/WAL lock discipline;
+// functionally every search must see a consistent index (no errors,
+// scores finite).
 func TestLiveConcurrentSearchUpdate(t *testing.T) {
 	v, vocab, objs := randomCorpus(t, crashBaseObjs, 99)
 	store, err := CreateShardedStore(filepath.Join(t.TempDir(), "store"), ShardedOptions{Shards: 4})
@@ -231,17 +236,171 @@ func TestLiveConcurrentSearchUpdate(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := idx.SearchInto(q, crashBounds, &scratch); err != nil {
+				res, err := idx.SearchInto(q, crashBounds, &scratch)
+				if err != nil {
 					t.Errorf("concurrent search: %v", err)
 					return
+				}
+				for _, r := range res {
+					if math.IsNaN(r.Score) || math.IsInf(r.Score, 0) {
+						t.Errorf("concurrent search: object %d scored %v", r.Obj, r.Score)
+						return
+					}
 				}
 			}
 		}()
 	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := idx.Compact(); err != nil {
+				t.Errorf("concurrent compact: %v", err)
+				return
+			}
+		}
+	}()
 	ops := liveScript(vocab, objs)
 	if _, err := applyLiveOps(idx, ops, nil); err != nil {
 		t.Errorf("updates under concurrent search: %v", err)
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// parkTimeout bounds how long the parked-fsync tests wait for a search
+// that must not block; a search stuck behind the parked writer fails the
+// test instead of hanging it.
+const parkTimeout = 10 * time.Second
+
+// parkedBoard builds a board-backed index with fsyncs on, applies the
+// script's first n non-compaction ops so the memtables and WALs hold
+// records, and returns the board, index and a query touching them.
+func parkedBoard(t *testing.T, n int) (*iofault.Switchboard, *Index, textindex.Query) {
+	t.Helper()
+	v, vocab, objs := randomCorpus(t, crashBaseObjs, 99)
+	sb, idx := buildLiveBoard(t, objs)
+	var ops []liveOp
+	for _, op := range liveScript(vocab, objs) {
+		if op.kind != 3 && len(ops) < n {
+			ops = append(ops, op)
+		}
+	}
+	if _, err := applyLiveOps(idx, ops, nil); err != nil {
+		t.Fatal(err)
+	}
+	return sb, idx, prepareQuery(v, vocab)
+}
+
+// searchWithin runs one search on its own goroutine and returns its
+// result, failing the test if it does not return within parkTimeout.
+func searchWithin(t *testing.T, idx *Index, q textindex.Query) []ObjScore {
+	t.Helper()
+	type result struct {
+		res []ObjScore
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		res, err := idx.Search(q, crashBounds)
+		done <- result{res, err}
+	}()
+	select {
+	case r := <-done:
+		if r.err != nil {
+			t.Fatalf("search: %v", r.err)
+		}
+		return r.res
+	case <-time.After(parkTimeout):
+		t.Fatalf("search blocked for %v behind a writer parked in fsync", parkTimeout)
+		return nil
+	}
+}
+
+// parkWriter runs write on its own goroutine with every fsync of a file
+// named prefix* parked, and returns once write is parked there. finish
+// releases the fsync and returns write's error; a test that fails first
+// still releases the writer at cleanup.
+func parkWriter(t *testing.T, sb *iofault.Switchboard, prefix string, write func() error) (finish func() error) {
+	t.Helper()
+	release := make(chan struct{})
+	parked := sb.ParkSync(prefix, release)
+	done := make(chan struct{})
+	var err error
+	go func() {
+		defer close(done)
+		err = write()
+	}()
+	var once sync.Once
+	finish = func() error {
+		once.Do(func() { close(release) })
+		<-done
+		return err
+	}
+	t.Cleanup(func() { _ = finish() })
+	select {
+	case <-parked:
+	case <-done:
+		t.Fatalf("writer returned (%v) without reaching the parked fsync", err)
+	case <-time.After(parkTimeout):
+		t.Fatal("writer never reached the parked fsync")
+	}
+	return finish
+}
+
+// TestLiveCompactParkedDoesNotBlockSearch parks Compact inside its META
+// fsync, then inside a WAL-reset fsync: a concurrent search must return
+// meanwhile, with exactly the scores it had before the compaction.
+func TestLiveCompactParkedDoesNotBlockSearch(t *testing.T) {
+	for _, prefix := range []string{"META.", "wal-"} {
+		t.Run(prefix, func(t *testing.T) {
+			sb, idx, q := parkedBoard(t, 20)
+			want, err := idx.Search(q, crashBounds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			finish := parkWriter(t, sb, prefix, idx.Compact)
+			if got := searchWithin(t, idx, q); !reflect.DeepEqual(got, want) {
+				t.Fatalf("search during compaction = %v, want %v", got, want)
+			}
+			if err := finish(); err != nil {
+				t.Fatalf("compact: %v", err)
+			}
+			if got := searchWithin(t, idx, q); !reflect.DeepEqual(got, want) {
+				t.Fatalf("search after compaction = %v, want %v", got, want)
+			}
+		})
+	}
+}
+
+// TestLiveUpdateParkedDoesNotBlockSearch parks an Insert inside its WAL
+// fsync: a concurrent search must return meanwhile and must not yet see
+// the insert, which becomes visible only once its record is durable.
+func TestLiveUpdateParkedDoesNotBlockSearch(t *testing.T) {
+	sb, idx, q := parkedBoard(t, 20)
+	want, err := idx.Search(q, crashBounds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := textindex.Doc{Terms: q.Terms[:1], Weights: []float64{1}, TF: []int32{1}}
+	var id ObjectID
+	finish := parkWriter(t, sb, "wal-", func() (err error) {
+		id, err = idx.Insert(geo.Point{X: 500, Y: 500}, doc, []string{"t"}, nil)
+		return err
+	})
+	if got := searchWithin(t, idx, q); !reflect.DeepEqual(got, want) {
+		t.Fatalf("search during the insert's fsync = %v, want the pre-insert %v", got, want)
+	}
+	if err := finish(); err != nil {
+		t.Fatalf("insert: %v", err)
+	}
+	got := searchWithin(t, idx, q)
+	if len(got) != len(want)+1 || got[len(got)-1].Obj != id {
+		t.Fatalf("search after the insert = %v, want %v plus object %d", got, want, id)
+	}
 }

@@ -36,7 +36,8 @@ func defaultShards() int { return runtime.GOMAXPROCS(0) }
 // on; *ShardedStore implements it.
 type liveStore interface {
 	Store
-	ApplyUpdate(u *Update) error
+	logUpdate(u *Update) error
+	applyLogged(u *Update)
 	Flush() error
 	CommitMeta(body []byte) error
 	TruncateWALs() error
@@ -44,33 +45,44 @@ type liveStore interface {
 	MetaSnapshot() (body []byte, lastOp uint64, ok bool)
 }
 
-// ApplyUpdate assigns the update its global sequence number, appends it
-// to the owning shard's WAL (one record, one write, one fsync) and folds
-// it into the shard's memtable. The record is the unit of atomicity: an
-// object lives in one cell, one cell lives on one shard, so a logical
-// mutation is never split across logs.
-func (s *ShardedStore) ApplyUpdate(u *Update) error {
+// logUpdate assigns the update its global sequence number and appends it
+// to the owning shard's WAL (one record, one write, one fsync). It holds
+// only the shard's WAL mutex, never the shard mutex readers take, so a
+// search keeps reading the shard while the record syncs. The record is
+// the unit of atomicity: an object lives in one cell, one cell lives on
+// one shard, so a logical mutation is never split across logs.
+func (s *ShardedStore) logUpdate(u *Update) error {
 	u.Seq = s.seq.Add(1)
 	sh := &s.shards[s.ShardOf(CellKey{Cell: u.Cell})]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if sh.tree == nil {
+	sh.walMu.Lock()
+	defer sh.walMu.Unlock()
+	if sh.wal == nil {
 		return errStoreClosed
 	}
 	if err := sh.wal.Append(encodeUpdate(u)); err != nil {
-		// Not applied to the memtable: an unacknowledged record must not
-		// be served. The sequence number is consumed; gaps are harmless
-		// (ordering is all that matters).
+		// Never applied: an unacknowledged record must not be served.
+		// The sequence number is consumed; gaps are harmless (ordering
+		// is all that matters).
 		return fmt.Errorf("grid: wal append: %w", err)
 	}
-	sh.mem.apply(u)
 	return nil
+}
+
+// applyLogged folds a logged update into its shard's memtable, making it
+// visible to reads.
+func (s *ShardedStore) applyLogged(u *Update) {
+	sh := &s.shards[s.ShardOf(CellKey{Cell: u.Cell})]
+	sh.mu.Lock()
+	sh.mem.apply(u)
+	sh.mu.Unlock()
 }
 
 // Flush merges every shard's memtable into its tree and makes the trees
 // durable. Shards flush serially in shard order and keys in sorted order,
 // so the write sequence — and therefore every crash kill point — is
-// deterministic for a given store state.
+// deterministic for a given store state. Each shard is locked only for
+// its own merge and tree sync: a concurrent read sees the tree with the
+// memtable over it or the flushed tree, one logical state either way.
 func (s *ShardedStore) Flush() error {
 	for i := range s.shards {
 		sh := &s.shards[i]
@@ -207,18 +219,19 @@ func (s *ShardedStore) CommitMeta(body []byte) error {
 	return nil
 }
 
-// TruncateWALs resets every shard's log. Only call after CommitMeta
-// succeeded — truncating first would lose the records that advance the
-// durable trees past the last committed meta.
+// TruncateWALs resets every shard's log under its WAL mutex, leaving the
+// shard mutex to readers. Only call after CommitMeta succeeded —
+// truncating first would lose the records that advance the durable trees
+// past the last committed meta.
 func (s *ShardedStore) TruncateWALs() error {
 	for i := range s.shards {
 		sh := &s.shards[i]
-		sh.mu.Lock()
+		sh.walMu.Lock()
 		var err error
 		if sh.wal != nil {
 			err = sh.wal.Reset()
 		}
-		sh.mu.Unlock()
+		sh.walMu.Unlock()
 		if err != nil {
 			return fmt.Errorf("grid: truncate wal %d: %w", i, err)
 		}

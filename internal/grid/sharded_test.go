@@ -420,9 +420,10 @@ func TestLegacySingleFileMove(t *testing.T) {
 	key := CellKey{Cell: 3, Term: 1}
 	u := Update{Kind: UpdateInsert, Obj: 500, Cell: key.Cell, Terms: []textindex.TermID{key.Term},
 		Weights: []float64{0.25}, TF: []int32{1}, Strs: []string{"t"}}
-	if err := s.ApplyUpdate(&u); err != nil {
+	if err := s.logUpdate(&u); err != nil {
 		t.Fatalf("moved store rejects an update: %v", err)
 	}
+	s.applyLogged(&u)
 	got, err := s.Postings(key)
 	if err != nil || !reflect.DeepEqual(got, append(want[key], Posting{Obj: 500, Weight: 0.25})) {
 		t.Fatalf("postings after update = %+v, %v", got, err)

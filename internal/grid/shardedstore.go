@@ -32,8 +32,9 @@ import (
 // the last compaction (see livestore.go). Each tree is held under an
 // exclusive file lock while open, so two stores can never share a shard.
 //
-// Reads see the shard's memtable merged over its tree; ApplyUpdate is
-// the write path (WAL append, then memtable). Append bypasses both and
+// Reads see the shard's memtable merged over its tree; the write path
+// logs an update to the WAL, then applies it to the memtable (livestore.go).
+// Append bypasses both and
 // writes the tree directly — it is the bulk-build path, used before the
 // store serves queries.
 type ShardedStore struct {
@@ -69,14 +70,18 @@ type ShardedStore struct {
 }
 
 // storeShard pairs one B+-tree with the mutex that serializes access to
-// it (the tree's page cache is single-threaded), plus the shard's WAL
-// and memtable. Shards never take each other's locks, so operations on
-// different shards proceed concurrently.
+// it (the tree's page cache is single-threaded), plus the shard's
+// memtable under the same mutex and its WAL under a mutex of its own, so
+// a WAL append or reset never blocks a read of the shard. Shards never
+// take each other's locks, so operations on different shards proceed
+// concurrently. walMu is a leaf: nothing is locked while it is held.
 type storeShard struct {
 	mu   sync.Mutex
 	tree *btree.Tree
-	wal  *btree.WAL
 	mem  *memtable
+
+	walMu sync.Mutex
+	wal   *btree.WAL
 }
 
 // ShardedOptions configures CreateShardedStore (and, minus Shards, the
@@ -445,7 +450,7 @@ func (s *ShardedStore) Postings(key CellKey) ([]Posting, error) {
 		return ps, nil
 	}
 	// Slow path: hold the shard lock through the merge — the override map
-	// belongs to the memtable and a concurrent ApplyUpdate may grow it.
+	// belongs to the memtable and a concurrent update may grow it.
 	defer sh.mu.Unlock()
 	ps, err := DecodePostings(raw)
 	if err != nil {
@@ -488,13 +493,15 @@ func (s *ShardedStore) Close() error {
 			}
 			sh.tree = nil
 		}
+		sh.mu.Unlock()
+		sh.walMu.Lock()
 		if sh.wal != nil {
 			if err := sh.wal.Close(); err != nil {
 				errs = append(errs, fmt.Errorf("shard %d wal: %w", i, err))
 			}
 			sh.wal = nil
 		}
-		sh.mu.Unlock()
+		sh.walMu.Unlock()
 	}
 	return errors.Join(errs...)
 }

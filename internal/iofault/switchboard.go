@@ -3,6 +3,7 @@ package iofault
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 )
 
@@ -26,6 +27,16 @@ type Switchboard struct {
 	writes  int
 	syncs   int
 	crashed bool
+	park    *syncPark
+}
+
+// syncPark is the ParkSync gate: syncs of files named with prefix wait
+// for release; parked is closed once the first of them waits.
+type syncPark struct {
+	prefix  string
+	release <-chan struct{}
+	parked  chan struct{}
+	once    sync.Once
 }
 
 // NewSwitchboard returns an empty board with a zero (fault-free) plan.
@@ -57,6 +68,18 @@ func (sb *Switchboard) Crashed() bool {
 	return sb.crashed
 }
 
+// ParkSync is a test gate: from now on, every Sync of a file whose name
+// starts with prefix blocks until release is closed. The returned channel
+// is closed once the first such Sync is waiting, so a test can act while
+// a writer is provably stuck inside that fsync. A parked Sync holds no
+// board lock and has already been counted against the plan.
+func (sb *Switchboard) ParkSync(prefix string, release <-chan struct{}) <-chan struct{} {
+	sb.mu.Lock()
+	defer sb.mu.Unlock()
+	sb.park = &syncPark{prefix: prefix, release: release, parked: make(chan struct{})}
+	return sb.park.parked
+}
+
 // Open returns the named file, creating it empty if needed. The handle
 // routes every operation through the board's plan.
 func (sb *Switchboard) Open(name string) File {
@@ -67,7 +90,7 @@ func (sb *Switchboard) Open(name string) File {
 		m = NewMemFile()
 		sb.files[name] = m
 	}
-	return &boardFile{sb: sb, m: m}
+	return &boardFile{sb: sb, m: m, name: name}
 }
 
 // Exists reports whether the named file has been created.
@@ -125,8 +148,9 @@ func (sb *Switchboard) Fork(durable bool) *Switchboard {
 // boardFile is a handle on one board file; the board applies the shared
 // plan before forwarding to the MemFile.
 type boardFile struct {
-	sb *Switchboard
-	m  *MemFile
+	sb   *Switchboard
+	m    *MemFile
+	name string
 }
 
 func (f *boardFile) ReadAt(p []byte, off int64) (int, error) {
@@ -193,7 +217,12 @@ func (f *boardFile) Sync() error {
 	}
 	sb.syncs++
 	drop := sb.plan.DropAllSyncs || (sb.plan.DropSyncAfter > 0 && sb.syncs > sb.plan.DropSyncAfter)
+	park := sb.park
 	sb.mu.Unlock()
+	if park != nil && strings.HasPrefix(f.name, park.prefix) {
+		park.once.Do(func() { close(park.parked) })
+		<-park.release
+	}
 	if drop {
 		return nil // the lying disk reports success
 	}

@@ -3,6 +3,7 @@ package iofault
 import (
 	"errors"
 	"testing"
+	"time"
 )
 
 func TestSwitchboardGlobalWriteCounter(t *testing.T) {
@@ -131,5 +132,36 @@ func TestSwitchboardRemoveAndNames(t *testing.T) {
 	}
 	if err := sb.Remove("a"); err == nil {
 		t.Fatal("Remove of a missing file must fail")
+	}
+}
+
+// TestSwitchboardParkSync: a Sync of a matching file waits for release
+// and signals that it is waiting; other files' syncs pass straight through.
+func TestSwitchboardParkSync(t *testing.T) {
+	sb := NewSwitchboard()
+	wal, tree := sb.Open("wal-0000.log"), sb.Open("shard-0000.bt")
+	release := make(chan struct{})
+	parked := sb.ParkSync("wal-", release)
+	if err := tree.Sync(); err != nil {
+		t.Fatalf("unmatched sync: %v", err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- wal.Sync() }()
+	select {
+	case <-parked:
+	case <-time.After(10 * time.Second):
+		t.Fatal("matching sync never parked")
+	}
+	select {
+	case err := <-done:
+		t.Fatalf("parked sync returned before release (err %v)", err)
+	default:
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatalf("released sync: %v", err)
+	}
+	if _, _, syncs := sb.Counts(); syncs != 2 {
+		t.Fatalf("counted %d syncs, want 2", syncs)
 	}
 }

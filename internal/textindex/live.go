@@ -28,9 +28,9 @@ func (v *Vocabulary) RemoveDocStats(d Doc) {
 	}
 }
 
-// AddDocStats re-applies a document's term statistics — the WAL-replay
-// counterpart of the statistics side of IndexDoc (terms must already be
-// interned; see EnsureTerm). It raises |D| like IndexDoc does.
+// AddDocStats applies a document's term statistics — the statistics side
+// of IndexDoc, which a live insert and WAL replay apply on their own
+// (terms must already be interned; see EnsureTerm). It raises |D|.
 func (v *Vocabulary) AddDocStats(d Doc) {
 	for i, t := range d.Terms {
 		v.df[t]++
@@ -38,15 +38,6 @@ func (v *Vocabulary) AddDocStats(d Doc) {
 		v.totalTokens += int(d.TF[i])
 	}
 	v.docs++
-}
-
-// UndoIndexDoc rolls back a just-made IndexDoc call whose object failed to
-// be stored: term statistics and |D| return to their prior values. The
-// interned term strings stay — an interned term with zero df contributes
-// zero to every score, exactly like an unknown term.
-func (v *Vocabulary) UndoIndexDoc(d Doc) {
-	v.RemoveDocStats(d)
-	v.docs--
 }
 
 // EnsureTerm interns term and verifies it lands on (or already has) the

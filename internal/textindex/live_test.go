@@ -1,6 +1,7 @@
 package textindex
 
 import (
+	"reflect"
 	"testing"
 )
 
@@ -61,21 +62,33 @@ func TestAddDocStatsInvertsRemove(t *testing.T) {
 	}
 }
 
-func TestUndoIndexDoc(t *testing.T) {
+// TestDocOfLeavesVocabularyUnchanged: DocOf drafts exactly the Doc (and
+// term strings) IndexDoc then registers — new terms included — while the
+// vocabulary stays untouched until IndexDoc runs.
+func TestDocOfLeavesVocabularyUnchanged(t *testing.T) {
 	v := NewVocabulary()
 	v.IndexDoc([]string{"keep"})
-	docs, total := v.NumDocs(), v.totalTokens
-	doc := v.IndexDoc([]string{"gone", "keep"})
-	v.UndoIndexDoc(doc)
-	if v.NumDocs() != docs || v.totalTokens != total {
-		t.Fatalf("UndoIndexDoc left |D|=%d tokens=%d, want %d/%d", v.NumDocs(), v.totalTokens, docs, total)
+	docs, total, nTerms := v.NumDocs(), v.totalTokens, v.NumTerms()
+	tokens := []string{"new", "keep", "", "other", "new"}
+	draft, strs := v.DocOf(tokens)
+	if v.NumDocs() != docs || v.totalTokens != total || v.NumTerms() != nTerms || v.Lookup("new") >= 0 {
+		t.Fatal("DocOf changed the vocabulary")
 	}
 	if v.DocFreq(v.Lookup("keep")) != 1 {
-		t.Fatal("UndoIndexDoc damaged another document's df")
+		t.Fatal("DocOf changed a document frequency")
 	}
-	// The term string stays interned with zero df — weight 0 everywhere.
-	if id := v.Lookup("gone"); id < 0 || v.IDF(id) != 0 {
-		t.Fatalf("rolled-back term: id %d IDF %v, want interned with IDF 0", v.Lookup("gone"), v.IDF(v.Lookup("gone")))
+	want := []string{"keep", "new", "other"} // ascending id: existing term, then first-occurrence order
+	if !reflect.DeepEqual(strs, want) {
+		t.Fatalf("DocOf strs = %q, want %q", strs, want)
+	}
+	got := v.IndexDoc(tokens)
+	if !reflect.DeepEqual(draft, got) {
+		t.Fatalf("DocOf = %+v, IndexDoc = %+v", draft, got)
+	}
+	for i, s := range strs {
+		if v.Lookup(s) != got.Terms[i] {
+			t.Fatalf("term %q interned as %d, drafted as %d", s, v.Lookup(s), got.Terms[i])
+		}
 	}
 }
 

@@ -119,16 +119,41 @@ func (d *Doc) Weight(t TermID) float64 {
 // weights. The tokens are raw terms, possibly repeated; term frequency
 // tf_{t,o.ψ} is their multiplicity. Empty token lists produce an empty Doc.
 func (v *Vocabulary) IndexDoc(tokens []string) Doc {
+	d, strs := v.DocOf(tokens)
+	for _, s := range strs {
+		v.Intern(s) // ascending ids: new terms land on the ids DocOf gave them
+	}
+	v.AddDocStats(d)
+	return d
+}
+
+// DocOf returns the Doc IndexDoc would return for tokens, without changing
+// the vocabulary: a term not yet interned gets the id the next Intern
+// calls will give it, in order of first occurrence. strs holds the term
+// strings parallel to the Doc's Terms.
+func (v *Vocabulary) DocOf(tokens []string) (d Doc, strs []string) {
 	if len(tokens) == 0 {
-		v.docs++
-		return Doc{}
+		return Doc{}, nil
 	}
 	tf := make(map[TermID]int, len(tokens))
+	var fresh map[string]TermID // terms not yet interned
+	var freshStrs []string      // by id - NumTerms
 	for _, tok := range tokens {
 		if tok == "" {
 			continue
 		}
-		tf[v.Intern(tok)]++
+		id, ok := v.ids[tok]
+		if !ok {
+			if id, ok = fresh[tok]; !ok {
+				if fresh == nil {
+					fresh = make(map[string]TermID)
+				}
+				id = TermID(len(v.terms) + len(freshStrs))
+				fresh[tok] = id
+				freshStrs = append(freshStrs, tok)
+			}
+		}
+		tf[id]++
 	}
 	terms := make([]TermID, 0, len(tf))
 	for t := range tf {
@@ -140,22 +165,24 @@ func (v *Vocabulary) IndexDoc(tokens []string) Doc {
 	// norm W_{o.ψ} to get wto (Equation 2).
 	raw := make([]float64, len(terms))
 	tfs := make([]int32, len(terms))
+	strs = make([]string, len(terms))
 	var norm2 float64
 	for i, t := range terms {
 		raw[i] = 1 + math.Log(float64(tf[t]))
 		norm2 += raw[i] * raw[i]
-		v.df[t]++
-		v.cf[t] += int32(tf[t])
-		v.totalTokens += tf[t]
 		tfs[i] = int32(tf[t])
+		if int(t) < len(v.terms) {
+			strs[i] = v.terms[t]
+		} else {
+			strs[i] = freshStrs[int(t)-len(v.terms)]
+		}
 	}
-	v.docs++
 	norm := math.Sqrt(norm2)
 	weights := make([]float64, len(terms))
 	for i := range raw {
 		weights[i] = raw[i] / norm
 	}
-	return Doc{Terms: terms, Weights: weights, TF: tfs}
+	return Doc{Terms: terms, Weights: weights, TF: tfs}, strs
 }
 
 // Query is a preprocessed keyword query: distinct query terms with their
