@@ -163,8 +163,10 @@ func BenchmarkSolveTGEN(b *testing.B) {
 		in, delta := benchInstance(b)
 		run(b, in, delta)
 	})
-	// The regime of the served solve_tgen workload (~10 ms per solve), where
-	// the pair loop of combineAcross is nearly all of the time.
+	// The regime of the served solve_tgen workload: ~7 ms per solve on a
+	// 2-vCPU AMD EPYC, 84 % of it in combineAcross (the pair scan 37 %, the
+	// keep-check 25 %, Lemma 9's hasAny 15 %, building 8 %) and 15 % in
+	// installNew.
 	b.Run("viewport", func(b *testing.B) {
 		in, delta := viewportInstance(b, 1)
 		run(b, in, delta)

@@ -25,10 +25,16 @@ func (r *Region) betterScore(o *Region) bool {
 	if o == nil {
 		return r != nil
 	}
-	if r.Score != o.Score {
-		return r.Score > o.Score
+	return beats(r.Score, r.Length, o)
+}
+
+// beats is betterScore's rule for a region of the given score and length
+// that need not be built yet (combineAcross's keep-check).
+func beats(score, length float64, o *Region) bool {
+	if score != o.Score {
+		return score > o.Score
 	}
-	return r.Length < o.Length
+	return length < o.Length
 }
 
 // Contains reports whether node v belongs to the region.

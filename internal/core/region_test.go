@@ -49,32 +49,83 @@ func TestCombineAdditive(t *testing.T) {
 	}
 }
 
-// TestTupleArrayDominance checks Definition 5/6 semantics: update keeps,
-// per scaled weight, exactly the minimum-length region seen.
+// TestTupleArrayDominance checks Definition 5/6 semantics on both tuple
+// array layouts: per scaled weight an array keeps exactly the minimum-length
+// region seen, and an equal-length region does not replace the stored one.
+// TGEN's direct-indexed array also grows past its width on demand, reads
+// its unfilled keys as holes, and never shows a slot left in its capacity
+// by an earlier query.
 func TestTupleArrayDominance(t *testing.T) {
 	s := NewSolveScratch()
 	s.begin(context.Background())
-	s.ensureArrays(1)
 	region := func(scaled int64, length float64) *poolRegion {
 		r := s.pool.newRegion()
 		r.Region = Region{Scaled: scaled, Length: length}
 		return r
 	}
-	a, b, c, d := region(5, 10), region(5, 7), region(5, 9), region(3, 100)
-	if !s.update(0, a) {
-		t.Error("first insert must report change")
+	type step struct {
+		r       *poolRegion
+		changes bool
+		what    string
 	}
-	if !s.update(0, b) {
-		t.Error("shorter region must replace")
+	steps := func() (b, d, e *poolRegion, seq []step) {
+		a, b, d, e := region(5, 10), region(5, 7), region(3, 100), region(9, 1)
+		return b, d, e, []step{
+			{a, true, "first insert"},
+			{b, true, "shorter region replaces"},
+			{region(5, 7), false, "equal-length region keeps the stored one"},
+			{region(5, 9), false, "longer region does not replace"},
+			{d, true, "new weight below fills a hole"},
+			{e, true, "new weight past the width grows the array"},
+		}
 	}
-	if s.update(0, c) {
-		t.Error("longer region must not replace")
+
+	b, d, e, seq := steps()
+	s.arrays = resetArrays(s.arrays, 1)
+	for _, st := range seq {
+		s.update(0, st.r)
+		if got := s.arrays[0][st.r.Scaled].r == st.r; got != st.changes {
+			t.Errorf("direct: %s: stored %v", st.what, got)
+		}
 	}
-	if !s.update(0, d) {
-		t.Error("new weight must insert")
+	want := map[int]*poolRegion{3: d, 5: b, 9: e}
+	ta := s.arrays[0]
+	if len(ta) != 10 {
+		t.Fatalf("direct: width %d, want 10 (largest key + 1)", len(ta))
 	}
-	if ta := s.arrays[0]; len(ta) != 2 || ta[0].r != d || ta[1].r != b {
-		t.Error("array contents wrong")
+	for k := range ta {
+		if ta[k].r != want[k] {
+			t.Errorf("direct: slot %d holds %v, want %v", k, ta[k].r, want[k])
+		} else if ta[k].r != nil && ta[k].length != ta[k].r.Length {
+			t.Errorf("direct: slot %d length %v, region's %v", k, ta[k].length, ta[k].r.Length)
+		}
+	}
+	// A new query reuses the capacity without dropping the array (as after
+	// a cancelled solve): regrowing within it must expose holes, not the
+	// regions the last query stored at keys 3 and 5.
+	s.begin(context.Background())
+	s.arrays = resetArrays(s.arrays, 1)
+	f := region(7, 2)
+	s.update(0, f)
+	for k, slot := range s.arrays[0] {
+		if k == 7 && slot.r != f || k != 7 && slot.r != nil {
+			t.Errorf("direct: after reuse slot %d holds %v", k, slot.r)
+		}
+	}
+	s.dropArray(0)
+	if len(s.arrays[0]) != 0 || f.refs != 0 {
+		t.Errorf("direct: dropArray left width %d, refs %d", len(s.arrays[0]), f.refs)
+	}
+
+	b, d, e, seq = steps()
+	s.treeArrays = resetArrays(s.treeArrays, 1)
+	for _, st := range seq {
+		if got := s.updateTree(0, st.r); got != st.changes {
+			t.Errorf("sorted: %s: updateTree reported %v", st.what, got)
+		}
+	}
+	if tt := s.treeArrays[0]; len(tt) != 3 || tt[0].r != d || tt[1].r != b || tt[2].r != e {
+		t.Errorf("sorted: contents %+v, want keys 3, 5, 9", tt)
 	}
 }
 

@@ -14,9 +14,10 @@ import (
 // SolveScratch is the pooled per-worker working state of the solve phase:
 // epoch-stamped sets for every per-query boolean the solvers track (TGEN's
 // processed/enqueued/edgeDone, Greedy's region membership), a free-list
-// Region arena behind the tuple machinery, the sorted-slice tuple arrays of
-// Definitions 5/6, the pooled kmst/pcst solver state APP drives, and the
-// top-k sub-instance. A warm scratch answers queries with zero steady-state
+// Region arena behind the tuple machinery, the tuple arrays of Definitions
+// 5/6 in their two layouts (tupleSlot for TGEN, tupleEntry for
+// findOptTree), the pooled kmst/pcst solver state APP drives, and the top-k
+// sub-instance. A warm scratch answers queries with zero steady-state
 // allocations.
 //
 // Ownership rules: a SolveScratch serves one goroutine; pool one per
@@ -29,8 +30,10 @@ type SolveScratch struct {
 	best    *poolRegion
 	cancel  cancel.Check
 
-	// Tuple arrays (TGEN: graph-indexed; findOptTree: tree-local indexed).
-	arrays [][]tupleEntry
+	// Tuple arrays: TGEN's are graph-indexed and direct-indexed by scaled
+	// weight, findOptTree's are tree-local indexed and sorted.
+	arrays     [][]tupleSlot
+	treeArrays [][]tupleEntry
 
 	// TGEN traversal state.
 	processed stampSet // nodes whose tuple array has been dropped
@@ -81,16 +84,17 @@ func (s *SolveScratch) begin(ctx context.Context) {
 	s.cancel.Reset(ctx)
 }
 
-// ensureArrays sizes the per-node tuple arrays to n empty arrays, keeping
-// grown entry capacity from earlier queries.
-func (s *SolveScratch) ensureArrays(n int) {
-	if cap(s.arrays) < n {
-		s.arrays = append(s.arrays[:cap(s.arrays)], make([][]tupleEntry, n-cap(s.arrays))...)
+// resetArrays sizes arrays to n empty tuple arrays, keeping the entry
+// capacity grown by earlier queries.
+func resetArrays[T any](arrays [][]T, n int) [][]T {
+	if cap(arrays) < n {
+		arrays = append(arrays[:cap(arrays)], make([][]T, n-cap(arrays))...)
 	}
-	s.arrays = s.arrays[:n]
-	for i := range s.arrays {
-		s.arrays[i] = s.arrays[i][:0]
+	arrays = arrays[:n]
+	for i := range arrays {
+		arrays[i] = arrays[i][:0]
 	}
+	return arrays
 }
 
 // considerScore offers r as the query answer under betterScore (original
@@ -168,27 +172,31 @@ func (s *SolveScratch) combine(in *Instance, a, b *poolRegion, edgeIdx int32) *p
 
 // combineAcross is the TGEN pair kernel, shared by both edge orders: it
 // joins every tuple of node vi's array with every tuple of vj's through
-// edge edgeIdx and collects the feasible results in s.newTuples, in (vi
-// outer, vj inner) order. Rejections run cheapest first and nothing is
-// built that the next test discards: the length sum — the very expression
-// combine stores, so a pair survives iff its region is feasible — is three
-// floats from the contiguous entries; the Lemma 9 cycle test is an
-// early-exit scan of t2's nodes against marks of t1's, made once per outer
-// row; only survivors are materialised. A row whose t1 alone busts the budget is skipped whole
-// (lengths are non-negative and float addition is monotone, so every pair
-// of the row would fail). One cancellation tick per outer row: a single
-// edge can run to ~10⁵ pairs, so per-edge ticks alone would not bound the
-// post-cancel work. On cancel the partial s.newTuples is left for the next
-// begin to reclaim.
+// edge edgeIdx and collects the results installNew would keep in
+// s.newTuples, in (vi outer, vj inner) ascending-key order. Rejections run
+// cheapest first and nothing is built that installNew would discard: the
+// length sum — the very expression combine stores, so a pair survives iff
+// its region is feasible — is three floats from the slots; the Lemma 9
+// cycle test is an early-exit scan of t2's nodes against marks of t1's,
+// made once per outer row; the keep-check (keeps) is installNew's accept
+// rule; only survivors are materialised. A row whose t1 alone busts the
+// budget is skipped whole (lengths are non-negative and float addition is
+// monotone, so every pair of the row would fail). One cancellation tick per
+// outer row: a single edge can run to ~10⁵ pairs, so per-edge ticks alone
+// would not bound the post-cancel work. On cancel the partial s.newTuples
+// is left for the next begin to reclaim.
 func (s *SolveScratch) combineAcross(in *Instance, vi, vj, edgeIdx int32, delta float64) {
 	eLen := in.Edges[edgeIdx].Length
 	viArr, vjArr := s.arrays[vi], s.arrays[vj]
 	newTuples := s.newTuples[:0]
-	for i := range viArr {
+	for k1 := range viArr {
+		t1 := &viArr[k1]
+		if t1.r == nil {
+			continue // hole
+		}
 		if s.cancel.Tick() {
 			break
 		}
-		t1 := &viArr[i]
 		if t1.length+eLen > delta {
 			continue
 		}
@@ -196,18 +204,49 @@ func (s *SolveScratch) combineAcross(in *Instance, vi, vj, edgeIdx int32, delta 
 		for _, v := range t1.r.Nodes {
 			s.marks.add(v)
 		}
-		for j := range vjArr {
-			t2 := &vjArr[j]
-			if t1.length+t2.length+eLen > delta {
+		for k2 := range vjArr {
+			t2 := &vjArr[k2]
+			if t2.r == nil {
+				continue
+			}
+			length := t1.length + t2.length + eLen
+			if length > delta {
 				continue
 			}
 			if s.marks.hasAny(t2.r.Nodes) {
 				continue // Lemma 9: would close a cycle
 			}
+			if !s.keeps(t1.r, t2.r, int64(k1+k2), length) {
+				continue
+			}
 			newTuples = append(newTuples, s.combine(in, t1.r, t2.r, edgeIdx))
 		}
 	}
 	s.newTuples = newTuples
+}
+
+// keeps reports whether installNew would keep the region combine(a, b)
+// builds, of scaled weight k and length length: as the answer under
+// betterScore, or in the array of some undropped node of a or b. Checked
+// before installNew runs, it can only say keep too often, never too
+// seldom: until then the best only improves, stored lengths only shrink,
+// and the set of dropped nodes only grows.
+func (s *SolveScratch) keeps(a, b *poolRegion, k int64, length float64) bool {
+	if beats(a.Score+b.Score, length, &s.best.Region) { // the singletons set a best
+		return true
+	}
+	return s.admitsAny(a.Nodes, k, length) || s.admitsAny(b.Nodes, k, length)
+}
+
+// admitsAny reports whether the array of some undropped node of nodes
+// admits a region of scaled weight k and length length.
+func (s *SolveScratch) admitsAny(nodes []int32, k int64, length float64) bool {
+	for _, v := range nodes {
+		if !s.processed.has(v) && s.admits(v, k, length) {
+			return true
+		}
+	}
+	return false
 }
 
 // installNew offers the tuples combineAcross collected as the answer and
@@ -228,13 +267,52 @@ func (s *SolveScratch) installNew() {
 	}
 }
 
-// update installs r into the tuple array at index idx (Definitions 5/6):
-// per scaled weight the array keeps the shortest region seen, replacing
-// only on a strictly shorter one. Returns whether the array changed. Most
-// probes reject, and the reject path reads only the entries, never the
-// stored regions.
-func (s *SolveScratch) update(idx int32, r *poolRegion) bool {
+// admits reports whether update would store a region of scaled weight k
+// and length length in the TGEN array at idx: per scaled weight the array
+// keeps the shortest region seen, replacing only on a strictly shorter one.
+// The keep-check of combineAcross applies the same rule.
+func (s *SolveScratch) admits(idx int32, k int64, length float64) bool {
 	ta := s.arrays[idx]
+	return k >= int64(len(ta)) || ta[k].r == nil || length < ta[k].length
+}
+
+// update installs r into the TGEN tuple array at idx (Definitions 5/6) if
+// admits allows, growing the array to r's key on demand.
+func (s *SolveScratch) update(idx int32, r *poolRegion) {
+	k := r.Scaled
+	if !s.admits(idx, k, r.Length) {
+		return
+	}
+	ta := s.arrays[idx]
+	if n := int64(len(ta)); k >= n {
+		ta = slices.Grow(ta, int(k+1-n))[:k+1]
+		clear(ta[n:]) // capacity kept from an earlier query holds stale slots
+		s.arrays[idx] = ta
+	}
+	if old := ta[k].r; old != nil {
+		s.pool.deref(old)
+	}
+	s.pool.ref(r)
+	ta[k] = tupleSlot{length: r.Length, r: r}
+}
+
+// dropArray releases every tuple of the TGEN array at idx (the §5 memory
+// optimization: a finished node's array is discarded).
+func (s *SolveScratch) dropArray(idx int32) {
+	ta := s.arrays[idx]
+	for k := range ta {
+		if ta[k].r != nil {
+			s.pool.deref(ta[k].r)
+			ta[k].r = nil
+		}
+	}
+	s.arrays[idx] = ta[:0]
+}
+
+// updateTree is update for findOptTree's sorted arrays: a binary search
+// for r's key, then a replace on a strictly shorter region or an insert.
+func (s *SolveScratch) updateTree(idx int32, r *poolRegion) bool {
+	ta := s.treeArrays[idx]
 	lo, hi := 0, len(ta)
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -257,24 +335,41 @@ func (s *SolveScratch) update(idx int32, r *poolRegion) bool {
 	copy(ta[lo+1:], ta[lo:])
 	ta[lo] = tupleEntry{scaled: r.Scaled, length: r.Length, r: r}
 	s.pool.ref(r)
-	s.arrays[idx] = ta
+	s.treeArrays[idx] = ta
 	return true
 }
 
-// dropArray releases every tuple of the array at idx (the §5 memory
-// optimization: a finished node's array is discarded).
-func (s *SolveScratch) dropArray(idx int32) {
-	ta := s.arrays[idx]
+// dropTreeArray releases every tuple of findOptTree's array at idx.
+func (s *SolveScratch) dropTreeArray(idx int32) {
+	ta := s.treeArrays[idx]
 	for i := range ta {
 		s.pool.deref(ta[i].r)
 		ta[i].r = nil
 	}
-	s.arrays[idx] = ta[:0]
+	s.treeArrays[idx] = ta[:0]
 }
 
-// tupleEntry is one slot of a sorted-by-scaled-weight tuple array. It
-// carries the region's key and length inline so the pair loop and update's
-// reject path scan contiguous entries without dereferencing r.
+// The tuple arrays have one layout per algorithm, because their keys differ
+// in density. TGEN's are dense: on ~290-node viewports at the served
+// σ̂max ≈ 9, a node's array holds 59–63 regions over a key width of 62–66
+// (93–95 %; 84–89 % at σ̂max 72). So tupleSlot is indexed directly by
+// scaled weight, and a probe is one load. findOptTree's keys are ~1 %
+// dense (18–32 entries over a width of ~2,600 at APP's α = 0.5), so
+// tupleEntry stays sorted: prototypes that indexed them directly grew
+// solve_app's live heap by 11.8 %, and by hash 6.3 % with APP p50 3–4 %
+// slower.
+
+// tupleSlot is slot k of a TGEN tuple array: the shortest region of
+// scaled weight k seen at the node, with r == nil marking a hole. It
+// carries the region's length inline so the pair loop and the keep-check
+// read contiguous slots without dereferencing r.
+type tupleSlot struct {
+	length float64 // == r.Length
+	r      *poolRegion
+}
+
+// tupleEntry is one entry of a findOptTree tuple array, sorted by scaled
+// weight, with the key and length inline like tupleSlot's.
 type tupleEntry struct {
 	scaled int64
 	length float64 // == r.Length

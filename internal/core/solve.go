@@ -51,7 +51,7 @@ func SolveTGEN(ctx context.Context, s *SolveScratch, in *Instance, delta float64
 	}
 
 	n := in.NumNodes
-	s.ensureArrays(n)
+	s.arrays = resetArrays(s.arrays, n)
 	for v := 0; v < n; v++ {
 		sg := s.singleton(in, NodeID(v))
 		s.update(int32(v), sg)
@@ -371,10 +371,10 @@ func (s *SolveScratch) findOptTree(in *Instance, treeNodes []int32, treeEdges []
 		s.deg[lv]++
 	}
 
-	s.ensureArrays(nt) // local (tree) indexing for this DP
+	s.treeArrays = resetArrays(s.treeArrays, nt) // local (tree) indexing for this DP
 	for i, v := range treeNodes {
 		sg := s.singleton(in, v)
-		s.update(int32(i), sg)
+		s.updateTree(int32(i), sg)
 		s.considerFeasible(sg, delta)
 	}
 
@@ -423,8 +423,8 @@ func (s *SolveScratch) findOptTree(in *Instance, treeNodes []int32, treeEdges []
 		// rejected on the length sum combine would store, before anything
 		// is built; a tree needs no cycle test.
 		eLen := in.Edges[edgeIdx].Length
-		vArr := s.arrays[lv]
-		snapshot := append(s.snapshot[:0], s.arrays[lvn]...)
+		vArr := s.treeArrays[lv]
+		snapshot := append(s.snapshot[:0], s.treeArrays[lvn]...)
 		s.snapshot = snapshot
 		for _, t1 := range snapshot {
 			s.pool.ref(t1.r)
@@ -441,7 +441,7 @@ func (s *SolveScratch) findOptTree(in *Instance, treeNodes []int32, treeEdges []
 					continue
 				}
 				nr := s.combine(in, t1.r, t2.r, edgeIdx)
-				if s.update(lvn, nr) {
+				if s.updateTree(lvn, nr) {
 					s.considerFeasible(nr, delta)
 				}
 				if nr.refs == 0 {
@@ -452,7 +452,7 @@ func (s *SolveScratch) findOptTree(in *Instance, treeNodes []int32, treeEdges []
 		for _, t1 := range snapshot {
 			s.pool.deref(t1.r)
 		}
-		s.dropArray(lv)
+		s.dropTreeArray(lv)
 		s.removed[lv] = true
 		remaining--
 		s.deg[lvn]--

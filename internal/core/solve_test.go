@@ -2,8 +2,11 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math/rand"
+	"slices"
 	"testing"
+	"time"
 )
 
 // regionEq reports whether two regions are bit-identical answers: same
@@ -34,7 +37,8 @@ func regionEq(a, b *Region) bool {
 
 // TestSolveScratchMethodInterleaving reuses one scratch across all three
 // methods query after query, the way a serving worker alternating request
-// types would, and checks every answer against a fresh scratch's.
+// types would, and checks every answer against a fresh scratch's; then it
+// does the same after a solve abandoned mid-way.
 func TestSolveScratchMethodInterleaving(t *testing.T) {
 	s := NewSolveScratch()
 	ctx := context.Background()
@@ -58,6 +62,36 @@ func TestSolveScratchMethodInterleaving(t *testing.T) {
 		if err != nil || !regionEq(got, want) {
 			t.Fatalf("round %d: reused scratch %v (%v), fresh scratch %v", round, got, err, want)
 		}
+	}
+
+	// A TGEN solve cancelled mid-way on wide keys (σ̂max ≈ 72) leaves its
+	// tuple arrays wide and full, and the pool mid-flight. A narrow-key TGEN
+	// solve of the same instance, then APP, must not see any of it.
+	in, delta := viewportInstance(t, 3)
+	s = NewSolveScratch()
+	for wait := time.Millisecond; ; wait *= 2 {
+		cctx, stop := context.WithCancel(ctx)
+		timer := time.AfterFunc(wait, stop)
+		r, err := SolveTGEN(cctx, s, in, delta, TGENOptions{Alpha: float64(in.NumNodes) / 72})
+		timer.Stop()
+		stop()
+		if r != nil || !errors.Is(err, context.Canceled) {
+			t.Fatalf("wide solve cancelled after %v returned %v, %v", wait, r, err)
+		}
+		if slices.ContainsFunc(s.arrays, func(ta []tupleSlot) bool { return len(ta) > 0 }) {
+			break // cancelled mid-way, not at the entry check
+		}
+		if wait > time.Second {
+			t.Fatal("no cancel landed mid-solve")
+		}
+	}
+	want, _ := SolveTGEN(ctx, NewSolveScratch(), in, delta, TGENOptions{})
+	if got, err := SolveTGEN(ctx, s, in, delta, TGENOptions{}); err != nil || !regionEq(got, want) {
+		t.Fatalf("TGEN after a cancelled wide solve: %v (%v), fresh scratch %v", got, err, want)
+	}
+	want, _ = SolveAPP(ctx, NewSolveScratch(), in, delta, APPOptions{})
+	if got, err := SolveAPP(ctx, s, in, delta, APPOptions{}); err != nil || !regionEq(got, want) {
+		t.Fatalf("APP after a cancelled wide solve: %v (%v), fresh scratch %v", got, err, want)
 	}
 }
 

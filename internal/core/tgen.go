@@ -23,7 +23,8 @@ type TGENOptions struct {
 	// than APP — the paper tunes α = 400 on NY and α = 300 on USANW so
 	// that tuples collide on few scaled-weight values. Zero sizes α to the
 	// instance, max(n/9, 1) for n nodes, so σ̂max ≈ 9: the regime the
-	// paper's fixed α inhabits at its data scale.
+	// paper's fixed α inhabits at its data scale. The tuple arrays are
+	// indexed by scaled weight, so their memory grows as α shrinks.
 	Alpha float64
 	// Order picks the edge processing order (default OrderBFS).
 	Order EdgeOrder

@@ -171,8 +171,7 @@ func TestInstantiateEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tgAlpha := float64(qi.In.NumNodes) / 8 // σ̂max ≈ 8
-		tg, err := core.SolveTGEN(context.Background(), core.NewSolveScratch(), qi.In, q.Delta, core.TGENOptions{Alpha: tgAlpha})
+		tg, err := core.SolveTGEN(context.Background(), core.NewSolveScratch(), qi.In, q.Delta, core.TGENOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -253,11 +252,11 @@ func TestDatasetRoundTrip(t *testing.T) {
 		if a.In.NumNodes != b.In.NumNodes {
 			t.Fatalf("query %d: instance sizes differ", i)
 		}
-		ra, err := core.SolveTGEN(context.Background(), core.NewSolveScratch(), a.In, q.Delta, core.TGENOptions{Alpha: float64(a.In.NumNodes) / 8})
+		ra, err := core.SolveTGEN(context.Background(), core.NewSolveScratch(), a.In, q.Delta, core.TGENOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		rb, err := core.SolveTGEN(context.Background(), core.NewSolveScratch(), b.In, q.Delta, core.TGENOptions{Alpha: float64(b.In.NumNodes) / 8})
+		rb, err := core.SolveTGEN(context.Background(), core.NewSolveScratch(), b.In, q.Delta, core.TGENOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
