@@ -2,9 +2,12 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -16,19 +19,16 @@ import (
 )
 
 // Coordinator fronts a set of nodes that together own the whole cell
-// space. Per query it decides which replica groups are needed (rectangle
-// ∩ owned cells non-empty AND the group's term directory shares a term
-// with the query — both checks run on metadata the nodes shipped at
-// Hello, so skipped nodes cost nothing), scatters partial searches with
-// the request's deadline, gathers, and merges.
+// space. Per query it asks only the replica groups whose cells meet the
+// rectangle and whose term directory shares a query term (both decided on
+// metadata the nodes shipped at Hello), scatters partial searches under
+// the request's deadline, and merges the replies.
 //
-// Replicas: nodes reporting the same cell range form a replica group and
-// are interchangeable. Routing within a group is power-of-two-choices on
-// in-flight counts; a replica that fails a request with a retryable error
-// (connection failure, or a typed grid.ErrShardIO from its store) is
-// retried on the group's other replicas, and only when every replica has
-// failed does the query fail — typed ErrNoReplica, never a silently
-// partial answer.
+// Nodes reporting the same cell range are interchangeable replicas, routed
+// by power-of-two-choices on in-flight counts. A retryable failure (a
+// connection failure, or grid.ErrShardIO from a store) moves on to the
+// next replica; only an exhausted group fails the query, typed
+// ErrNoReplica, never a silently partial answer.
 type Coordinator struct {
 	cfg    CoordinatorConfig
 	groups []*replicaGroup // sorted by cellLo; tiles [0, numCells)
@@ -41,7 +41,8 @@ type Coordinator struct {
 
 	quotas *quotaTable // nil when quotas are disabled
 
-	closed atomic.Bool
+	scatters sync.Pool // *scatter
+	closed   atomic.Bool
 }
 
 // CoordinatorConfig configures NewCoordinator.
@@ -92,6 +93,19 @@ type nodeClient struct {
 	latCap  int
 }
 
+// call is one RPC: what to send, and where the reply lands. A scatter's
+// calls are pooled, so buf and run are reused across searches.
+type call struct {
+	op   byte
+	buf  []byte           // the request frame, then the reply body
+	req  partialRequest   // opPartial
+	tr   grid.SearchTrace // opPartial: the node's counters, if explaining
+	run  []grid.ObjScore  // opPartial: the node's scores
+	resp response         // hello, stats, health
+	g    *replicaGroup    // in a scatter: the group asked, and the outcome
+	err  error
+}
+
 func (nc *nodeClient) record(d time.Duration) {
 	nc.latMu.Lock()
 	if len(nc.lat) < nc.latCap {
@@ -133,9 +147,8 @@ func (nc *nodeClient) put(c net.Conn) {
 	_ = c.Close()
 }
 
-// closeIdle closes the pooled connections and marks the client closed:
-// an in-flight Search racing Close can no longer dial fresh connections
-// or park finished ones back in the pool, so Close leaks nothing.
+// closeIdle closes the pooled connections and marks the client closed, so
+// a Search racing Close can neither dial nor pool: Close leaks nothing.
 func (nc *nodeClient) closeIdle() {
 	nc.mu.Lock()
 	nc.closed = true
@@ -146,10 +159,10 @@ func (nc *nodeClient) closeIdle() {
 	nc.mu.Unlock()
 }
 
-// exchange runs one framed request/response on c, bounded by deadline.
-// On success the connection returns to the pool; on transport failure it
-// is closed and the error returned.
-func (nc *nodeClient) exchange(c net.Conn, req *request, deadline time.Time) (*response, error) {
+// exchange sends cl's request on c and decodes the reply into cl, bounded
+// by deadline. After a well-formed reply, node-reported errors included,
+// c returns to the pool; otherwise it is closed.
+func (nc *nodeClient) exchange(c net.Conn, cl *call, deadline time.Time) error {
 	nc.sent.Add(1)
 	nc.inflight.Add(1)
 	start := time.Now()
@@ -158,64 +171,71 @@ func (nc *nodeClient) exchange(c net.Conn, req *request, deadline time.Time) (*r
 		nc.record(time.Since(start))
 	}()
 	_ = c.SetDeadline(deadline)
-	req.TimeoutMillis = int64(time.Until(deadline) / time.Millisecond)
-	if req.TimeoutMillis <= 0 {
-		req.TimeoutMillis = 1
+	if cl.op == opPartial {
+		cl.req.timeoutMs = uint32(min(max(time.Until(deadline)/time.Millisecond, 1), math.MaxUint32))
+		cl.buf = appendPartialRequest(cl.buf[:0], &cl.req)
+	} else {
+		cl.buf = append(cl.buf[:0], 0, 0, 0, 0, cl.op)
 	}
-	var resp response
-	err := writeFrame(c, req)
+	err := writeFrame(c, cl.buf)
 	if err == nil {
-		err = readFrame(c, &resp)
+		cl.buf, err = readFrame(c, cl.buf)
 	}
-	if err != nil {
+	var tr *grid.SearchTrace
+	if cl.req.explain {
+		tr = &cl.tr
+	}
+	switch {
+	case err != nil:
+	case cl.buf[0] != cl.op:
+		err = errFrame
+	case cl.op == opPartial:
+		cl.run, err = decodePartialReply(cl.buf, tr, cl.run)
+	default:
+		err = json.Unmarshal(cl.buf[1:], &cl.resp)
+	}
+	if _, reported := err.(*nodeError); err != nil && !reported {
 		_ = c.Close()
-		return nil, err
+		return err
 	}
 	nc.put(c)
-	return &resp, nil
+	return err
 }
 
-// rpc performs one request/response exchange, bounding it by deadline.
-// A transport failure on a pooled connection proves nothing about the
-// node — the connection may simply have died while idle (node restart,
-// half-closed socket) — so those are retried here on the next connection
-// until a freshly dialed one has spoken; only a failure on a fresh dial
-// (or a node-reported error) escapes to the caller. Transport failures
-// and node-side kindShardIO responses are retryable on a replica; other
-// node-reported errors are not.
-func (nc *nodeClient) rpc(req *request, deadline time.Time, dialTimeout time.Duration) (*response, error, bool) {
+// rpc performs one exchange, bounded by deadline. A transport failure on
+// a pooled connection proves nothing about the node (it may have died
+// idle), so rpc moves on to the next connection until a fresh dial has
+// spoken. Transport failures and node-reported kindShardIO are retryable
+// on a replica; other node-reported errors are not.
+func (nc *nodeClient) rpc(cl *call, deadline time.Time, dialTimeout time.Duration) (error, bool) {
 	for {
 		c, pooled, err := nc.get(dialTimeout)
 		if err != nil {
 			nc.errors.Add(1)
-			return nil, err, true
+			return err, true
 		}
-		resp, err := nc.exchange(c, req, deadline)
-		if err != nil {
-			nc.errors.Add(1)
-			if pooled {
-				// The pool is finite and get drained one entry, so this
-				// loop reaches a fresh dial after at most pool-size spins.
-				continue
-			}
-			return nil, fmt.Errorf("cluster: rpc to %s: %w", nc.addr, err), true
+		err = nc.exchange(c, cl, deadline)
+		if err == nil {
+			return nil, false
 		}
-		if resp.Err != "" {
-			nc.errors.Add(1)
-			if resp.ErrKind == kindShardIO {
-				return nil, fmt.Errorf("cluster: node %s: %s: %w", nc.addr, resp.Err, grid.ErrShardIO), true
-			}
-			return nil, fmt.Errorf("cluster: node %s: %s", nc.addr, resp.Err), false
+		nc.errors.Add(1)
+		if ne, ok := err.(*nodeError); ok && ne.kind == kindShardIO {
+			return fmt.Errorf("cluster: node %s: %s: %w", nc.addr, ne.msg, grid.ErrShardIO), true
+		} else if ok {
+			return fmt.Errorf("cluster: node %s: %s", nc.addr, ne.msg), false
 		}
-		return resp, nil, false
+		if !pooled {
+			return fmt.Errorf("cluster: rpc to %s: %w", nc.addr, err), true
+		}
+		// The pool is finite and get drained one entry, so this loop
+		// reaches a fresh dial after at most pool-size spins.
 	}
 }
 
-// NewCoordinator dials every node, validates their dataset identity
-// against the local index, groups replicas by cell range, and verifies
-// the ranges tile the grid. It fails loud on any mismatch: a topology
-// that cannot answer every query exactly is refused at startup, not
-// discovered per query.
+// NewCoordinator dials every node, validates its wire version and dataset
+// identity against the local index, groups replicas by cell range, and
+// verifies the ranges tile the grid: a topology that cannot answer every
+// query exactly is refused at startup, not discovered per query.
 func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if cfg.Index == nil {
 		return nil, fmt.Errorf("cluster: NewCoordinator: nil index")
@@ -234,15 +254,17 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	var groups []*replicaGroup
 	for _, addr := range cfg.Addrs {
 		nc := &nodeClient{addr: addr, latCap: 1024} // per-node latency ring size
-		resp, err, _ := nc.rpc(&request{Op: opHello}, time.Now().Add(cfg.RPCTimeout), cfg.DialTimeout)
-		if err != nil {
+		hello := call{op: opHello}
+		if err, _ := nc.rpc(&hello, time.Now().Add(cfg.RPCTimeout), cfg.DialTimeout); err != nil {
 			closeGroups(groups)
 			return nil, fmt.Errorf("cluster: hello to %s: %w", addr, err)
 		}
-		if resp.NumCells != numCells || resp.Objects != cfg.Objects {
+		resp := &hello.resp
+		if resp.Version != wireVersion || resp.NumCells != numCells || resp.Objects != cfg.Objects {
+			nc.closeIdle()
 			closeGroups(groups)
-			return nil, fmt.Errorf("%w: node %s has %d cells / %d objects, coordinator has %d / %d",
-				ErrMismatch, addr, resp.NumCells, resp.Objects, numCells, cfg.Objects)
+			return nil, fmt.Errorf("%w: node %s has wire version %d, %d cells / %d objects; coordinator has %d, %d / %d",
+				ErrMismatch, addr, resp.Version, resp.NumCells, resp.Objects, wireVersion, numCells, cfg.Objects)
 		}
 		key := [2]uint32{resp.CellLo, resp.CellHi}
 		g := byRange[key]
@@ -269,7 +291,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		closeGroups(groups)
 		return nil, fmt.Errorf("%w: coverage ends at cell %d of %d", ErrBadTopology, want, numCells)
 	}
-	c := &Coordinator{cfg: cfg, groups: groups}
+	c := &Coordinator{cfg: cfg, groups: groups, scatters: sync.Pool{New: func() any { return new(scatter) }}}
 	if cfg.Quota != nil {
 		c.quotas = newQuotaTable(*cfg.Quota)
 	}
@@ -299,21 +321,23 @@ func (c *Coordinator) Admit(client string) error {
 }
 
 // Search answers q over r by scattering to the owning replica groups and
-// merging their partials. The result is bit-identical to
-// Index.SearchInto on a single process holding all the data: partials
-// are disjoint per object (see grid.SearchRangeInto) and the merge is
-// concatenate + sort by object id, no arithmetic.
+// merging their partials, bit-identical to Index.SearchInto on one process
+// holding all the data (see the package comment).
 func (c *Coordinator) Search(ctx context.Context, q textindex.Query, r geo.Rect) ([]grid.ObjScore, error) {
 	return c.SearchTrace(ctx, q, r, nil)
 }
 
+// scatter is the pooled state of one Search: a call per group it asks.
+type scatter struct {
+	calls []call
+	wg    sync.WaitGroup
+}
+
 // SearchTrace is Search with an EXPLAIN trace: when tr is non-nil, every
-// contacted node runs its partial search traced and the coordinator sums
-// the returned fragments into tr — plus the routing decisions of this one
-// request (groups contacted, skipped by rectangle, skipped by term
-// directory), which only the coordinator knows. The caller owns tr and
-// resets it between queries; the scores themselves are bit-identical
-// traced or not.
+// contacted node traces its partial search and the coordinator sums the
+// fragments into tr, plus this request's routing decisions (groups
+// contacted, skipped by rectangle or by term directory). The caller owns
+// tr and resets it between queries; the scores are the same either way.
 func (c *Coordinator) SearchTrace(ctx context.Context, q textindex.Query, r geo.Rect, tr *grid.SearchTrace) ([]grid.ObjScore, error) {
 	if c.closed.Load() {
 		return nil, ErrCoordinatorClosed
@@ -323,10 +347,11 @@ func (c *Coordinator) SearchTrace(ctx context.Context, q textindex.Query, r geo.
 	if !ok {
 		deadline = time.Now().Add(c.cfg.RPCTimeout)
 	}
+	sc := c.scatters.Get().(*scatter)
+	defer release(&c.scatters, sc)
 
-	// Route: a group is needed iff its cells intersect the rectangle and
-	// its term directory shares at least one term with the query.
-	needed := make([]*replicaGroup, 0, len(c.groups))
+	// Route: ask a group iff its cells meet the rectangle and it has a query term.
+	calls := sc.calls[:0]
 	for _, g := range c.groups {
 		if !c.cfg.Index.RangeOverlapsRect(g.lo, g.hi, r) {
 			c.skippedRect.Add(1)
@@ -335,103 +360,95 @@ func (c *Coordinator) SearchTrace(ctx context.Context, q textindex.Query, r geo.
 			}
 			continue
 		}
-		if !sharesTerm(g.terms, q.Terms) {
+		if !slices.ContainsFunc(q.Terms, func(t textindex.TermID) bool { _, ok := g.terms[t]; return ok }) {
 			c.skippedTerm.Add(1)
 			if tr != nil {
 				tr.GroupsSkippedTerm++
 			}
 			continue
 		}
-		needed = append(needed, g)
+		if len(calls) == len(sc.calls) {
+			sc.calls = append(sc.calls, call{op: opPartial})
+		}
+		calls = sc.calls[:len(calls)+1]
+		calls[len(calls)-1].g = g
 	}
 	if tr != nil {
-		tr.GroupsContacted += int64(len(needed))
+		tr.GroupsContacted += int64(len(calls))
 	}
-	if len(needed) == 0 {
+	if len(calls) == 0 {
 		return nil, nil
 	}
-
-	req := request{
-		Op:      opPartial,
-		Terms:   make([]int32, len(q.Terms)),
-		IDF:     q.IDF,
-		Norm:    q.Norm,
-		Rect:    &wireRect{MinX: r.MinX, MinY: r.MinY, MaxX: r.MaxX, MaxY: r.MaxY},
-		Explain: tr != nil,
+	// The first group runs on this goroutine; the rest fan out.
+	for i := range calls {
+		calls[i].req = partialRequest{q: q, r: r, explain: tr != nil}
+		if i > 0 {
+			cl, wg, deadline := &calls[i], &sc.wg, deadline // captured by value: no heap box
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				cl.err = c.searchGroup(cl, deadline)
+			}()
+		}
 	}
-	for i, t := range q.Terms {
-		req.Terms[i] = int32(t)
-	}
-
-	type partial struct {
-		scores []wireScore
-		trace  *wireTrace
-		err    error
-	}
-	parts := make([]partial, len(needed))
-	var wg sync.WaitGroup
-	for i, g := range needed {
-		wg.Add(1)
-		go func(i int, g *replicaGroup) {
-			defer wg.Done()
-			reqCopy := req // per-goroutine: rpc mutates TimeoutMillis
-			parts[i].scores, parts[i].trace, parts[i].err = c.searchGroup(g, &reqCopy, deadline)
-		}(i, g)
-	}
-	wg.Wait()
+	calls[0].err = c.searchGroup(&calls[0], deadline)
+	sc.wg.Wait()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	for i := range parts {
-		if parts[i].err != nil {
-			return nil, parts[i].err
+	total := 0
+	for i := range calls {
+		if calls[i].err != nil {
+			return nil, calls[i].err
 		}
-	}
-
-	var total int
-	for i := range parts {
-		total += len(parts[i].scores)
-	}
-	out := make([]grid.ObjScore, 0, total)
-	for i := range parts {
-		for _, ws := range parts[i].scores {
-			out = append(out, grid.ObjScore{Obj: grid.ObjectID(ws.Obj), Score: ws.Score})
+		if tr != nil {
+			tr.Add(calls[i].tr)
 		}
-		if tr != nil && parts[i].trace != nil {
-			parts[i].trace.addTo(tr)
-		}
+		total += len(calls[i].run)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Obj < out[j].Obj })
-	return out, nil
+	return mergeRuns(calls, total), nil
 }
 
-// searchGroup runs the partial search on one replica group: first choice
-// by power-of-two-choices on in-flight counts, then retry on each
-// remaining replica for retryable failures. Exhausting the group is
-// ErrNoReplica.
-func (c *Coordinator) searchGroup(g *replicaGroup, req *request, deadline time.Time) ([]wireScore, *wireTrace, error) {
+// mergeRuns merges the calls' runs, each strictly ascending by object id
+// and disjoint as node cell ranges are, into exactly total scores. It pops
+// the largest tail into the back, so each run keeps its buffer for reuse.
+func mergeRuns(calls []call, total int) []grid.ObjScore {
+	out := make([]grid.ObjScore, total)
+	for k := total - 1; k >= 0; k-- {
+		best := -1
+		for i := range calls {
+			if r := calls[i].run; len(r) > 0 && (best < 0 || r[len(r)-1].Obj > out[k].Obj) {
+				best, out[k] = i, r[len(r)-1]
+			}
+		}
+		calls[best].run = calls[best].run[:len(calls[best].run)-1]
+	}
+	return out
+}
+
+// searchGroup runs cl on its replica group: first choice by
+// power-of-two-choices on in-flight counts, then retry on each remaining
+// replica for retryable failures. Exhausting the group is ErrNoReplica.
+func (c *Coordinator) searchGroup(cl *call, deadline time.Time) error {
+	g := cl.g
 	order := c.replicaOrder(g)
 	var lastErr error
 	for attempt, nc := range order {
 		if attempt > 0 {
 			c.retries.Add(1)
 		}
-		resp, err, retryable := nc.rpc(req, deadline, c.cfg.DialTimeout)
-		if err == nil {
-			return resp.Scores, resp.Trace, nil
+		err, retryable := nc.rpc(cl, deadline, c.cfg.DialTimeout)
+		if err == nil || !retryable {
+			return err
 		}
 		lastErr = err
-		if !retryable {
-			return nil, nil, err
-		}
 	}
 	c.noReplica.Add(1)
-	return nil, nil, fmt.Errorf("%w: cells [%d, %d): %w", ErrNoReplica, g.lo, g.hi, lastErr)
+	return fmt.Errorf("%w: cells [%d, %d): %w", ErrNoReplica, g.lo, g.hi, lastErr)
 }
 
-// replicaOrder returns the group's replicas in routing order: the head is
-// the power-of-two-choices pick (two random replicas, fewer in-flight
-// wins), the tail is everyone else as retry fallbacks.
+// replicaOrder returns the group's replicas in routing order: the
+// power-of-two-choices pick, then everyone else as retry fallbacks.
 func (c *Coordinator) replicaOrder(g *replicaGroup) []*nodeClient {
 	n := len(g.replicas)
 	if n == 1 {
@@ -455,19 +472,9 @@ func (c *Coordinator) replicaOrder(g *replicaGroup) []*nodeClient {
 	return order
 }
 
-func sharesTerm(set map[textindex.TermID]struct{}, terms []textindex.TermID) bool {
-	for _, t := range terms {
-		if _, ok := set[t]; ok {
-			return true
-		}
-	}
-	return false
-}
-
 // Close releases every pooled connection and fails later Searches fast
-// with ErrCoordinatorClosed. A Search racing Close may still finish (or
-// fail on a closed connection), but it can no longer dial new
-// connections or park them in the pool. Idempotent.
+// with ErrCoordinatorClosed; a Search racing it may finish but can no
+// longer dial or pool connections. Idempotent.
 func (c *Coordinator) Close() error {
 	if !c.closed.CompareAndSwap(false, true) {
 		return nil

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -8,25 +9,19 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/geo"
 	"repro/internal/grid"
-	"repro/internal/textindex"
 )
 
-// Node serves partial searches for one contiguous cell range of the grid.
-// It wraps a fully built grid.Index (the index may hold the whole corpus;
-// the node answers only for its assigned cells, so what it serves — and
-// what its page cache warms — is the range's slice of the data) and
-// exposes the narrow RPC surface the coordinator speaks: Hello,
-// PartialSearch, Stats, Health.
+// Node serves partial searches for one contiguous cell range of the grid
+// over a fully built grid.Index. The index may hold the whole corpus; the
+// node answers only for its cells, so what it serves, and what its page
+// cache warms, is the range's slice of the data.
 //
-// A node is read-only, and NewNode enforces it by freezing the index
-// (grid.Index.Freeze): replicas of a range are interchangeable because
-// they serve identical data, which is what makes retry-on-replica
-// sound, and the coordinator caches the node's term directory once at
-// Hello — a live update landing a new term in the node's cells after
-// that would make the coordinator's skip routing silently drop results.
-// Serving live updates requires rebuilding and restarting the cluster.
+// A node is read-only: NewNode freezes the index. Replicas of a range must
+// serve identical data for retry-on-replica to be sound, and the
+// coordinator caches the node's term directory at Hello, so a live update
+// adding a term to the node's cells would make skip routing silently drop
+// results. Serving updates means rebuilding and restarting the cluster.
 type Node struct {
 	idx     *grid.Index
 	lo, hi  uint32
@@ -57,10 +52,9 @@ type NodeConfig struct {
 	Objects int
 }
 
-// NewNode validates cfg against the index, freezes the index (cluster
-// serving is read-only: the routing metadata shipped at Hello must stay
-// truthful, so later Insert/Delete/Reweight fail with grid.ErrFrozen),
-// and returns an unstarted node; call Serve with a listener to start it.
+// NewNode validates cfg against the index, freezes the index (so later
+// Insert/Delete/Reweight fail with grid.ErrFrozen; see Node), and returns
+// an unstarted node; call Serve with a listener to start it.
 func NewNode(cfg NodeConfig) (*Node, error) {
 	if cfg.Index == nil {
 		return nil, fmt.Errorf("cluster: NewNode: nil index")
@@ -147,7 +141,8 @@ func (n *Node) Close() error {
 	return err
 }
 
-// handle serves one connection: a sequence of request/response frames.
+// handle serves one connection's request/reply frames, all read and
+// written through one buffer the connection reuses.
 func (n *Node) handle(c net.Conn) {
 	defer n.wg.Done()
 	defer func() {
@@ -156,24 +151,28 @@ func (n *Node) handle(c net.Conn) {
 		n.mu.Unlock()
 		_ = c.Close()
 	}()
+	var (
+		buf []byte
+		req partialRequest
+		tr  grid.SearchTrace
+	)
 	for {
-		var req request
-		if err := readFrame(c, &req); err != nil {
+		body, err := readFrame(c, buf)
+		if err != nil {
 			return // peer gone or frame garbage; drop the connection
 		}
-		if req.TimeoutMillis > 0 {
-			_ = c.SetDeadline(time.Now().Add(time.Duration(req.TimeoutMillis) * time.Millisecond))
+		switch op := body[0]; op {
+		case opPartial:
+			buf = n.partial(c, body, &req, &tr)
+		case opHello, opStats, opHealth:
+			buf = n.jsonReply(body[:0], op)
+		default:
+			return // not an op this wire version speaks (a JSON frame starts with '{')
 		}
-		resp := n.dispatch(&req)
-		if resp.Err != "" {
-			n.errs.Add(1)
-		}
-		err := writeFrame(c, resp)
-		// Disarm the per-request deadline before blocking for the next
-		// frame: the connection may now sit idle in the coordinator's pool
-		// for arbitrarily long, and a deadline left ticking would close it
-		// the moment the previous request's budget lapsed — making every
-		// pooled connection look like a dead replica.
+		err = writeFrame(c, buf)
+		// Disarm the request's deadline before waiting for the next frame:
+		// the connection may idle in the coordinator's pool for long, and a
+		// lapsing deadline would make it look like a dead replica.
 		_ = c.SetDeadline(time.Time{})
 		if err != nil {
 			return
@@ -181,96 +180,64 @@ func (n *Node) handle(c net.Conn) {
 	}
 }
 
-func (n *Node) dispatch(req *request) *response {
-	switch req.Op {
+// jsonReply appends the reply frame of hello, stats or health to b.
+func (n *Node) jsonReply(b []byte, op byte) []byte {
+	resp := response{CellLo: n.lo, CellHi: n.hi, Objects: n.objects}
+	switch op {
 	case opHello:
-		terms := n.idx.RangeTerms(n.lo, n.hi)
-		wire := make([]int32, len(terms))
-		for i, t := range terms {
-			wire[i] = int32(t)
+		resp.Version, resp.NumCells = wireVersion, n.idx.NumCells()
+		for _, t := range n.idx.RangeTerms(n.lo, n.hi) {
+			resp.Terms = append(resp.Terms, int32(t))
 		}
-		return &response{
-			CellLo:   n.lo,
-			CellHi:   n.hi,
-			NumCells: n.idx.NumCells(),
-			Objects:  n.objects,
-			Terms:    wire,
-		}
-	case opPartial:
-		return n.partial(req)
 	case opStats:
-		return &response{Stats: &NodeStats{
-			CellLo:     n.lo,
-			CellHi:     n.hi,
-			Objects:    n.objects,
-			Served:     n.served.Load(),
-			Errors:     n.errs.Load(),
-			Tombstones: n.idx.TombstoneCount(),
-		}}
-	case opHealth:
-		return &response{}
-	default:
-		return &response{Err: fmt.Sprintf("unknown op %q", req.Op), ErrKind: kindBad}
+		resp.Served, resp.Errors, resp.Tombstones = n.served.Load(), n.errs.Load(), n.idx.TombstoneCount()
 	}
+	body, _ := json.Marshal(&resp) // cannot fail: numbers and a slice of them
+	return append(append(b, 0, 0, 0, 0, op), body...)
 }
 
-// partial answers one partial search: the query evaluated over the
-// intersection of its rectangle with the node's owned cells, scores
-// final. The scratch is pooled per in-flight request, so concurrent
-// connections do not contend and the steady state allocates only the
-// response encoding.
-func (n *Node) partial(req *request) *response {
-	if len(req.Terms) != len(req.IDF) || req.Rect == nil {
-		return &response{Err: "malformed partial request", ErrKind: kindBad}
+// partial answers a partial search request body with the reply frame,
+// built in the body's buffer: the query over its rectangle's intersection
+// with the node's cells, scores final. The scratch is pooled per request;
+// req, tr and the buffer are the connection's. So connections do not
+// contend, and an untraced request allocates nothing in the steady state.
+func (n *Node) partial(c net.Conn, body []byte, req *partialRequest, tr *grid.SearchTrace) []byte {
+	if err := decodePartialRequest(body, req); err != nil {
+		n.errs.Add(1)
+		return appendErrorReply(body[:0], kindBad, err.Error())
 	}
-	q := textindex.Query{
-		Terms: make([]textindex.TermID, len(req.Terms)),
-		IDF:   req.IDF,
-		Norm:  req.Norm,
+	if req.timeoutMs > 0 {
+		_ = c.SetDeadline(time.Now().Add(time.Duration(req.timeoutMs) * time.Millisecond))
 	}
-	for i, t := range req.Terms {
-		q.Terms[i] = textindex.TermID(t)
-	}
-	r := geo.Rect{MinX: req.Rect.MinX, MinY: req.Rect.MinY, MaxX: req.Rect.MaxX, MaxY: req.Rect.MaxY}
 	s, _ := n.scratch.Get().(*grid.SearchScratch)
 	if s == nil {
 		s = &grid.SearchScratch{}
 	}
-	// Tracing lives on the stack for the request and is detached before
-	// the scratch returns to the pool, so explain requests cost nothing to
-	// the untraced ones sharing the pool.
-	var tr grid.SearchTrace
-	if req.Explain {
-		s.Trace = &tr
+	if tr.Clear(); !req.explain {
+		tr = nil
 	}
-	scores, err := n.idx.SearchRangeInto(q, r, n.lo, n.hi, s)
+	s.Trace = tr
+	scores, err := n.idx.SearchRangeInto(req.q, req.r, n.lo, n.hi, s)
 	s.Trace = nil
-	if err != nil {
-		n.putScratch(s)
-		if errors.Is(err, grid.ErrShardIO) {
-			return &response{Err: err.Error(), ErrKind: kindShardIO}
-		}
-		return &response{Err: err.Error(), ErrKind: kindBad}
+	switch {
+	case err == nil:
+		n.served.Add(1)
+		body = appendPartialReply(body[:0], tr, scores)
+	case errors.Is(err, grid.ErrShardIO):
+		n.errs.Add(1)
+		body = appendErrorReply(body[:0], kindShardIO, err.Error())
+	default:
+		n.errs.Add(1)
+		body = appendErrorReply(body[:0], kindBad, err.Error())
 	}
-	out := make([]wireScore, len(scores))
-	for i, os := range scores {
-		out[i] = wireScore{Obj: int32(os.Obj), Score: os.Score}
-	}
-	n.putScratch(s) // scores alias the scratch; copied out above
-	n.served.Add(1)
-	resp := &response{Scores: out}
-	if req.Explain {
-		resp.Trace = toWire(&tr)
-	}
-	return resp
+	release(&n.scratch, s) // scores alias the scratch; encoded above
+	return body
 }
 
-// putScratch returns a search scratch to the pool. sync.Pool.Put shares
-// its name with the error-returning grid.Store.Put, which the name-based
-// errdrop gate would flag at a bare call site; binding the method value
-// first keeps the call site honest without an impossible `_ =` (Put here
-// returns nothing).
-func (n *Node) putScratch(s *grid.SearchScratch) {
-	put := n.scratch.Put
-	put(s)
+// release returns x to p. Binding sync.Pool.Put first keeps the name-based
+// errdrop gate, which matches the error-returning grid.Store.Put, from
+// flagging a call that has no error to discard.
+func release(p *sync.Pool, x any) {
+	put := p.Put
+	put(x)
 }

@@ -1,215 +1,251 @@
-// Package cluster distributes LCMSR serving across processes: the grid's
-// cell space [0, NumCells) is split into contiguous ranges, each owned by
-// one or more node processes (replicas), with a thin coordinator in front
-// that scatters a query's rectangle to the owning nodes, gathers their
-// partial scores, and merges them into exactly the result a single
-// process would have computed.
+// Package cluster serves LCMSR across processes: the grid's cell space
+// [0, NumCells) is split into contiguous ranges, each owned by one or more
+// node processes (replicas), and a coordinator scatters a query's
+// rectangle to the owning nodes and merges their partial scores.
 //
-// The correctness backbone is the partition property documented on
-// grid.SearchRangeInto: every object's postings live entirely in its one
-// grid cell, so partial searches over disjoint cell ranges return
-// disjoint per-object score sets, each computed node-side with the same
-// floating-point accumulation order a single process uses. The
-// coordinator's merge is concatenate + sort by object id — no arithmetic
-// — so distributed answers are bit-identical to single-process answers
-// (the wire is JSON, and Go's float64 JSON encoding round-trips exactly).
-//
-// The transport is deliberately small: length-prefixed JSON frames over
-// TCP, request/response per frame, no external dependencies.
+// Every object's postings live in its one grid cell (see
+// grid.SearchRangeInto), so disjoint cell ranges yield disjoint
+// per-object scores, each computed in a single process's floating-point
+// order. Nodes send them in ascending object id as float64 bits and the
+// coordinator k-way merges the runs with no arithmetic, so answers are
+// bit-identical to one process's. Frames are length-prefixed, over TCP;
+// docs/CLUSTER.md tables the partial-search layout, and hello, stats and
+// health replies carry JSON.
 package cluster
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 
+	"repro/internal/geo"
 	"repro/internal/grid"
+	"repro/internal/textindex"
 )
 
-// maxFrame bounds a frame body; a peer announcing more is broken or
-// hostile, and the connection is dropped rather than the memory allocated.
-const maxFrame = 64 << 20
-
-// Protocol operations.
+// A frame is a 4-byte big-endian body length, then a body led by its op.
 const (
-	opHello   = "hello"
-	opPartial = "partial"
-	opStats   = "stats"
-	opHealth  = "health"
+	// maxFrame bounds a frame body; a peer announcing more is dropped.
+	maxFrame = 64 << 20
+	// wireVersion is the partial frames' layout version. Hello carries it,
+	// so a coordinator refuses a node that speaks another layout.
+	wireVersion = 1
+
+	reqHeader  = 3 + 4 + 5*8 + 4 // partial request bytes before the terms
+	slot       = 4 + 8           // a (term, idf) or (obj, score) pair
+	traceWords = 9
 )
 
-// Error kinds carried in responses, so the coordinator can tell a
-// retryable storage fault from a permanent request error without parsing
-// message strings.
 const (
-	kindShardIO = "shardio" // grid.ErrShardIO: retry on a replica
-	kindBad     = "bad"     // malformed request: do not retry
+	opHello byte = iota + 1
+	opPartial
+	opStats
+	opHealth
 )
 
-// request is the coordinator→node frame.
-type request struct {
-	Op string `json:"op"`
+// Error kinds of partial replies: the coordinator tells a retryable fault
+// from a permanent one without parsing messages.
+const (
+	kindOK      byte = iota
+	kindShardIO      // grid.ErrShardIO: retry on a replica
+	kindBad          // malformed request: do not retry
+)
 
-	// partial search (opPartial)
-	Terms []int32   `json:"terms,omitempty"` // textindex.TermID values, sorted
-	IDF   []float64 `json:"idf,omitempty"`
-	Norm  float64   `json:"norm,omitempty"`
-	Rect  *wireRect `json:"rect,omitempty"`
-	// TimeoutMillis is the caller's remaining budget; the node bounds its
-	// own I/O with it so a node stuck on storage cannot hold the
-	// connection past the client's deadline.
-	TimeoutMillis int64 `json:"timeout_ms,omitempty"`
-	// Explain asks the node to trace its partial search (grid.SearchTrace)
-	// and ship the counters back as the response's Trace fragment. Off by
-	// default: an untraced partial search does no counting.
-	Explain bool `json:"explain,omitempty"`
+var (
+	errFrame = errors.New("cluster: malformed frame")
+	errCount = fmt.Errorf("%w: count does not match the body", errFrame)
+	errOrder = fmt.Errorf("%w: object ids not strictly ascending", errFrame)
+)
+
+// partialRequest is a partial-search request in decoded form.
+type partialRequest struct {
+	q textindex.Query // IDF and norm come from the coordinator's vocabulary
+	r geo.Rect
+	// timeoutMs is the caller's remaining budget: the node bounds its I/O
+	// with it, so storage stuck on a node cannot outlast the client.
+	timeoutMs uint32
+	explain   bool // trace the partial search and ship the counters back
 }
 
-type wireRect struct {
-	MinX float64 `json:"x0"`
-	MinY float64 `json:"y0"`
-	MaxX float64 `json:"x1"`
-	MaxY float64 `json:"y1"`
+// nodeError is an error a node reported in a partial reply.
+type nodeError struct {
+	kind byte
+	msg  string
 }
 
-// wireScore is one per-object partial score. Score is final (including
-// the query-norm division), computed entirely node-side.
-type wireScore struct {
-	Obj   int32   `json:"o"`
-	Score float64 `json:"s"`
-}
+func (e *nodeError) Error() string { return e.msg }
 
-// NodeStats is the node-side counter snapshot returned by opStats and
-// aggregated into the coordinator's cluster stats.
-type NodeStats struct {
-	CellLo     uint32 `json:"cell_lo"`
-	CellHi     uint32 `json:"cell_hi"`
-	Objects    int    `json:"objects"`
-	Served     int64  `json:"served"`
-	Errors     int64  `json:"errors"`
-	Tombstones int    `json:"tombstones"`
-}
-
-// response is the node→coordinator frame.
+// response is the JSON reply body of hello, stats and health: the node's
+// identity, its term directory (hello) and its counters (stats).
 type response struct {
-	Err     string `json:"err,omitempty"`
-	ErrKind string `json:"err_kind,omitempty"`
-
-	// hello
-	CellLo   uint32  `json:"cell_lo,omitempty"`
-	CellHi   uint32  `json:"cell_hi,omitempty"`
-	NumCells int     `json:"num_cells,omitempty"`
-	Objects  int     `json:"objects,omitempty"`
-	Terms    []int32 `json:"terms,omitempty"` // term-directory summary for skip routing
-
-	// partial
-	Scores []wireScore `json:"scores,omitempty"`
-	// Trace is the node's search-trace fragment, present only when the
-	// request set Explain. The coordinator sums the fragments of one
-	// scattered search into the query's grid.SearchTrace.
-	Trace *wireTrace `json:"trace,omitempty"`
-
-	// stats
-	Stats *NodeStats `json:"stats,omitempty"`
+	Version    int     `json:"version,omitempty"`
+	CellLo     uint32  `json:"cell_lo"`
+	CellHi     uint32  `json:"cell_hi"`
+	NumCells   int     `json:"num_cells,omitempty"`
+	Objects    int     `json:"objects"`
+	Terms      []int32 `json:"terms,omitempty"` // for the coordinator's skip routing
+	Served     int64   `json:"served,omitempty"`
+	Errors     int64   `json:"errors,omitempty"`
+	Tombstones int     `json:"tombstones,omitempty"`
 }
 
-// wireTrace mirrors the grid.SearchTrace counters a node can fill (the
-// cluster routing fields are coordinator-side and never cross the wire).
-type wireTrace struct {
-	CellsInRect      int64 `json:"cells_in_rect,omitempty"`
-	CellsEmpty       int64 `json:"cells_empty,omitempty"`
-	CellsNoTerm      int64 `json:"cells_no_term,omitempty"`
-	CellsCacheHit    int64 `json:"cells_cache_hit,omitempty"`
-	CellsScanned     int64 `json:"cells_scanned,omitempty"`
-	Lists            int64 `json:"lists,omitempty"`
-	Postings         int64 `json:"postings,omitempty"`
-	PostingsFiltered int64 `json:"postings_filtered,omitempty"`
-	Objects          int64 `json:"objects,omitempty"`
+// traceCounters lists the grid.SearchTrace counters a node fills, in wire
+// order; the routing counters are the coordinator's and stay local.
+func traceCounters(t *grid.SearchTrace) [traceWords]*int64 {
+	return [traceWords]*int64{&t.CellsInRect, &t.CellsEmpty, &t.CellsNoTerm, &t.CellsCacheHit,
+		&t.CellsScanned, &t.Lists, &t.Postings, &t.PostingsFiltered, &t.Objects}
 }
 
-// toWire copies the node-fillable counters of t into a wire fragment.
-func toWire(t *grid.SearchTrace) *wireTrace {
-	return &wireTrace{
-		CellsInRect:      t.CellsInRect,
-		CellsEmpty:       t.CellsEmpty,
-		CellsNoTerm:      t.CellsNoTerm,
-		CellsCacheHit:    t.CellsCacheHit,
-		CellsScanned:     t.CellsScanned,
-		Lists:            t.Lists,
-		Postings:         t.Postings,
-		PostingsFiltered: t.PostingsFiltered,
-		Objects:          t.Objects,
+func f64(b []byte) float64 { return math.Float64frombits(binary.BigEndian.Uint64(b)) }
+
+// appendPartialRequest appends req's frame, length prefix included, to b.
+func appendPartialRequest(b []byte, req *partialRequest) []byte {
+	b = append(b, 0, 0, 0, 0, opPartial, wireVersion, 0)
+	if req.explain {
+		b[len(b)-1] = 1
 	}
+	b = binary.BigEndian.AppendUint32(b, req.timeoutMs)
+	for _, f := range [...]float64{req.r.MinX, req.r.MinY, req.r.MaxX, req.r.MaxY, req.q.Norm} {
+		b = binary.BigEndian.AppendUint64(b, math.Float64bits(f))
+	}
+	b = binary.BigEndian.AppendUint32(b, uint32(len(req.q.Terms)))
+	for i, t := range req.q.Terms {
+		b = binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint32(b, uint32(t)), math.Float64bits(req.q.IDF[i]))
+	}
+	return b
 }
 
-// addTo accumulates the fragment into t.
-func (w *wireTrace) addTo(t *grid.SearchTrace) {
-	t.Add(grid.SearchTrace{
-		CellsInRect:      w.CellsInRect,
-		CellsEmpty:       w.CellsEmpty,
-		CellsNoTerm:      w.CellsNoTerm,
-		CellsCacheHit:    w.CellsCacheHit,
-		CellsScanned:     w.CellsScanned,
-		Lists:            w.Lists,
-		Postings:         w.Postings,
-		PostingsFiltered: w.PostingsFiltered,
-		Objects:          w.Objects,
-	})
-}
-
-// writeFrame marshals v and writes it as one length-prefixed frame.
-func writeFrame(w io.Writer, v any) error {
-	body, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("cluster: encode frame: %w", err)
+// decodePartialRequest decodes a partial request body into req, reusing
+// its term and IDF slices.
+func decodePartialRequest(body []byte, req *partialRequest) error {
+	if len(body) < reqHeader || body[0] != opPartial || body[1] != wireVersion || body[2] > 1 {
+		return errFrame
 	}
-	if len(body) > maxFrame {
-		return fmt.Errorf("cluster: frame of %d bytes exceeds the %d limit", len(body), maxFrame)
+	req.explain = body[2] == 1
+	req.timeoutMs = binary.BigEndian.Uint32(body[3:])
+	req.r = geo.Rect{MinX: f64(body[7:]), MinY: f64(body[15:]), MaxX: f64(body[23:]), MaxY: f64(body[31:])}
+	req.q.Norm = f64(body[39:])
+	n := binary.BigEndian.Uint32(body[47:])
+	if body = body[reqHeader:]; uint64(n)*slot != uint64(len(body)) {
+		return errCount
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err = w.Write(body)
-	return err
-}
-
-// readFrame reads one length-prefixed frame into v.
-func readFrame(r io.Reader, v any) error {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > maxFrame {
-		return fmt.Errorf("cluster: peer announced a %d-byte frame (limit %d)", n, maxFrame)
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return err
-	}
-	if err := json.Unmarshal(body, v); err != nil {
-		return fmt.Errorf("cluster: decode frame: %w", err)
+	req.q.Terms, req.q.IDF = req.q.Terms[:0], req.q.IDF[:0]
+	for ; len(body) > 0; body = body[slot:] {
+		req.q.Terms = append(req.q.Terms, textindex.TermID(binary.BigEndian.Uint32(body)))
+		req.q.IDF = append(req.q.IDF, f64(body[4:]))
 	}
 	return nil
 }
 
+// appendPartialReply appends an ok reply frame to b: tr's counters when
+// the request asked to explain (tr non-nil), then scores, which must be in
+// ascending object id — SearchRangeInto's order.
+func appendPartialReply(b []byte, tr *grid.SearchTrace, scores []grid.ObjScore) []byte {
+	b = append(b, 0, 0, 0, 0, opPartial, wireVersion, kindOK)
+	if tr != nil {
+		for _, c := range traceCounters(tr) {
+			b = binary.BigEndian.AppendUint64(b, uint64(*c))
+		}
+	}
+	b = binary.BigEndian.AppendUint32(slices.Grow(b, 4+slot*len(scores)), uint32(len(scores)))
+	for _, s := range scores {
+		b = binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint32(b, uint32(s.Obj)), math.Float64bits(s.Score))
+	}
+	return b
+}
+
+// appendErrorReply appends a failed partial reply frame to b.
+func appendErrorReply(b []byte, kind byte, msg string) []byte {
+	return append(append(b, 0, 0, 0, 0, opPartial, wireVersion, kind), msg...)
+}
+
+// decodePartialReply decodes a partial reply body: a node-reported error
+// as a *nodeError, else the trace counters into tr (non-nil iff the
+// request asked to explain) and the scores into run, reused. It rejects a
+// count the body cannot hold before run grows, and object ids that are not
+// strictly ascending, which the coordinator's merge relies on.
+func decodePartialReply(body []byte, tr *grid.SearchTrace, run []grid.ObjScore) ([]grid.ObjScore, error) {
+	head := 3 + 4 // op, version, kind; the count
+	if tr != nil {
+		head += 8 * traceWords
+	}
+	switch {
+	case len(body) < 3 || body[0] != opPartial || body[1] != wireVersion || body[2] > kindBad:
+		return run[:0], errFrame
+	case body[2] != kindOK:
+		return run[:0], &nodeError{kind: body[2], msg: string(body[3:])}
+	case len(body) < head:
+		return run[:0], errFrame
+	}
+	n := binary.BigEndian.Uint32(body[head-4:])
+	if uint64(n)*slot != uint64(len(body)-head) {
+		return run[:0], errCount
+	}
+	if tr != nil {
+		for i, c := range traceCounters(tr) {
+			*c = int64(binary.BigEndian.Uint64(body[3+8*i:]))
+		}
+	}
+	run = slices.Grow(run[:0], int(n))[:n]
+	for i, prev := 0, int64(-1); i < len(run); i++ {
+		p := body[head+slot*i:]
+		if run[i].Obj = grid.ObjectID(binary.BigEndian.Uint32(p)); int64(run[i].Obj) <= prev {
+			return run[:0], errOrder
+		}
+		prev, run[i].Score = int64(run[i].Obj), f64(p[4:])
+	}
+	return run, nil
+}
+
+// writeFrame writes a frame an append encoder built, patching its length
+// prefix first.
+func writeFrame(w io.Writer, frame []byte) error {
+	if len(frame)-4 > maxFrame {
+		return fmt.Errorf("cluster: frame of %d bytes exceeds the %d limit", len(frame)-4, maxFrame)
+	}
+	binary.BigEndian.PutUint32(frame, uint32(len(frame)-4))
+	_, err := w.Write(frame)
+	return err
+}
+
+// readFrame reads one frame's non-empty body into buf, reused. The buffer
+// grows only as body bytes arrive, at most doubling per step, so a peer
+// announcing a large frame costs what it sent, not what it announced.
+func readFrame(r io.Reader, buf []byte) ([]byte, error) {
+	buf = slices.Grow(buf[:0], 4)[:4]
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return buf[:0], err
+	}
+	n := int(binary.BigEndian.Uint32(buf))
+	if n == 0 || n > maxFrame {
+		return buf[:0], fmt.Errorf("cluster: peer announced a %d-byte frame (limit 1 to %d)", n, maxFrame)
+	}
+	for buf = buf[:0]; len(buf) < n; {
+		chunk := min(n-len(buf), max(cap(buf)-len(buf), len(buf), 4096))
+		buf = slices.Grow(buf, chunk)
+		if _, err := io.ReadFull(r, buf[len(buf):len(buf)+chunk]); err != nil {
+			return buf[:0], err
+		}
+		buf = buf[:len(buf)+chunk]
+	}
+	return buf, nil
+}
+
 // Typed failure modes of the distributed path.
 var (
-	// ErrNoReplica is returned when every replica of a required cell range
-	// has failed (connection refused, or grid.ErrShardIO from its store):
-	// the query cannot be answered correctly, so it fails fast and typed
+	// ErrNoReplica is returned when every replica of a needed cell range
+	// failed (a connection, or grid.ErrShardIO): the query fails typed
 	// instead of returning a silently incomplete result.
 	ErrNoReplica = errors.New("cluster: no replica left for required cell range")
 	// ErrQuotaExceeded is returned by coordinator admission when a
 	// client's token bucket is empty; clients should back off.
 	ErrQuotaExceeded = errors.New("cluster: client quota exceeded")
-	// ErrMismatch is returned when a node's dataset identity (cell count,
-	// object count) disagrees with the coordinator's — serving would give
-	// wrong answers, so the node is refused at Hello time.
+	// ErrMismatch is returned when a node's wire version or dataset (cell
+	// and object counts) differs from the coordinator's: it is refused at
+	// Hello, since serving would give wrong answers.
 	ErrMismatch = errors.New("cluster: node dataset does not match coordinator")
 	// ErrBadTopology is returned when the nodes' cell ranges do not tile
 	// the coordinator's cell space.

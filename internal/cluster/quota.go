@@ -39,10 +39,7 @@ type quotaTable struct {
 
 func newQuotaTable(opts QuotaOptions) *quotaTable {
 	if opts.Burst <= 0 {
-		opts.Burst = opts.RatePerSec
-		if opts.Burst < 1 {
-			opts.Burst = 1
-		}
+		opts.Burst = max(1, opts.RatePerSec)
 	}
 	return &quotaTable{opts: opts, m: make(map[string]*bucket), sweepAt: quotaSweepMin}
 }
@@ -61,10 +58,7 @@ func (q *quotaTable) take(client string) bool {
 		b = &bucket{tokens: q.opts.Burst, last: now}
 		q.m[client] = b
 	}
-	b.tokens += now.Sub(b.last).Seconds() * q.opts.RatePerSec
-	if b.tokens > q.opts.Burst {
-		b.tokens = q.opts.Burst
-	}
+	b.tokens = min(q.opts.Burst, b.tokens+now.Sub(b.last).Seconds()*q.opts.RatePerSec)
 	b.last = now
 	if b.tokens < 1 {
 		return false
@@ -89,8 +83,5 @@ func (q *quotaTable) sweepLocked(now time.Time) {
 			}
 		}
 	}
-	q.sweepAt = 2 * len(q.m)
-	if q.sweepAt < quotaSweepMin {
-		q.sweepAt = quotaSweepMin
-	}
+	q.sweepAt = max(quotaSweepMin, 2*len(q.m))
 }

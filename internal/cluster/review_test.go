@@ -72,12 +72,8 @@ func TestRPCRedialsStalePooledConn(t *testing.T) {
 		}
 		nc.idle = append(nc.idle, c)
 	}
-	resp, err, _ := nc.rpc(&request{Op: opHealth}, time.Now().Add(5*time.Second), 2*time.Second)
-	if err != nil {
+	if err, _ := nc.rpc(&call{op: opHealth}, time.Now().Add(5*time.Second), 2*time.Second); err != nil {
 		t.Fatalf("rpc over stale pool: %v", err)
-	}
-	if resp.Err != "" {
-		t.Fatalf("node answered error: %s", resp.Err)
 	}
 	if got := nc.errors.Load(); got != 2 {
 		t.Errorf("errors = %d, want 2 (one per stale pooled connection)", got)

@@ -1,7 +1,7 @@
 package cluster
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/queryengine"
@@ -61,9 +61,8 @@ func (c *Coordinator) Stats() Stats {
 			}
 			nc.latMu.Lock()
 			if len(nc.lat) > 0 {
-				sorted := make([]time.Duration, len(nc.lat))
-				copy(sorted, nc.lat)
-				sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+				sorted := slices.Clone(nc.lat)
+				slices.Sort(sorted)
 				ns.Samples = len(sorted)
 				ns.P50 = queryengine.Percentile(sorted, 50)
 				ns.P95 = queryengine.Percentile(sorted, 95)
