@@ -101,7 +101,7 @@ type call struct {
 	req  partialRequest   // opPartial
 	tr   grid.SearchTrace // opPartial: the node's counters, if explaining
 	run  []grid.ObjScore  // opPartial: the node's scores
-	resp response         // hello, stats, health
+	resp response         // hello, health
 	g    *replicaGroup    // in a scatter: the group asked, and the outcome
 	err  error
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/grid"
@@ -33,9 +32,6 @@ type Node struct {
 	closed  bool
 	wg      sync.WaitGroup
 	scratch sync.Pool // *grid.SearchScratch, one per in-flight request
-
-	served atomic.Int64
-	errs   atomic.Int64
 }
 
 // NodeConfig configures NewNode.
@@ -164,7 +160,7 @@ func (n *Node) handle(c net.Conn) {
 		switch op := body[0]; op {
 		case opPartial:
 			buf = n.partial(c, body, &req, &tr)
-		case opHello, opStats, opHealth:
+		case opHello, opHealth:
 			buf = n.jsonReply(body[:0], op)
 		default:
 			return // not an op this wire version speaks (a JSON frame starts with '{')
@@ -180,17 +176,14 @@ func (n *Node) handle(c net.Conn) {
 	}
 }
 
-// jsonReply appends the reply frame of hello, stats or health to b.
+// jsonReply appends the reply frame of hello or health to b.
 func (n *Node) jsonReply(b []byte, op byte) []byte {
 	resp := response{CellLo: n.lo, CellHi: n.hi, Objects: n.objects}
-	switch op {
-	case opHello:
+	if op == opHello {
 		resp.Version, resp.NumCells = wireVersion, n.idx.NumCells()
 		for _, t := range n.idx.RangeTerms(n.lo, n.hi) {
 			resp.Terms = append(resp.Terms, int32(t))
 		}
-	case opStats:
-		resp.Served, resp.Errors, resp.Tombstones = n.served.Load(), n.errs.Load(), n.idx.TombstoneCount()
 	}
 	body, _ := json.Marshal(&resp) // cannot fail: numbers and a slice of them
 	return append(append(b, 0, 0, 0, 0, op), body...)
@@ -203,7 +196,6 @@ func (n *Node) jsonReply(b []byte, op byte) []byte {
 // contend, and an untraced request allocates nothing in the steady state.
 func (n *Node) partial(c net.Conn, body []byte, req *partialRequest, tr *grid.SearchTrace) []byte {
 	if err := decodePartialRequest(body, req); err != nil {
-		n.errs.Add(1)
 		return appendErrorReply(body[:0], kindBad, err.Error())
 	}
 	if req.timeoutMs > 0 {
@@ -221,13 +213,10 @@ func (n *Node) partial(c net.Conn, body []byte, req *partialRequest, tr *grid.Se
 	s.Trace = nil
 	switch {
 	case err == nil:
-		n.served.Add(1)
 		body = appendPartialReply(body[:0], tr, scores)
 	case errors.Is(err, grid.ErrShardIO):
-		n.errs.Add(1)
 		body = appendErrorReply(body[:0], kindShardIO, err.Error())
 	default:
-		n.errs.Add(1)
 		body = appendErrorReply(body[:0], kindBad, err.Error())
 	}
 	release(&n.scratch, s) // scores alias the scratch; encoded above

@@ -9,8 +9,8 @@
 // order. Nodes send them in ascending object id as float64 bits and the
 // coordinator k-way merges the runs with no arithmetic, so answers are
 // bit-identical to one process's. Frames are length-prefixed, over TCP;
-// docs/CLUSTER.md tables the partial-search layout, and hello, stats and
-// health replies carry JSON.
+// docs/CLUSTER.md tables the partial-search layout, and hello and health
+// replies carry JSON.
 package cluster
 
 import (
@@ -39,11 +39,12 @@ const (
 	traceWords = 9
 )
 
+// Op bytes. 3 stays unassigned, so health keeps its value on the wire and
+// a node drops a connection that sends 3.
 const (
-	opHello byte = iota + 1
-	opPartial
-	opStats
-	opHealth
+	opHello   byte = 1
+	opPartial byte = 2
+	opHealth  byte = 4
 )
 
 // Error kinds of partial replies: the coordinator tells a retryable fault
@@ -78,18 +79,15 @@ type nodeError struct {
 
 func (e *nodeError) Error() string { return e.msg }
 
-// response is the JSON reply body of hello, stats and health: the node's
-// identity, its term directory (hello) and its counters (stats).
+// response is the JSON reply body of hello and health: the node's
+// identity and its term directory (hello).
 type response struct {
-	Version    int     `json:"version,omitempty"`
-	CellLo     uint32  `json:"cell_lo"`
-	CellHi     uint32  `json:"cell_hi"`
-	NumCells   int     `json:"num_cells,omitempty"`
-	Objects    int     `json:"objects"`
-	Terms      []int32 `json:"terms,omitempty"` // for the coordinator's skip routing
-	Served     int64   `json:"served,omitempty"`
-	Errors     int64   `json:"errors,omitempty"`
-	Tombstones int     `json:"tombstones,omitempty"`
+	Version  int     `json:"version,omitempty"`
+	CellLo   uint32  `json:"cell_lo"`
+	CellHi   uint32  `json:"cell_hi"`
+	NumCells int     `json:"num_cells,omitempty"`
+	Objects  int     `json:"objects"`
+	Terms    []int32 `json:"terms,omitempty"` // for the coordinator's skip routing
 }
 
 // traceCounters lists the grid.SearchTrace counters a node fills, in wire

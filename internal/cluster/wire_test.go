@@ -158,28 +158,33 @@ func TestHostileFrameHeader(t *testing.T) {
 }
 
 // TestLegacyJSONFrameDropped: a JSON frame from a coordinator of the
-// previous wire version is not an op this node speaks; the node drops
-// that connection without panicking and keeps serving.
+// previous wire version, or the unassigned op 3, is not an op this node
+// speaks; the node drops that connection without panicking and keeps
+// serving.
 func TestLegacyJSONFrameDropped(t *testing.T) {
 	const objects = 100
 	v, idx := buildCorpus(t, objects, 53, false)
 	n := startNode(t, idx, 0, uint32(idx.NumCells()), objects)
 	defer n.Close()
 
-	conn, err := net.Dial("tcp", n.Addr().String())
-	if err != nil {
-		t.Fatal(err)
+	for _, body := range [][]byte{
+		[]byte(`{"op":"partial","terms":[0],"idf":[1],"norm":1,"rect":{"x0":0,"y0":0,"x1":1000,"y1":1000}}`),
+		{3},
+	} {
+		conn, err := net.Dial("tcp", n.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := writeFrame(conn, append(make([]byte, 4), body...)); err != nil {
+			t.Fatal(err)
+		}
+		_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if got, err := io.ReadAll(conn); err != nil || len(got) != 0 {
+			t.Fatalf("frame %q answered %q (err %v); want the connection closed", body, got, err)
+		}
+		conn.Close()
+		searchOnce(t, v, idx, n)
 	}
-	defer conn.Close()
-	legacy := []byte(`{"op":"partial","terms":[0],"idf":[1],"norm":1,"rect":{"x0":0,"y0":0,"x1":1000,"y1":1000}}`)
-	if err := writeFrame(conn, append(make([]byte, 4), legacy...)); err != nil {
-		t.Fatal(err)
-	}
-	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if got, err := io.ReadAll(conn); err != nil || len(got) != 0 {
-		t.Fatalf("legacy frame answered %q (err %v); want the connection closed", got, err)
-	}
-	searchOnce(t, v, idx, n)
 }
 
 // TestHelloVersionMismatch: a node answering hello with another wire

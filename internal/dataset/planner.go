@@ -122,7 +122,7 @@ func (p *Planner) instantiate(ctx context.Context, q Query) (*QueryInstance, err
 	if q.Mode == WeightLanguageModel {
 		lm = d.Vocab.PrepareLMQuery(q.Keywords, 0)
 	}
-	n := sub.NumNodes()
+	n := len(sub.ToParent)
 	p.weights = growTo(p.weights, n)
 	for i := range p.weights {
 		p.weights[i] = 0
@@ -151,8 +151,7 @@ func (p *Planner) instantiate(ctx context.Context, q Query) (*QueryInstance, err
 		p.nodeObjs[local] = append(p.nodeObjs[local], os.Obj)
 	}
 	p.edges = p.edges[:0]
-	for i := 0; i < sub.NumEdges(); i++ {
-		e := sub.Edge(roadnet.EdgeID(i))
+	for _, e := range sub.Edges {
 		p.edges = append(p.edges, core.Edge{U: int32(e.U), V: int32(e.V), Length: e.Length})
 	}
 	if err := p.inst.Reset(n, p.edges, p.weights); err != nil {

@@ -3,13 +3,18 @@ package dataset
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // TestPlannerMatchesInstantiate runs a workload twice — once through a
 // single pooled Planner and once through a fresh Planner per query — and
-// demands identical working graphs.
+// demands identical working graphs. It also pins the pooled instance to one
+// built independently, by core.NewInstance over the allocating oracle
+// extraction: same edges, same adjacency order, same parent ids.
 func TestPlannerMatchesInstantiate(t *testing.T) {
 	d, err := NYLike(Config{Seed: 9, Scale: 0.12})
 	if err != nil {
@@ -52,6 +57,26 @@ func TestPlannerMatchesInstantiate(t *testing.T) {
 			if pooled.Sub.ToParent[v] != fresh.Sub.ToParent[v] {
 				t.Fatalf("query %d: ToParent[%d] differs", qi, v)
 			}
+		}
+		oracle := d.Graph.ExtractRect(q.Lambda)
+		edges := make([]core.Edge, len(oracle.Edges))
+		for i, e := range oracle.Edges {
+			edges[i] = core.Edge{U: int32(e.U), V: int32(e.V), Length: e.Length}
+		}
+		ref, err := core.NewInstance(len(oracle.ToParent), edges, make([]float64, len(oracle.ToParent)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pooled.In.NumNodes != ref.NumNodes || !slices.Equal(pooled.In.Edges, ref.Edges) {
+			t.Fatalf("query %d: pooled working graph differs from the oracle's", qi)
+		}
+		for v := core.NodeID(0); int(v) < ref.NumNodes; v++ {
+			if !slices.Equal(pooled.In.Neighbors(v), ref.Neighbors(v)) {
+				t.Fatalf("query %d: Neighbors(%d) = %v, oracle %v", qi, v, pooled.In.Neighbors(v), ref.Neighbors(v))
+			}
+		}
+		if !slices.Equal(pooled.Sub.ToParent, oracle.ToParent) {
+			t.Fatalf("query %d: ToParent differs from the oracle's", qi)
 		}
 		for v := range fresh.NodeObjects {
 			if len(pooled.NodeObjects[v]) != len(fresh.NodeObjects[v]) {

@@ -42,7 +42,7 @@ func BenchmarkExtractRect(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if sub := g.ExtractRect(r); sub.NumNodes() == 0 {
+		if sub := g.ExtractRect(r); len(sub.ToParent) == 0 {
 			b.Fatal("empty extraction")
 		}
 	}
@@ -76,7 +76,7 @@ func BenchmarkExtractRectSelectivity(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				sub := ex.ExtractRect(tc.rect)
-				if sub.NumNodes() == 0 {
+				if len(sub.ToParent) == 0 {
 					b.Fatal("empty extraction")
 				}
 			}
@@ -84,7 +84,7 @@ func BenchmarkExtractRectSelectivity(b *testing.B) {
 		b.Run("oneshot/"+tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if sub := g.ExtractRect(tc.rect); sub.NumNodes() == 0 {
+				if sub := g.ExtractRect(tc.rect); len(sub.ToParent) == 0 {
 					b.Fatal("empty extraction")
 				}
 			}

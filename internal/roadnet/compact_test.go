@@ -29,8 +29,8 @@ func TestSubgraphCompactEquivalent(t *testing.T) {
 		if compact.stamp != nil || compact.localOf != nil {
 			t.Fatal("compact copy still carries parent-sized stamp/remap arrays")
 		}
-		if len(compact.lookupParent) != compact.NumNodes() {
-			t.Fatalf("lookup size %d, want %d", len(compact.lookupParent), compact.NumNodes())
+		if len(compact.lookupParent) != len(compact.ToParent) {
+			t.Fatalf("lookup size %d, want %d", len(compact.lookupParent), len(compact.ToParent))
 		}
 		// Clobber the extractor's scratch with different extractions, then
 		// verify the compact copy against a fresh reference.
@@ -72,8 +72,8 @@ func TestSubgraphCompactAllocation(t *testing.T) {
 	ex := NewExtractor(g)
 	// A thin rectangle: a handful of nodes out of 20k.
 	sub := ex.ExtractRect(geo.Rect{MinX: 0, MinY: 0, MaxX: 4, MaxY: 4})
-	if sub.NumNodes() == 0 || sub.NumNodes() > parentNodes/20 {
-		t.Fatalf("fixture subgraph has %d nodes; want a small non-empty slice of %d", sub.NumNodes(), parentNodes)
+	if len(sub.ToParent) == 0 || len(sub.ToParent) > parentNodes/20 {
+		t.Fatalf("fixture subgraph has %d nodes; want a small non-empty slice of %d", len(sub.ToParent), parentNodes)
 	}
 	var before, after runtime.MemStats
 	runtime.GC()
@@ -84,7 +84,7 @@ func TestSubgraphCompactAllocation(t *testing.T) {
 	limit := uint64(parentNodes * 4) // one parent-sized []uint32 stamp array
 	if allocated >= limit {
 		t.Fatalf("Compact allocated %d bytes for a %d-node subgraph of a %d-node parent (limit %d)",
-			allocated, sub.NumNodes(), parentNodes, limit)
+			allocated, len(sub.ToParent), parentNodes, limit)
 	}
 	runtime.KeepAlive(compact)
 }

@@ -10,11 +10,12 @@ import (
 // scratch state. Candidate nodes come from the parent's cell index and edges
 // from the adjacency of in-rectangle nodes only, so an extraction costs
 // O(nodes inside + edges incident) — never O(|E|) — and, once the scratch
-// buffers have warmed up, performs no allocations at all.
+// buffers have warmed up, performs no allocations at all. It hands over ids
+// and edges only: no points, adjacency or spatial index of the subgraph.
 //
 // The returned *Subgraph aliases the extractor's buffers: it is valid only
 // until the next Extract call on the same extractor. An Extractor is not
-// safe for concurrent use; pool one per worker (see internal/queryengine).
+// safe for concurrent use; pool one per worker (see dataset.Planner).
 type Extractor struct {
 	g *Graph
 
@@ -25,18 +26,10 @@ type Extractor struct {
 	stamp   []uint32
 	localOf []NodeID
 
-	sub  Subgraph
-	subg Graph
-
-	cand      []NodeID
-	toParent  []NodeID
-	pts       []geo.Point
-	edges     []Edge
-	offs      []int32
-	cursor    []int32
-	adj       []Halfedge
-	cellStart []int32
-	cellNodes []NodeID
+	sub      Subgraph
+	cand     []NodeID
+	toParent []NodeID
+	edges    []Edge
 }
 
 // NewExtractor returns an extractor for subgraphs of g.
@@ -73,7 +66,6 @@ func (x *Extractor) extract(cand []NodeID) *Subgraph {
 	}
 	g := x.g
 	x.toParent = x.toParent[:0]
-	x.pts = x.pts[:0]
 	for _, v := range cand {
 		if x.stamp[v] == x.epoch {
 			continue // duplicate candidate
@@ -81,56 +73,23 @@ func (x *Extractor) extract(cand []NodeID) *Subgraph {
 		x.stamp[v] = x.epoch
 		x.localOf[v] = NodeID(len(x.toParent))
 		x.toParent = append(x.toParent, v)
-		x.pts = append(x.pts, g.pts[v])
 	}
-	n := len(x.toParent)
 
 	// Collect induced edges by walking only the adjacency of inside nodes;
 	// the u < he.To guard admits each undirected edge exactly once (also
 	// for parallel edges, which occur once per endpoint list).
 	x.edges = x.edges[:0]
-	x.offs = growTo(x.offs, n+1)
-	for i := range x.offs {
-		x.offs[i] = 0
-	}
 	for _, u := range x.toParent {
-		lu := x.localOf[u]
 		for _, he := range g.adj[g.offs[u]:g.offs[u+1]] {
 			if u < he.To && x.stamp[he.To] == x.epoch {
-				lv := x.localOf[he.To]
-				x.edges = append(x.edges, Edge{U: lu, V: lv, Length: he.Length})
-				x.offs[lu+1]++
-				x.offs[lv+1]++
+				x.edges = append(x.edges, Edge{U: x.localOf[u], V: x.localOf[he.To], Length: he.Length})
 			}
 		}
 	}
-	for i := 0; i < n; i++ {
-		x.offs[i+1] += x.offs[i]
-	}
-	x.cursor = growTo(x.cursor, n)
-	copy(x.cursor, x.offs[:n])
-	x.adj = growTo(x.adj, 2*len(x.edges))
-	for id, e := range x.edges {
-		x.adj[x.cursor[e.U]] = Halfedge{To: e.V, Edge: EdgeID(id), Length: e.Length}
-		x.cursor[e.U]++
-		x.adj[x.cursor[e.V]] = Halfedge{To: e.U, Edge: EdgeID(id), Length: e.Length}
-		x.cursor[e.V]++
-	}
-
-	x.subg = Graph{
-		pts:   x.pts,
-		edges: x.edges,
-		offs:  x.offs,
-		adj:   x.adj[:2*len(x.edges)],
-		bbox:  computeBBox(x.pts),
-	}
-	x.subg.sizeCells()
-	x.cellStart, x.cellNodes = x.subg.buildCellIndex(x.cellStart, x.cellNodes)
-	x.subg.cellStart, x.subg.cellNodes = x.cellStart, x.cellNodes
 
 	x.sub = Subgraph{
-		Graph:    &x.subg,
 		ToParent: x.toParent,
+		Edges:    x.edges,
 		localOf:  x.localOf,
 		stamp:    x.stamp,
 		epoch:    x.epoch,

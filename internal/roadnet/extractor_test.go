@@ -27,20 +27,17 @@ func randomGraph(t testing.TB, rng *rand.Rand, n, m int) *Graph {
 	return b.Build()
 }
 
-// assertSameSubgraph checks that two subgraphs agree on nodes, edges,
-// remaps, and geometry.
+// assertSameSubgraph checks that two subgraphs agree on nodes, edges and
+// remaps.
 func assertSameSubgraph(t *testing.T, parent *Graph, want, got *Subgraph) {
 	t.Helper()
-	if got.NumNodes() != want.NumNodes() || got.NumEdges() != want.NumEdges() {
+	if len(got.ToParent) != len(want.ToParent) || len(got.Edges) != len(want.Edges) {
 		t.Fatalf("size mismatch: got %d/%d nodes/edges, want %d/%d",
-			got.NumNodes(), got.NumEdges(), want.NumNodes(), want.NumEdges())
+			len(got.ToParent), len(got.Edges), len(want.ToParent), len(want.Edges))
 	}
 	for i, p := range want.ToParent {
 		if got.ToParent[i] != p {
 			t.Fatalf("ToParent[%d] = %d, want %d", i, got.ToParent[i], p)
-		}
-		if got.Point(NodeID(i)) != want.Point(NodeID(i)) {
-			t.Fatalf("point of local %d differs", i)
 		}
 	}
 	for v := NodeID(0); int(v) < parent.NumNodes(); v++ {
@@ -50,13 +47,10 @@ func assertSameSubgraph(t *testing.T, parent *Graph, want, got *Subgraph) {
 	}
 	// Edge multisets must match; both paths emit edges grouped by the
 	// lower endpoint in ascending order, so direct comparison works.
-	for i := 0; i < want.NumEdges(); i++ {
-		if got.Edge(EdgeID(i)) != want.Edge(EdgeID(i)) {
-			t.Fatalf("edge %d: got %+v, want %+v", i, got.Edge(EdgeID(i)), want.Edge(EdgeID(i)))
+	for i, e := range want.Edges {
+		if got.Edges[i] != e {
+			t.Fatalf("edge %d: got %+v, want %+v", i, got.Edges[i], e)
 		}
-	}
-	if got.BBox() != want.BBox() {
-		t.Fatalf("bbox mismatch: got %v want %v", got.BBox(), want.BBox())
 	}
 }
 
@@ -93,16 +87,16 @@ func TestExtractorMatchesBruteForce(t *testing.T) {
 			)
 			sub := ex.ExtractRect(r)
 			nodes, edges := bruteExtract(g, r)
-			if sub.NumNodes() != len(nodes) {
-				t.Fatalf("trial %d: %d nodes, want %d", trial, sub.NumNodes(), len(nodes))
+			if len(sub.ToParent) != len(nodes) {
+				t.Fatalf("trial %d: %d nodes, want %d", trial, len(sub.ToParent), len(nodes))
 			}
 			for i, p := range nodes {
 				if sub.ToParent[i] != p {
 					t.Fatalf("trial %d: ToParent[%d] = %d, want %d", trial, i, sub.ToParent[i], p)
 				}
 			}
-			if sub.NumEdges() != len(edges) {
-				t.Fatalf("trial %d: %d edges, want %d", trial, sub.NumEdges(), len(edges))
+			if len(sub.Edges) != len(edges) {
+				t.Fatalf("trial %d: %d edges, want %d", trial, len(sub.Edges), len(edges))
 			}
 			// The incident-edge walk orders edges by lower endpoint, not
 			// parent edge ID: compare as multisets keyed by endpoints.
@@ -113,8 +107,7 @@ func TestExtractorMatchesBruteForce(t *testing.T) {
 				}
 				wantCount[e]++
 			}
-			for i := 0; i < sub.NumEdges(); i++ {
-				e := sub.Edge(EdgeID(i))
+			for _, e := range sub.Edges {
 				if e.V < e.U {
 					e.U, e.V = e.V, e.U
 				}
@@ -142,8 +135,8 @@ func TestExtractorPooledMatchesOneShot(t *testing.T) {
 		got := ex.ExtractRect(r) // pooled, reused buffers
 		want := g.ExtractRect(r) // fresh extractor
 		assertSameSubgraph(t, g, want, got)
-		if i == 3 && got.NumNodes() != 0 {
-			t.Fatalf("empty rect extracted %d nodes", got.NumNodes())
+		if i == 3 && len(got.ToParent) != 0 {
+			t.Fatalf("empty rect extracted %d nodes", len(got.ToParent))
 		}
 	}
 }
@@ -204,8 +197,8 @@ func TestExtractorExtractNodesDedup(t *testing.T) {
 	g := b.Build()
 	ex := NewExtractor(g)
 	sub := ex.ExtractNodes([]NodeID{2, 1, 2, 1})
-	if sub.NumNodes() != 2 || sub.NumEdges() != 1 {
-		t.Fatalf("got %d nodes %d edges, want 2/1", sub.NumNodes(), sub.NumEdges())
+	if len(sub.ToParent) != 2 || len(sub.Edges) != 1 {
+		t.Fatalf("got %d nodes %d edges, want 2/1", len(sub.ToParent), len(sub.Edges))
 	}
 	// First-occurrence order assigns local 0 to parent 2.
 	if sub.ToParent[0] != 2 || sub.ToParent[1] != 1 {
@@ -248,27 +241,8 @@ func TestNodesInRectHugeRect(t *testing.T) {
 	if got := g.NodesInRect(huge); len(got) != g.NumNodes() {
 		t.Fatalf("huge rect returned %d of %d nodes", len(got), g.NumNodes())
 	}
-	if sub := g.ExtractRect(huge); sub.NumNodes() != g.NumNodes() || sub.NumEdges() != g.NumEdges() {
+	if sub := g.ExtractRect(huge); len(sub.ToParent) != g.NumNodes() || len(sub.Edges) != g.NumEdges() {
 		t.Fatalf("huge rect extraction %d/%d nodes/edges, want %d/%d",
-			sub.NumNodes(), sub.NumEdges(), g.NumNodes(), g.NumEdges())
-	}
-}
-
-func TestSubgraphIsFullGraph(t *testing.T) {
-	// A Subgraph must support the full Graph API, including NodesInRect
-	// through its own cell index.
-	rng := rand.New(rand.NewSource(19))
-	g := randomGraph(t, rng, 60, 150)
-	sub := g.ExtractRect(geo.Rect{MinX: 20, MinY: 20, MaxX: 80, MaxY: 80})
-	inner := geo.Rect{MinX: 30, MinY: 30, MaxX: 60, MaxY: 60}
-	got := sub.NodesInRect(inner)
-	count := 0
-	for i := 0; i < sub.NumNodes(); i++ {
-		if inner.Contains(sub.Point(NodeID(i))) {
-			count++
-		}
-	}
-	if len(got) != count {
-		t.Fatalf("subgraph NodesInRect = %d nodes, want %d", len(got), count)
+			len(sub.ToParent), len(sub.Edges), g.NumNodes(), g.NumEdges())
 	}
 }

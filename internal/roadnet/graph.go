@@ -130,7 +130,7 @@ func (b *Builder) Build() *Graph {
 	}
 	g.bbox = computeBBox(g.pts)
 	g.sizeCells()
-	g.cellStart, g.cellNodes = g.buildCellIndex(nil, nil)
+	g.buildCellIndex()
 	return g
 }
 
@@ -193,16 +193,14 @@ func (g *Graph) cellOf(p geo.Point) int32 {
 	return cy*g.nx + cx
 }
 
-// buildCellIndex buckets all nodes into the cell grid, reusing the given
-// buffers when they are large enough. sizeCells must have run first.
-func (g *Graph) buildCellIndex(start []int32, nodes []NodeID) ([]int32, []NodeID) {
+// buildCellIndex buckets all nodes into the cell grid. sizeCells must have
+// run first.
+func (g *Graph) buildCellIndex() {
 	cells := int(g.nx) * int(g.ny)
-	start = growTo(start, cells+1)
-	for i := range start {
-		start[i] = 0
-	}
+	start := make([]int32, cells+1)
+	g.cellStart = start
 	if cells == 0 {
-		return start, nodes[:0]
+		return
 	}
 	for _, p := range g.pts {
 		start[g.cellOf(p)+1]++
@@ -210,25 +208,16 @@ func (g *Graph) buildCellIndex(start []int32, nodes []NodeID) ([]int32, []NodeID
 	for c := 0; c < cells; c++ {
 		start[c+1] += start[c]
 	}
-	nodes = growTo(nodes, len(g.pts))
+	g.cellNodes = make([]NodeID, len(g.pts))
 	// Fill using start[c] as a cursor (ascending i keeps cells sorted),
 	// then shift right to restore the prefix offsets.
 	for i, p := range g.pts {
 		c := g.cellOf(p)
-		nodes[start[c]] = NodeID(i)
+		g.cellNodes[start[c]] = NodeID(i)
 		start[c]++
 	}
 	copy(start[1:cells+1], start[:cells])
 	start[0] = 0
-	return start, nodes
-}
-
-// growTo returns s with length n, reusing its backing array when possible.
-func growTo[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
 }
 
 // appendNodesInRect appends the IDs of all nodes inside r to buf, walking

@@ -254,11 +254,11 @@ func TestExtractRect(t *testing.T) {
 	}
 	g := b.Build()
 	sub := g.ExtractRect(geo.Rect{MinX: -1, MinY: -1, MaxX: 11, MaxY: 5})
-	if sub.NumNodes() != 2 {
-		t.Fatalf("subgraph nodes = %d, want 2", sub.NumNodes())
+	if len(sub.ToParent) != 2 {
+		t.Fatalf("subgraph nodes = %d, want 2", len(sub.ToParent))
 	}
-	if sub.NumEdges() != 1 {
-		t.Fatalf("subgraph edges = %d, want 1 (edges leaving Λ are dropped)", sub.NumEdges())
+	if len(sub.Edges) != 1 {
+		t.Fatalf("subgraph edges = %d, want 1 (edges leaving Λ are dropped)", len(sub.Edges))
 	}
 	if sub.Local(p00) == -1 || sub.Local(p10) == -1 {
 		t.Error("inside nodes missing from subgraph")
@@ -274,8 +274,8 @@ func TestExtractRect(t *testing.T) {
 func TestExtractNodesDedup(t *testing.T) {
 	g := lineGraph(t, []float64{1, 1, 1})
 	sub := g.ExtractNodes([]NodeID{1, 2, 2, 1})
-	if sub.NumNodes() != 2 || sub.NumEdges() != 1 {
-		t.Errorf("got %d nodes %d edges, want 2/1", sub.NumNodes(), sub.NumEdges())
+	if len(sub.ToParent) != 2 || len(sub.Edges) != 1 {
+		t.Errorf("got %d nodes %d edges, want 2/1", len(sub.ToParent), len(sub.Edges))
 	}
 }
 
@@ -381,8 +381,8 @@ func TestExtractPreservesGeometryProperty(t *testing.T) {
 		g := b.Build()
 		r := geo.Rect{MinX: 2, MinY: 2, MaxX: 8, MaxY: 8}
 		sub := g.ExtractRect(r)
-		for i := 0; i < sub.NumNodes(); i++ {
-			if !r.Contains(sub.Point(NodeID(i))) {
+		for _, v := range sub.ToParent {
+			if !r.Contains(g.Point(v)) {
 				return false
 			}
 		}
@@ -393,7 +393,7 @@ func TestExtractPreservesGeometryProperty(t *testing.T) {
 				wantEdges++
 			}
 		}
-		return sub.NumEdges() == wantEdges
+		return len(sub.Edges) == wantEdges
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)

@@ -9,8 +9,10 @@ import (
 // Subgraph is the restriction of a parent Graph to the nodes inside a query
 // rectangle Q.Λ, with dense local IDs. The LCMSR definition (§2, Def. 3)
 // only counts edges whose two endpoints are inside Q.Λ, so edges leaving
-// the rectangle are dropped. A Subgraph is itself a *Graph plus the mapping
-// back to parent node IDs.
+// the rectangle are dropped. A Subgraph is the local→parent id mapping, its
+// inverse, and the induced edge list in local IDs; it has no adjacency of
+// its own — the solvers' one per-request adjacency is the core.Instance
+// built from Edges.
 //
 // The parent→local mapping is slice-based: localOf and stamp are arrays
 // indexed by parent node ID, shared with the Extractor that produced the
@@ -18,12 +20,15 @@ import (
 // subgraph's epoch. This replaces the former map[NodeID]NodeID with O(1)
 // lookups and zero per-query map allocation.
 type Subgraph struct {
-	*Graph
-	// ToParent maps a local node ID to the node ID in the parent graph.
+	// ToParent maps a local node ID to the node ID in the parent graph;
+	// its length is the subgraph's node count.
 	ToParent []NodeID
-	localOf  []NodeID
-	stamp    []uint32
-	epoch    uint32
+	// Edges are the induced edges in local IDs, grouped by their endpoint
+	// with the lower parent ID, in local order of that endpoint.
+	Edges   []Edge
+	localOf []NodeID
+	stamp   []uint32
+	epoch   uint32
 	// Compact copies replace the parent-sized stamped remap with sorted
 	// (parent, local) pairs: lookupParent is ascending, lookupLocal[i] is
 	// the local ID of lookupParent[i]. Exactly one of the two
@@ -68,22 +73,9 @@ func (s *Subgraph) Local(parent NodeID) NodeID {
 // Retaining it costs O(subgraph), not O(parent graph), which is what
 // lets a driver pin many instances at once (see dataset.Detach).
 func (s *Subgraph) Compact() *Subgraph {
-	g := &Graph{
-		pts:       append([]geo.Point(nil), s.Graph.pts...),
-		edges:     append([]Edge(nil), s.Graph.edges...),
-		offs:      append([]int32(nil), s.Graph.offs...),
-		adj:       append([]Halfedge(nil), s.Graph.adj...),
-		bbox:      s.Graph.bbox,
-		cellStart: append([]int32(nil), s.Graph.cellStart...),
-		cellNodes: append([]NodeID(nil), s.Graph.cellNodes...),
-		nx:        s.Graph.nx,
-		ny:        s.Graph.ny,
-		cellW:     s.Graph.cellW,
-		cellH:     s.Graph.cellH,
-	}
 	out := &Subgraph{
-		Graph:        g,
 		ToParent:     append([]NodeID(nil), s.ToParent...),
+		Edges:        append([]Edge(nil), s.Edges...),
 		lookupParent: append([]NodeID(nil), s.ToParent...),
 		lookupLocal:  make([]NodeID, len(s.ToParent)),
 	}

@@ -6,7 +6,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/queryengine"
-	"repro/internal/roadnet"
 )
 
 // Method selects the query-answering algorithm.
@@ -86,7 +85,7 @@ func (db *Database) materialize(qi *dataset.QueryInstance, region *core.Region) 
 		res.Nodes[i] = int(qi.Sub.ToParent[v])
 	}
 	for _, ei := range region.Edges {
-		e := qi.Sub.Edge(roadnet.EdgeID(ei))
+		e := qi.In.Edges[ei]
 		res.Edges = append(res.Edges, EdgeSpec{
 			U:      int(qi.Sub.ToParent[e.U]),
 			V:      int(qi.Sub.ToParent[e.V]),
